@@ -5,21 +5,39 @@ candidate band: after adding one more DFT bin to the running analytic
 signal, is its unwrapped phase still non-decreasing (within tolerance)
 at every interior sample? Two implementations of that loop live here:
 
-* a scalar version compiled with numba (`*_compiled`), and
+* a scalar version compiled with numba (`*_scalar`), and
 * a vectorized pure-numpy version (`*_numpy`) used as fallback.
 
 Both follow the exact same floating-point recipe, in the same order,
 from the same twiddle tables, so they pick identical band boundaries:
 the complex accumulation is spelled out in real/imaginary parts (no
-complex dtype, no fused multiply-add surprises), phases come from
-atan2, and phase increments are wrapped to (-pi, pi] the same way
-``np.unwrap`` wraps them.
+complex dtype, no fused multiply-add surprises), each sample of the
+band signal is the bins' terms added one at a time in scan order,
+phases come from atan2, and phase increments are wrapped to (-pi, pi]
+the same way ``np.unwrap`` wraps them.
+
+The numpy scan is probe-first. On broadband records almost every
+candidate is rejected, most of them by a phase violation within the
+first few samples, so each candidate is first judged on its first
+PROBE samples only. The probe windows of BLOCK consecutive candidates
+come out of one cumulative sum down the candidate axis whose first row
+is the previous candidate's window; cumsum adds row by row, so sample
+m of row j is ((z[m] + w_1[m]) + w_2[m]) + ... + w_j[m], the very
+additions, in the very order, of adding each bin into one running
+buffer. The windows are therefore bit-identical to the full
+accumulation, and a zero sample or a phase slope below -eps inside one
+rejects its candidate for good. Only a candidate whose window passes
+has the rest of its band signal caught up: the pending bins are added
+one at a time, in scan order, into a single buffer of the later
+samples, and the phase steps the window could not see are checked.
+Bins after a band's last full check are never synthesized past the
+window. The wrap uses compare and subtract in place of ``np.mod``,
+with the same bits (see ``_wrap``).
 
 Backend selection happens once at import from the ``FDMKIT_NUMBA``
 environment variable: ``auto`` (default) uses numba when importable,
 ``1``/``true`` insists on it, ``0``/``false`` forces the numpy path.
 """
-
 import math
 import os
 
@@ -151,55 +169,195 @@ def _band_monotone_scalar(sr, si, cos_tab, sin_tab, lo, hi, eps):
 # vectorized numpy fallback
 # ---------------------------------------------------------------------------
 
+# Leading samples of the band signal kept current for every candidate;
+# most candidates already break admissibility inside this window.
+PROBE = 256
+# Candidates whose probe windows come out of one cumulative sum.
+BLOCK = 64
+
+
+def _wrap(d, out=None):
+    """``np.mod(d + pi, 2 pi) - pi`` by compare and subtract.
+
+    Bit for bit the same as the ``np.mod`` form for every d in
+    [-2 pi, 2 pi], the range of a difference of two atan2 values. With
+    s = d + pi, ``np.mod`` returns s itself on [0, 2 pi), s - 2 pi from
+    2 pi up (fmod is exact, and so is this subtraction for s below
+    4 pi) and the rounded s + 2 pi below zero. The two corrections
+    touch disjoint samples only because the subtraction comes first:
+    s + 2 pi may round up to 2 pi itself, which ``np.mod`` returns as is.
+    """
+    s = np.add(d, _PI, out=out)
+    s[np.nonzero(s >= _TWO_PI)] -= _TWO_PI
+    s[np.nonzero(s < 0.0)] += _TWO_PI
+    s -= _PI
+    return s
+
+
+def _admissible_rows(zr, zi, eps, work=None):
+    """Admissibility of every row of zr + i zi (time on the last axis).
+
+    ``work`` optionally supplies three scratch arrays shaped like zr,
+    so that a hot loop allocates nothing the size of a row.
+    """
+    if work is None:
+        work = [np.empty(zr.shape) for _ in range(3)]
+    raw = work[0]
+    d = work[1][..., :-1]
+    s = work[2][..., :-1]
+    # a zero sample has no phase; zr alone is almost never exactly 0
+    zero = ~zr.all(axis=-1)
+    if zero.any():
+        zero = ((zr == 0.0) & (zi == 0.0)).any(axis=-1)
+    np.arctan2(zi, zr, out=raw)
+    np.subtract(raw[..., 1:], raw[..., :-1], out=d)
+    dm = _wrap(d, out=s)
+    # np.unwrap keeps +pi for a positive jump of exactly pi
+    at_pi = dm == -_PI
+    if at_pi.any():
+        dm[at_pi & (d > 0.0)] = _PI
+    omega = np.add(dm[..., :-1], dm[..., 1:], out=raw[..., :-2])
+    omega *= 0.5
+    return ~(zero | (omega < -eps).any(axis=-1))
+
+
 def _admissible_numpy(zr, zi, eps):
-    if np.any((zr == 0.0) & (zi == 0.0)):
-        return False
-    raw = np.arctan2(zi, zr)
-    d = np.diff(raw)
-    dm = np.mod(d + _PI, _TWO_PI) - _PI
-    dm[(dm == -_PI) & (d > 0.0)] = _PI
-    omega = 0.5 * (dm[:-1] + dm[1:])
-    return not np.any(omega < -eps)
+    return bool(_admissible_rows(zr, zi, eps))
+
+
+def _term(cr, ci, idx, cos_tab, sin_tab, out=None):
+    """Real and imaginary parts of (cr + i ci) e^{i 2 pi idx / n}.
+
+    They are cr*wr - ci*wi and cr*wi + ci*wr, each product rounded on
+    its own. ``out`` optionally supplies four scratch arrays shaped
+    like idx; the last two receive the result.
+    """
+    if out is None:
+        out = [np.empty(idx.shape) for _ in range(4)]
+    wr, wi, re, im = out
+    np.take(cos_tab, idx, out=wr, mode="clip")
+    np.take(sin_tab, idx, out=wi, mode="clip")
+    np.multiply(cr, wr, out=re)
+    np.multiply(ci, wi, out=im)
+    re -= im
+    np.multiply(cr, wi, out=im)
+    wr *= ci
+    im += wr
+    return re, im
 
 
 def _bin_wave(cr, ci, k, cos_tab, sin_tab):
     n = cos_tab.shape[0]
-    idx = (k * np.arange(n)) % n
-    wr = cos_tab[idx]
-    wi = sin_tab[idx]
-    return cr * wr - ci * wi, cr * wi + ci * wr
+    return _term(cr, ci, (k * np.arange(n)) % n, cos_tab, sin_tab)
+
+
+class _Tail:
+    """Samples p-2..n-1 of a band signal that grows one bin at a time.
+
+    Samples from p on are brought up to date bin by bin, in scan order,
+    only when a candidate needs its full check; the two samples before
+    them come from that candidate's probe window.
+
+    Each bin is one step (+1 or -1) from the last, so bin k's twiddle
+    index k*m mod n is the previous bin's plus step*m, taken back into
+    [0, n) without a division: of idx and idx - step*n, the one in
+    range is the smaller as unsigned integers.
+    """
+
+    def __init__(self, n, p, k_prev, step):
+        m = np.arange(p, n)
+        self.zr = np.zeros(n - p + 2)
+        self.zi = np.zeros(n - p + 2)
+        self.idx = (k_prev * m) % n
+        self.alt = np.empty_like(self.idx)
+        self.delta = step * m
+        self.turn = step * n
+        # adding a bin and checking a candidate take turns on the
+        # scratch arrays
+        self.work = [np.empty(n - p + 2) for _ in range(3)]
+        self.wave = [w[2:] for w in self.work] + [np.empty(n - p)]
+
+    def add(self, cr, ci, cos_tab, sin_tab):
+        idx = self.idx
+        idx += self.delta
+        np.subtract(idx, self.turn, out=self.alt)
+        np.minimum(idx.view(np.uint64), self.alt.view(np.uint64),
+                   out=idx.view(np.uint64))
+        re, im = _term(cr, ci, idx, cos_tab, sin_tab, self.wave)
+        self.zr[2:] += re
+        self.zi[2:] += im
+
+    def admissible(self, head_r, head_i, eps):
+        """Full check of the candidate whose probe window is head; the
+        window itself already passed, so only the phase steps from its
+        last two samples on are left."""
+        self.zr[:2] = head_r[-2:]
+        self.zi[:2] = head_i[-2:]
+        return bool(_admissible_rows(self.zr, self.zi, eps, self.work))
+
+
+def _scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
+    """Grow a band one bin at a time in ``bins`` order (consecutive
+    bins, ascending or descending); return the bin that closes its last
+    admissible candidate, or -1 if none is.
+
+    Every candidate is first judged on its first PROBE samples, built
+    BLOCK candidates at a time; a violation there is final. Only a
+    candidate that survives has the rest of its band signal caught up
+    and checked.
+    """
+    if bins.size == 0:
+        return -1
+    n = sr.shape[0]
+    p = min(PROBE, n)
+    step = int(bins[1] - bins[0]) if bins.size > 1 else 1
+    head = np.arange(p)
+    idx = np.empty((BLOCK, p), dtype=np.intp)
+    # row 0: probe window of the previous block's last candidate
+    rows_r = np.zeros((BLOCK + 1, p))
+    rows_i = np.zeros((BLOCK + 1, p))
+    # building the windows and checking them take turns on the scratch
+    work = [np.empty((BLOCK, p)) for _ in range(3)]
+    # caught up through bins[:synced]
+    tail = _Tail(n, p, int(bins[0]) - step, step) if p < n else None
+    synced = 0
+    best = -1
+    for start in range(0, bins.size, BLOCK):
+        ks = bins[start:start + BLOCK]
+        b = ks.size
+        np.multiply(ks[:, None], head, out=idx[:b])
+        np.remainder(idx[:b], n, out=idx[:b])
+        _term(sr[ks, None], si[ks, None], idx[:b], cos_tab, sin_tab,
+              (work[0][:b], work[1][:b], rows_r[1:b + 1], rows_i[1:b + 1]))
+        # row j+1 adds bins one by one onto row j, in scan order: the
+        # same sequence of float adds as growing a single buffer
+        np.cumsum(rows_r[:b + 1], axis=0, out=rows_r[:b + 1])
+        np.cumsum(rows_i[:b + 1], axis=0, out=rows_i[:b + 1])
+        passed = _admissible_rows(rows_r[1:b + 1], rows_i[1:b + 1], eps,
+                                  [w[:b] for w in work])
+        for j, ok in enumerate(passed.tolist()):
+            if ok and tail is not None:
+                for k in bins[synced:start + j + 1].tolist():
+                    tail.add(sr[k], si[k], cos_tab, sin_tab)
+                synced = start + j + 1
+                ok = tail.admissible(rows_r[j + 1], rows_i[j + 1], eps)
+            if ok:
+                best = int(ks[j])
+            elif best != -1 and not exhaustive:
+                return best
+        rows_r[0] = rows_r[b]
+        rows_i[0] = rows_i[b]
+    return best
 
 
 def _lth_boundary_numpy(sr, si, cos_tab, sin_tab, lo, k_max, eps, exhaustive):
-    n = sr.shape[0]
-    zr = np.zeros(n)
-    zi = np.zeros(n)
-    best = -1
-    for hi in range(lo, k_max + 1):
-        dr, di = _bin_wave(sr[hi], si[hi], hi, cos_tab, sin_tab)
-        zr += dr
-        zi += di
-        if _admissible_numpy(zr, zi, eps):
-            best = hi
-        elif best != -1 and not exhaustive:
-            break
-    return best
+    return _scan_boundary(sr, si, cos_tab, sin_tab, np.arange(lo, k_max + 1),
+                          eps, exhaustive)
 
 
 def _htl_boundary_numpy(sr, si, cos_tab, sin_tab, hi, eps, exhaustive):
-    n = sr.shape[0]
-    zr = np.zeros(n)
-    zi = np.zeros(n)
-    best = -1
-    for lo in range(hi, 0, -1):
-        dr, di = _bin_wave(sr[lo], si[lo], lo, cos_tab, sin_tab)
-        zr += dr
-        zi += di
-        if _admissible_numpy(zr, zi, eps):
-            best = lo
-        elif best != -1 and not exhaustive:
-            break
-    return best
+    return _scan_boundary(sr, si, cos_tab, sin_tab, np.arange(hi, 0, -1),
+                          eps, exhaustive)
 
 
 def _band_monotone_numpy(sr, si, cos_tab, sin_tab, lo, hi, eps):

@@ -15,6 +15,7 @@ violation, 4 filesystem trouble.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -196,10 +197,19 @@ def _fmt(v) -> str:
 
 
 def _atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # a temp file of this call's own next to the target, so concurrent
+    # runs into one --out directory never share a temp file; os.open
+    # with 0o666 gives it the same umask-derived mode as open()
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     log.info("wrote %s", path)
 
 

@@ -12,6 +12,7 @@ join a band: they are real standalone terms in the reconstruction
     x[n] = dc + sum_i y_i[n] + nyquist * (-1)^n
 """
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,8 +65,15 @@ class FdmConfig:
             raise ParameterError(
                 f"monotonicity_tolerance must be >= 0, got {self.monotonicity_tolerance}"
             )
-        if self.max_fibfs is not None and self.max_fibfs < 1:
-            raise ParameterError(f"max_fibfs must be >= 1, got {self.max_fibfs}")
+        if self.max_fibfs is not None:
+            # bool is an int subclass; a float cap would never be hit
+            if isinstance(self.max_fibfs, bool) or \
+                    not isinstance(self.max_fibfs, numbers.Integral):
+                raise ParameterError(
+                    f"max_fibfs must be an integer, got {self.max_fibfs!r}"
+                )
+            if self.max_fibfs < 1:
+                raise ParameterError(f"max_fibfs must be >= 1, got {self.max_fibfs}")
 
 
 @dataclass
@@ -300,7 +308,11 @@ def decompose(signal: Signal, config: FdmConfig | None = None,
     nyquist = float(coeffs[nyq_bin].real) if nyq_bin is not None else None
 
     recon = _synthesize(dc, nyquist, fibfs, n)
-    err = float(np.linalg.norm(recon - x) / np.linalg.norm(x))
+    # measured on x / max|x| so that neither norm overflows to inf or
+    # underflows to 0 at extreme amplitude scales
+    scale = np.max(np.abs(x))
+    err = float(np.linalg.norm(recon / scale - x / scale)
+                / np.linalg.norm(x / scale))
 
     return DecompositionResult(
         dc=dc,

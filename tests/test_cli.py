@@ -390,3 +390,30 @@ class TestAtomicWrites:
         assert main(["decompose", "--input", TONE_RECIPE,
                      "--out", str(out), "--no-timestamp"]) == 0
         assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+
+    def test_other_runs_temp_file_is_left_alone(self, tmp_path):
+        # a second run writing into the same directory must not write
+        # through, or rename away, the first run's in-flight temp file
+        target = tmp_path / "summary.json"
+        other = tmp_path / "summary.json.tmp"
+        other.write_text("other run")
+        cli._atomic_write(str(target), "mine\n")
+        assert target.read_text() == "mine\n"
+        assert other.read_text() == "other run"
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w") as fh:
+            fh.write("x\n")
+        target = tmp_path / "atomic.csv"
+        cli._atomic_write(str(target), "x\n")
+        assert os.stat(target).st_mode == os.stat(plain).st_mode
+
+    def test_temp_file_removed_on_failure(self, tmp_path, monkeypatch):
+        def broken_replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(cli.os, "replace", broken_replace)
+        with pytest.raises(OSError, match="disk gone"):
+            cli._atomic_write(str(tmp_path / "t.csv"), "x\n")
+        assert os.listdir(tmp_path) == []

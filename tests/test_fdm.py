@@ -111,6 +111,27 @@ class TestDecomposeBasics:
         assert cfg.scan is ScanDirection.HIGH_TO_LOW
         assert cfg.search is SearchMode.FIRST_VIOLATION
 
+    @pytest.mark.parametrize("exponent", [530, -1000])
+    def test_reconstruction_error_survives_extreme_scales(self, exponent):
+        # the plain norms overflow to inf at 2^530 (a false 0.0) and
+        # underflow to 0 at 2^-1000 (nan); the partition never moves
+        x = noise(3, 256)
+        base = decompose(x)
+        r = decompose(Signal(x.samples * 2.0 ** exponent, x.sample_rate_hz))
+        assert [b.partition_range for b in r.fibfs] == \
+            [b.partition_range for b in base.fibfs]
+        assert 0.0 < r.reconstruction_error < TOL
+        assert r.reconstruction_error == pytest.approx(
+            base.reconstruction_error, rel=1e-6)
+
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True, "3"])
+    def test_max_fibfs_must_be_an_integer(self, cap):
+        with pytest.raises(ParameterError, match="integer"):
+            FdmConfig(max_fibfs=cap)
+
+    def test_max_fibfs_accepts_numpy_integers(self):
+        assert FdmConfig(max_fibfs=np.int64(3)).max_fibfs == 3
+
     def test_pure_tone_is_one_band(self):
         n, k = 256, 13
         r = decompose(tone(n, k))

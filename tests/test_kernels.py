@@ -21,6 +21,12 @@ def spectrum_of(seed, n):
     return np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag), c
 
 
+# n=300 is longer than the probe window, so the scan has to catch the
+# rest of the band signal up; one seed keeps the O(n^2) reference quick
+def seeds_for(n):
+    return range(8) if n <= _kernels.PROBE else range(1)
+
+
 def run_partition(lth, sr, si, ct, st_, k_max, eps, exhaustive):
     cells, lo = [], 1
     while lo <= k_max:
@@ -31,6 +37,18 @@ def run_partition(lth, sr, si, ct, st_, k_max, eps, exhaustive):
         cells.append((lo, hi))
         lo = hi + 1
     return cells
+
+
+# -pi - 4.4e-16 is where d + pi < 0 but d + pi + 2pi rounds up to 2pi
+_TINY = np.nextafter(0.0, 1.0)
+_TWO_PI_DOWN = np.nextafter(2 * np.pi, 0.0)
+WRAP_EDGES = [
+    np.pi, -np.pi, 0.0, -0.0, 2 * np.pi, -2 * np.pi,
+    _TWO_PI_DOWN, -_TWO_PI_DOWN, _TINY, -_TINY,
+    np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
+    np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0),
+    -np.pi - 4.4e-16, 1e-300, -1e-300, 3.0,
+]
 
 
 class TestAdmissibility:
@@ -62,6 +80,22 @@ class TestAdmissibility:
         zi[7] = 0.0
         assert not _kernels._admissible_numpy(zr, zi, 0.0)
 
+    @given(st.one_of(
+        st.floats(-2 * np.pi, 2 * np.pi),
+        st.sampled_from(WRAP_EDGES),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_wrap_matches_mod_recipe_bit_for_bit(self, d):
+        d = np.array([d, -d])
+        want = np.mod(d + np.pi, 2 * np.pi) - np.pi
+        got = _kernels._wrap(d)
+        assert got.tobytes() == want.tobytes(), (d, got, want)
+
+    def test_wrap_edges_in_one_array(self):
+        d = np.array(WRAP_EDGES).reshape(-1, 3)
+        want = np.mod(d + np.pi, 2 * np.pi) - np.pi
+        assert _kernels._wrap(d).tobytes() == want.tobytes()
+
     def test_tolerance_admits_small_regressions(self):
         # one sample displaced so the central slope there is -5e-13 rad:
         # steps are 0.3 so a dip of 0.6 + 1e-12 flips the averaged slope
@@ -75,13 +109,13 @@ class TestAdmissibility:
 
 class TestBoundaryKernels:
     @pytest.mark.parametrize("backend", _kernels.backends())
-    @pytest.mark.parametrize("n", [16, 17, 64])
+    @pytest.mark.parametrize("n", [16, 17, 64, 300])
     @pytest.mark.parametrize("exhaustive", [True, False])
     def test_lth_tracks_fresh_synthesis_reference(self, backend, n, exhaustive):
         lth, _, _ = _kernels.boundary_functions(backend)
         ct, st_ = _kernels.twiddle_tables(n)
         k_max = (n + 1) // 2 - 1
-        for seed in range(8):
+        for seed in seeds_for(n):
             sr, si, c = spectrum_of(seed, n)
             lo = 1
             while lo <= k_max:
@@ -99,13 +133,13 @@ class TestBoundaryKernels:
                 lo = hi + 1
 
     @pytest.mark.parametrize("backend", _kernels.backends())
-    @pytest.mark.parametrize("n", [16, 17, 64])
+    @pytest.mark.parametrize("n", [16, 17, 64, 300])
     @pytest.mark.parametrize("exhaustive", [True, False])
     def test_htl_tracks_fresh_synthesis_reference(self, backend, n, exhaustive):
         _, htl, _ = _kernels.boundary_functions(backend)
         ct, st_ = _kernels.twiddle_tables(n)
         k_max = (n + 1) // 2 - 1
-        for seed in range(8):
+        for seed in seeds_for(n):
             sr, si, c = spectrum_of(seed, n)
             hi = k_max
             while hi >= 1:
