@@ -1,22 +1,16 @@
 """Band-scan kernels behind the decomposition engine.
 
-The greedy scans spend nearly all their time answering one question per
+The greedy scan spends nearly all its time answering one question per
 candidate band: after adding one more DFT bin to the running analytic
 signal, is its unwrapped phase still non-decreasing (within tolerance)
-at every interior sample? Two implementations of that loop live here:
-
-* a scalar version compiled with numba (`*_scalar`), and
-* a vectorized pure-numpy version (`*_numpy`) used as fallback.
-
-Both follow the exact same floating-point recipe, in the same order,
-from the same twiddle tables, so they pick identical band boundaries:
-the complex accumulation is spelled out in real/imaginary parts (no
+at every interior sample? The floating-point recipe is fixed: the
+complex accumulation is spelled out in real/imaginary parts (no
 complex dtype, no fused multiply-add surprises), each sample of the
 band signal is the bins' terms added one at a time in scan order,
 phases come from atan2, and phase increments are wrapped to (-pi, pi]
 the same way ``np.unwrap`` wraps them.
 
-The numpy scan is probe-first. On broadband records almost every
+The scan is probe-first. On broadband records almost every
 candidate is rejected, most of them by a phase violation within the
 first few samples, so each candidate is first judged on its first
 PROBE samples only. The probe windows of BLOCK consecutive candidates
@@ -33,141 +27,20 @@ samples, and the phase steps the window could not see are checked.
 Bins after a band's last full check are never synthesized past the
 window. The wrap uses compare and subtract in place of ``np.mod``,
 with the same bits (see ``_wrap``).
-
-Backend selection happens once at import from the ``FDMKIT_NUMBA``
-environment variable: ``auto`` (default) uses numba when importable,
-``1``/``true`` insists on it, ``0``/``false`` forces the numpy path.
 """
 import math
-import os
 
 import numpy as np
-
-_FLAG = os.environ.get("FDMKIT_NUMBA", "auto").strip().lower()
-_FORCED_ON = _FLAG in ("1", "true", "yes", "on")
-_FORCED_OFF = _FLAG in ("0", "false", "no", "off")
-
-NUMBA_AVAILABLE = False
-if not _FORCED_OFF:
-    try:
-        from numba import njit
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        if _FORCED_ON:
-            raise ImportError(
-                "FDMKIT_NUMBA requests the compiled kernels but numba is "
-                "not importable"
-            )
-
-if NUMBA_AVAILABLE:
-    _jit = njit(cache=True)
-else:
-    def _jit(func):
-        # keeps the scalar sources importable when numba is absent;
-        # they are never dispatched to in that case
-        return func
-
-BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
 
 def twiddle_tables(n: int):
-    """cos/sin lookup tables for e^{j 2 pi m / n}, m = 0..n-1.
-
-    Both backends read the same tables so their accumulated band
-    signals agree bit for bit.
-    """
+    """cos/sin lookup tables for e^{j 2 pi m / n}, m = 0..n-1."""
     ang = _TWO_PI * np.arange(n) / n
     return np.cos(ang), np.sin(ang)
 
-
-# ---------------------------------------------------------------------------
-# scalar kernels (numba-compiled when available)
-# ---------------------------------------------------------------------------
-
-@_jit
-def _admissible_scalar(zr, zi, eps):
-    n = zr.shape[0]
-    for i in range(n):
-        if zr[i] == 0.0 and zi[i] == 0.0:
-            return False  # phase undefined at a zero-magnitude sample
-    prev_raw = math.atan2(zi[0], zr[0])
-    prev_dm = 0.0
-    have_prev = False
-    for i in range(1, n):
-        raw = math.atan2(zi[i], zr[i])
-        d = raw - prev_raw
-        dm = (d + _PI) % _TWO_PI - _PI
-        if dm == -_PI and d > 0.0:
-            dm = _PI
-        if have_prev:
-            if 0.5 * (prev_dm + dm) < -eps:
-                return False
-        prev_dm = dm
-        have_prev = True
-        prev_raw = raw
-    return True
-
-
-@_jit
-def _accumulate_bin(zr, zi, cr, ci, k, cos_tab, sin_tab):
-    n = zr.shape[0]
-    idx = 0
-    for m in range(n):
-        wr = cos_tab[idx]
-        wi = sin_tab[idx]
-        zr[m] += cr * wr - ci * wi
-        zi[m] += cr * wi + ci * wr
-        idx += k
-        if idx >= n:
-            idx -= n
-
-
-@_jit
-def _lth_boundary_scalar(sr, si, cos_tab, sin_tab, lo, k_max, eps, exhaustive):
-    n = sr.shape[0]
-    zr = np.zeros(n)
-    zi = np.zeros(n)
-    best = -1
-    for hi in range(lo, k_max + 1):
-        _accumulate_bin(zr, zi, sr[hi], si[hi], hi, cos_tab, sin_tab)
-        if _admissible_scalar(zr, zi, eps):
-            best = hi
-        elif best != -1 and not exhaustive:
-            break
-    return best
-
-
-@_jit
-def _htl_boundary_scalar(sr, si, cos_tab, sin_tab, hi, eps, exhaustive):
-    n = sr.shape[0]
-    zr = np.zeros(n)
-    zi = np.zeros(n)
-    best = -1
-    for lo in range(hi, 0, -1):
-        _accumulate_bin(zr, zi, sr[lo], si[lo], lo, cos_tab, sin_tab)
-        if _admissible_scalar(zr, zi, eps):
-            best = lo
-        elif best != -1 and not exhaustive:
-            break
-    return best
-
-
-@_jit
-def _band_monotone_scalar(sr, si, cos_tab, sin_tab, lo, hi, eps):
-    n = sr.shape[0]
-    zr = np.zeros(n)
-    zi = np.zeros(n)
-    for k in range(lo, hi + 1):
-        _accumulate_bin(zr, zi, sr[k], si[k], k, cos_tab, sin_tab)
-    return _admissible_scalar(zr, zi, eps)
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallback
-# ---------------------------------------------------------------------------
 
 # Leading samples of the band signal kept current for every candidate;
 # most candidates already break admissibility inside this window.
@@ -219,10 +92,6 @@ def _admissible_rows(zr, zi, eps, work=None):
     omega = np.add(dm[..., :-1], dm[..., 1:], out=raw[..., :-2])
     omega *= 0.5
     return ~(zero | (omega < -eps).any(axis=-1))
-
-
-def _admissible_numpy(zr, zi, eps):
-    return bool(_admissible_rows(zr, zi, eps))
 
 
 def _term(cr, ci, idx, cos_tab, sin_tab, out=None):
@@ -296,7 +165,7 @@ class _Tail:
         return bool(_admissible_rows(self.zr, self.zi, eps, self.work))
 
 
-def _scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
+def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     """Grow a band one bin at a time in ``bins`` order (consecutive
     bins, ascending or descending); return the bin that closes its last
     admissible candidate, or -1 if none is.
@@ -350,17 +219,8 @@ def _scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     return best
 
 
-def _lth_boundary_numpy(sr, si, cos_tab, sin_tab, lo, k_max, eps, exhaustive):
-    return _scan_boundary(sr, si, cos_tab, sin_tab, np.arange(lo, k_max + 1),
-                          eps, exhaustive)
-
-
-def _htl_boundary_numpy(sr, si, cos_tab, sin_tab, hi, eps, exhaustive):
-    return _scan_boundary(sr, si, cos_tab, sin_tab, np.arange(hi, 0, -1),
-                          eps, exhaustive)
-
-
-def _band_monotone_numpy(sr, si, cos_tab, sin_tab, lo, hi, eps):
+def band_monotone(sr, si, cos_tab, sin_tab, lo, hi, eps):
+    """Admissibility of the band of bins lo..hi, added in ascending order."""
     n = sr.shape[0]
     zr = np.zeros(n)
     zi = np.zeros(n)
@@ -368,41 +228,5 @@ def _band_monotone_numpy(sr, si, cos_tab, sin_tab, lo, hi, eps):
         dr, di = _bin_wave(sr[k], si[k], k, cos_tab, sin_tab)
         zr += dr
         zi += di
-    return _admissible_numpy(zr, zi, eps)
+    return bool(_admissible_rows(zr, zi, eps))
 
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-    lth_boundary = _lth_boundary_scalar
-    htl_boundary = _htl_boundary_scalar
-    band_monotone = _band_monotone_scalar
-else:
-    lth_boundary = _lth_boundary_numpy
-    htl_boundary = _htl_boundary_numpy
-    band_monotone = _band_monotone_numpy
-
-
-def backends():
-    """Names of the kernel paths importable right now."""
-    names = ["numpy"]
-    if NUMBA_AVAILABLE:
-        names.insert(0, "numba")
-    return names
-
-
-def boundary_functions(backend: str):
-    """(lth, htl, band_monotone) triple for an explicit backend name.
-
-    Used by the benchmark script and the cross-path parity tests;
-    normal callers go through the module-level dispatchers.
-    """
-    if backend == "numba":
-        if not NUMBA_AVAILABLE:
-            raise ValueError("numba backend requested but not available")
-        return _lth_boundary_scalar, _htl_boundary_scalar, _band_monotone_scalar
-    if backend == "numpy":
-        return _lth_boundary_numpy, _htl_boundary_numpy, _band_monotone_numpy
-    raise ValueError(f"unknown kernel backend {backend!r}")

@@ -25,13 +25,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import _kernels
 from .errors import ContractError, IngestionError, InputError, ParameterError
 from .fdm import FdmConfig, ScanDirection, SearchMode, decompose
 from .mfdm import CutoffSchedule, MultichannelSignal, cutoff_schedule, mfdm_decompose
 from .siggen import GeneratorSpec, generate
 from .spectral import Signal
-from .tfe import fhs, instantaneous_energy, marginal_spectrum, rasterize
+from .tfe import MAX_CELLS, fhs, instantaneous_energy, marginal_spectrum, rasterize
 
 log = logging.getLogger("fdmkit.cli")
 
@@ -277,7 +276,6 @@ def _run_decomposition(args):
 def _decomposition_summary(result, command: str) -> dict:
     return {
         "command": command,
-        "kernel_backend": _kernels.BACKEND,
         "n": result.n,
         "sample_rate_hz": result.sample_rate_hz,
         "start_time_s": result.start_time_s,
@@ -357,9 +355,19 @@ def cmd_mfdm(args) -> int:
 
 
 def cmd_tfe(args) -> int:
-    if not (args.freq_bin > 0):
-        raise ParameterError(f"--freq-bin must be > 0, got {args.freq_bin}")
-    signal, result = _run_decomposition(args)
+    df = args.freq_bin
+    if not (df > 0):
+        raise ParameterError(f"--freq-bin must be > 0, got {df}")
+    signal = _single_channel(_load_input(args), "tfe")
+    # counted in float and checked before anything is decomposed or
+    # allocated
+    n_f = np.floor(signal.sample_rate_hz / 2.0 / df) + 1
+    if n_f * signal.n > MAX_CELLS:
+        raise ParameterError(
+            f"--freq-bin {df} asks for a {n_f:.4g} x {signal.n} grid, "
+            f"more than {MAX_CELLS} cells"
+        )
+    result = decompose(signal, _fdm_config(args))
     points = fhs(result)
     out = _prepare_out(args)
     _write_table(out, "tfe_points", ["t", "f", "a", "fibf"],
@@ -367,9 +375,7 @@ def cmd_tfe(args) -> int:
                   points.fibf_index.astype(np.float64)], args.format)
 
     t_axis = _times(result.n, result.sample_rate_hz, result.start_time_s)
-    df = args.freq_bin
-    n_f = int(np.floor(result.sample_rate_hz / 2.0 / df)) + 1
-    f_axis = np.arange(n_f) * df
+    f_axis = np.arange(int(n_f)) * df
     grid = rasterize(points, t_axis, f_axis, mode=args.mode)
     header = ["f_hz"] + [_fmt(tv) for tv in t_axis]
     columns = [f_axis] + [grid.cells[:, j] for j in range(t_axis.size)]

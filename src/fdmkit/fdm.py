@@ -185,62 +185,44 @@ def _trim_bin_range(coeffs: np.ndarray, lo: int, hi: int, k_max: int) -> tuple[i
     return t_lo, t_hi
 
 
-def _scan_partition(spectrum: Spectrum, config: FdmConfig, backend: str | None = None):
+def _scan_partition(spectrum: Spectrum, config: FdmConfig):
     """Partition positive bins into cells: list of (lo, hi, monotone)."""
     coeffs = spectrum.coefficients
-    n = spectrum.n
-    k_max = spectrum.k_max
     sr = np.ascontiguousarray(coeffs.real)
     si = np.ascontiguousarray(coeffs.imag)
-    cos_tab, sin_tab = _kernels.twiddle_tables(n)
-    if backend is None:
-        lth, htl, check = (_kernels.lth_boundary, _kernels.htl_boundary,
-                           _kernels.band_monotone)
-    else:
-        lth, htl, check = _kernels.boundary_functions(backend)
+    cos_tab, sin_tab = _kernels.twiddle_tables(spectrum.n)
     eps = config.monotonicity_tolerance
     exhaustive = config.search is SearchMode.MAXIMAL_EXHAUSTIVE
+    upward = config.scan is ScanDirection.LOW_TO_HIGH
     cap = config.max_fibfs
     cells = []
-    merged_tail = False
-
-    if config.scan is ScanDirection.LOW_TO_HIGH:
-        lo = 1
-        while lo <= k_max:
-            hi = int(lth(sr, si, cos_tab, sin_tab, lo, k_max, eps, exhaustive))
-            if cap is not None and len(cells) == cap - 1 and hi != k_max:
-                # cap reached: everything left is forced into this band
-                mono = bool(check(sr, si, cos_tab, sin_tab, lo, k_max, eps))
-                cells.append((lo, k_max, mono))
-                merged_tail = True
-                break
-            if hi == -1:
-                # no admissible extension at all; emit the residual band
-                # so the partition, and with it reconstruction, stays exact
-                cells.append((lo, k_max, False))
-                break
-            cells.append((lo, hi, True))
-            lo = hi + 1
-    else:
-        hi = k_max
-        while hi >= 1:
-            lo = int(htl(sr, si, cos_tab, sin_tab, hi, eps, exhaustive))
-            if cap is not None and len(cells) == cap - 1 and lo != 1:
-                mono = bool(check(sr, si, cos_tab, sin_tab, 1, hi, eps))
-                cells.append((1, hi, mono))
-                merged_tail = True
-                break
-            if lo == -1:
-                cells.append((1, hi, False))
-                break
-            cells.append((lo, hi, True))
-            hi = lo - 1
-
-    return cells, merged_tail
+    # bins [lo, hi] are still unassigned; each band grows from one end
+    lo, hi = 1, spectrum.k_max
+    while lo <= hi:
+        bins = np.arange(lo, hi + 1) if upward else np.arange(hi, lo - 1, -1)
+        edge = _kernels.scan_boundary(sr, si, cos_tab, sin_tab, bins, eps,
+                                      exhaustive)
+        merged_tail = (cap is not None and len(cells) == cap - 1
+                       and edge != int(bins[-1]))
+        if merged_tail or edge == -1:
+            # a cap forces everything left into this band; with no
+            # admissible extension at all the residual band is emitted
+            # anyway, so the partition, and with it reconstruction,
+            # stays exact
+            mono = merged_tail and _kernels.band_monotone(
+                sr, si, cos_tab, sin_tab, lo, hi, eps)
+            cells.append((lo, hi, mono))
+            return cells, merged_tail
+        if upward:
+            cells.append((lo, edge, True))
+            lo = edge + 1
+        else:
+            cells.append((edge, hi, True))
+            hi = edge - 1
+    return cells, False
 
 
-def decompose(signal: Signal, config: FdmConfig | None = None,
-              backend: str | None = None) -> DecompositionResult:
+def decompose(signal: Signal, config: FdmConfig | None = None) -> DecompositionResult:
     """Decompose a signal into analytic intrinsic band functions.
 
     Parameters
@@ -248,9 +230,6 @@ def decompose(signal: Signal, config: FdmConfig | None = None,
     signal : Signal
     config : FdmConfig, optional
         Scan direction, search mode, monotonicity tolerance, band cap.
-    backend : str, optional
-        Kernel backend override ("numba" or "numpy"); default is
-        whatever the FDMKIT_NUMBA environment variable selected.
 
     Returns
     -------
@@ -283,7 +262,7 @@ def decompose(signal: Signal, config: FdmConfig | None = None,
     k_max = spectrum.k_max
     fs = signal.sample_rate_hz
 
-    cells, merged_tail = _scan_partition(spectrum, config, backend=backend)
+    cells, merged_tail = _scan_partition(spectrum, config)
 
     fibfs = []
     non_monotone = []

@@ -149,8 +149,18 @@ class AnalyticSignal:
 
 
 def dft(signal: Signal) -> Spectrum:
-    """Forward DFT with 1/N normalization (X[0] equals the mean)."""
-    coeffs = np.fft.fft(signal.samples, norm="forward")
+    """Forward DFT with 1/N normalization (X[0] equals the mean).
+
+    Finite samples near the top of the float64 range can still sum past
+    it; such a signal raises :class:`ParameterError` rather than
+    handing NaN or infinite coefficients on.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.fft.fft(signal.samples, norm="forward")
+    if not np.isfinite(coeffs).all():
+        raise ParameterError(
+            "the signal's DFT overflows float64; scale the samples down"
+        )
     return Spectrum(coeffs, signal.n, signal.sample_rate_hz)
 
 

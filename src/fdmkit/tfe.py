@@ -15,6 +15,10 @@ import numpy as np
 from .errors import ParameterError
 from .fdm import DecompositionResult
 
+# Most cells a frequency bin width may ask of a binned product;
+# 2^27 float64 cells take 1 GiB.
+MAX_CELLS = 1 << 27
+
 
 @dataclass
 class TfePoints:
@@ -81,6 +85,13 @@ def marginal_spectrum(points: TfePoints, freq_bin_hz: float):
         raise ParameterError(f"freq_bin_hz must be > 0, got {freq_bin_hz}")
     if points.n_points == 0:
         return np.zeros(0), np.zeros(0)
+    # counted in float: past int64 the bin indices would wrap
+    n_bins = np.rint(points.freqs_hz.max() / freq_bin_hz) + 1
+    if not n_bins <= MAX_CELLS:
+        raise ParameterError(
+            f"freq_bin_hz {freq_bin_hz} asks for {n_bins:.4g} bins, "
+            f"more than {MAX_CELLS}"
+        )
     dt = 1.0 / points.sample_rate_hz
     k = np.rint(points.freqs_hz / freq_bin_hz).astype(np.int64)
     k = np.maximum(k, 0)

@@ -37,8 +37,8 @@ TOL = 1e-9
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # first call on a cold cache pays jit compilation; that one-time
-    # cost is not what the timed criteria measure
+    # the first call pays one-time import and allocation costs that are
+    # not what the timed criteria measure
     decompose(Signal(np.sin(np.arange(16)), 16.0))
 
 

@@ -188,7 +188,6 @@ class TestDecomposeCommand:
         assert summary["n_fibfs"] == 2
         assert summary["bin_ranges"] == [[16, 16], [40, 40]]
         assert summary["reconstruction_error"] < 1e-9
-        assert summary["kernel_backend"] in ("numba", "numpy")
         x = col(header, data, "x")
         recon = np.full(x.size, summary["dc"])
         for i in range(1, summary["n_fibfs"] + 1):
@@ -316,6 +315,14 @@ class TestTfeCommand:
         assert main(["tfe", "--input", TONE_RECIPE, "--freq-bin", "0",
                      "--out", str(tmp_path / "t")]) == 2
 
+    # a 64 Hz band at 1e-9 Hz per row is 6.4e10 rows by 256 samples
+    @pytest.mark.parametrize("df", ["1e-9", "1e-300"])
+    def test_grid_too_large_is_refused(self, tmp_path, capsys, df):
+        assert main(["tfe", "--input", TONE_RECIPE, "--freq-bin", df,
+                     "--out", str(tmp_path / "t")]) == 2
+        assert "--freq-bin" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
 
 class TestMarginalAndEnergyCommands:
     def test_marginal_peaks_at_tones(self, tmp_path):
@@ -329,6 +336,12 @@ class TestMarginalAndEnergyCommands:
         assert set(np.round(top).astype(int)) == {8, 20}
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_bins"] == data.shape[0]
+
+    @pytest.mark.parametrize("df", ["1e-12", "1e-300"])
+    def test_marginal_too_fine_is_refused(self, tmp_path, capsys, df):
+        assert main(["marginal", "--input", TONE_RECIPE, "--freq-bin", df,
+                     "--out", str(tmp_path / "m")]) == 2
+        assert "freq_bin_hz" in capsys.readouterr().err
 
     def test_energy_trace_of_two_tones(self, tmp_path):
         out = tmp_path / "e"
@@ -363,6 +376,16 @@ class TestExitCodes:
         assert main(["decompose", "--nonsense"]) == 2
         assert main(["frobnicate"]) == 2
         assert main([]) == 2
+
+    def test_overflowing_dft_maps_to_two(self, tmp_path, capsys):
+        # finite samples whose DFT passes the float64 range
+        x = generate(GeneratorSpec("tone_mix", 1024, 128.0)).samples * 2.0**1015
+        path = tmp_path / "huge.csv"
+        path.write_text("x\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+        assert main(["decompose", "--input", str(path), "--fs", "128",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_signal_too_short_maps_to_two(self, tmp_path, capsys):
         assert main(["decompose",

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +5,6 @@ from hypothesis import strategies as st
 
 from fdmkit import _kernels
 from oracles import admissible_direct, band_direct
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_AVAILABLE, reason="numba not importable"
-)
 
 
 def spectrum_of(seed, n):
@@ -27,10 +19,15 @@ def seeds_for(n):
     return range(8) if n <= _kernels.PROBE else range(1)
 
 
-def run_partition(lth, sr, si, ct, st_, k_max, eps, exhaustive):
+def admissible(zr, zi, eps):
+    return bool(_kernels._admissible_rows(zr, zi, eps))
+
+
+def run_partition(sr, si, ct, st_, k_max, eps, exhaustive):
     cells, lo = [], 1
     while lo <= k_max:
-        hi = int(lth(sr, si, ct, st_, lo, k_max, eps, exhaustive))
+        hi = _kernels.scan_boundary(sr, si, ct, st_, np.arange(lo, k_max + 1),
+                                    eps, exhaustive)
         if hi == -1:
             cells.append((lo, k_max))
             break
@@ -58,27 +55,16 @@ class TestAdmissibility:
     def test_numpy_path_matches_unwrap_reference(self, seed, n, eps):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = _kernels._admissible_numpy(z.real.copy(), z.imag.copy(), eps)
+        got = admissible(z.real.copy(), z.imag.copy(), eps)
         assert got == admissible_direct(z, eps)
-
-    @needs_numba
-    @given(st.integers(0, 2**32 - 1), st.integers(8, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_scalar_path_matches_numpy_path(self, seed, n):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for eps in (0.0, 1e-9):
-            a = _kernels._admissible_scalar(z.real.copy(), z.imag.copy(), eps)
-            b = _kernels._admissible_numpy(z.real.copy(), z.imag.copy(), eps)
-            assert bool(a) == bool(b)
 
     def test_exact_zero_sample_rejected(self):
         z = np.exp(1j * np.linspace(0, 4, 16))
         zr, zi = z.real.copy(), z.imag.copy()
-        assert _kernels._admissible_numpy(zr, zi, 0.0)
+        assert admissible(zr, zi, 0.0)
         zr[7] = 0.0
         zi[7] = 0.0
-        assert not _kernels._admissible_numpy(zr, zi, 0.0)
+        assert not admissible(zr, zi, 0.0)
 
     @given(st.one_of(
         st.floats(-2 * np.pi, 2 * np.pi),
@@ -103,23 +89,24 @@ class TestAdmissibility:
         phase = np.cumsum(np.full(32, 0.3))
         phase[20] -= 0.6 + 1e-12
         z = np.exp(1j * phase)
-        assert not _kernels._admissible_numpy(z.real.copy(), z.imag.copy(), 0.0)
-        assert _kernels._admissible_numpy(z.real.copy(), z.imag.copy(), 1e-9)
+        assert not admissible(z.real.copy(), z.imag.copy(), 0.0)
+        assert admissible(z.real.copy(), z.imag.copy(), 1e-9)
 
 
 class TestBoundaryKernels:
-    @pytest.mark.parametrize("backend", _kernels.backends())
+    # one kernel path; the "numpy" id keeps the test names stable
+    @pytest.mark.parametrize("scan", [_kernels.scan_boundary], ids=["numpy"])
     @pytest.mark.parametrize("n", [16, 17, 64, 300])
     @pytest.mark.parametrize("exhaustive", [True, False])
-    def test_lth_tracks_fresh_synthesis_reference(self, backend, n, exhaustive):
-        lth, _, _ = _kernels.boundary_functions(backend)
+    def test_lth_tracks_fresh_synthesis_reference(self, scan, n, exhaustive):
         ct, st_ = _kernels.twiddle_tables(n)
         k_max = (n + 1) // 2 - 1
         for seed in seeds_for(n):
             sr, si, c = spectrum_of(seed, n)
             lo = 1
             while lo <= k_max:
-                hi = int(lth(sr, si, ct, st_, lo, k_max, 0.0, exhaustive))
+                hi = scan(sr, si, ct, st_, np.arange(lo, k_max + 1), 0.0,
+                          exhaustive)
                 # reference: evaluate every candidate from scratch
                 best = -1
                 for h in range(lo, k_max + 1):
@@ -127,30 +114,30 @@ class TestBoundaryKernels:
                         best = h
                     elif best != -1 and not exhaustive:
                         break
-                assert hi == best, (seed, lo, backend)
+                assert hi == best, (seed, lo)
                 if hi == -1:
                     break
                 lo = hi + 1
 
-    @pytest.mark.parametrize("backend", _kernels.backends())
+    @pytest.mark.parametrize("scan", [_kernels.scan_boundary], ids=["numpy"])
     @pytest.mark.parametrize("n", [16, 17, 64, 300])
     @pytest.mark.parametrize("exhaustive", [True, False])
-    def test_htl_tracks_fresh_synthesis_reference(self, backend, n, exhaustive):
-        _, htl, _ = _kernels.boundary_functions(backend)
+    def test_htl_tracks_fresh_synthesis_reference(self, scan, n, exhaustive):
         ct, st_ = _kernels.twiddle_tables(n)
         k_max = (n + 1) // 2 - 1
         for seed in seeds_for(n):
             sr, si, c = spectrum_of(seed, n)
             hi = k_max
             while hi >= 1:
-                lo = int(htl(sr, si, ct, st_, hi, 0.0, exhaustive))
+                lo = scan(sr, si, ct, st_, np.arange(hi, 0, -1), 0.0,
+                          exhaustive)
                 best = -1
                 for l in range(hi, 0, -1):
                     if admissible_direct(band_direct(c, l, hi), 0.0):
                         best = l
                     elif best != -1 and not exhaustive:
                         break
-                assert lo == best, (seed, hi, backend)
+                assert lo == best, (seed, hi)
                 if lo == -1:
                     break
                 hi = lo - 1
@@ -160,8 +147,8 @@ class TestBoundaryKernels:
         # exhaustive flag is load-bearing, not decorative
         sr, si, c = spectrum_of(1, 16)
         ct, st_ = _kernels.twiddle_tables(16)
-        ex = run_partition(_kernels._lth_boundary_numpy, sr, si, ct, st_, 7, 0.0, True)
-        fv = run_partition(_kernels._lth_boundary_numpy, sr, si, ct, st_, 7, 0.0, False)
+        ex = run_partition(sr, si, ct, st_, 7, 0.0, True)
+        fv = run_partition(sr, si, ct, st_, 7, 0.0, False)
         assert ex == [(1, 4), (5, 7)]
         assert fv == [(1, 2), (3, 4), (5, 7)]
 
@@ -176,8 +163,8 @@ class TestBoundaryKernels:
         si = np.ascontiguousarray(c.imag)
         ct, st_ = _kernels.twiddle_tables(n)
         for exhaustive in (True, False):
-            hi = int(_kernels._lth_boundary_numpy(sr, si, ct, st_, 1, 7, 0.0,
-                                                  exhaustive))
+            hi = _kernels.scan_boundary(sr, si, ct, st_, np.arange(1, 8), 0.0,
+                                        exhaustive)
             assert hi >= 2
 
     def test_all_zero_spectrum_returns_sentinel(self):
@@ -185,26 +172,11 @@ class TestBoundaryKernels:
         sr = np.zeros(n)
         si = np.zeros(n)
         ct, st_ = _kernels.twiddle_tables(n)
-        assert int(_kernels._lth_boundary_numpy(sr, si, ct, st_, 1, 7, 0.0, True)) == -1
-        assert int(_kernels._htl_boundary_numpy(sr, si, ct, st_, 7, 0.0, True)) == -1
+        for bins in (np.arange(1, 8), np.arange(7, 0, -1)):
+            assert _kernels.scan_boundary(sr, si, ct, st_, bins, 0.0, True) == -1
 
-    @needs_numba
-    def test_backends_agree_on_partitions(self):
-        for n in (16, 33, 128):
-            ct, st_ = _kernels.twiddle_tables(n)
-            k_max = (n + 1) // 2 - 1
-            for seed in range(12):
-                sr, si, _ = spectrum_of(seed * 7 + 1, n)
-                for exhaustive in (True, False):
-                    a = run_partition(_kernels._lth_boundary_scalar,
-                                      sr, si, ct, st_, k_max, 0.0, exhaustive)
-                    b = run_partition(_kernels._lth_boundary_numpy,
-                                      sr, si, ct, st_, k_max, 0.0, exhaustive)
-                    assert a == b, (n, seed, exhaustive)
-
-    @pytest.mark.parametrize("backend", _kernels.backends())
-    def test_band_monotone_matches_reference(self, backend):
-        _, _, check = _kernels.boundary_functions(backend)
+    @pytest.mark.parametrize("check", [_kernels.band_monotone], ids=["numpy"])
+    def test_band_monotone_matches_reference(self, check):
         n = 32
         ct, st_ = _kernels.twiddle_tables(n)
         for seed in range(10):
@@ -213,33 +185,3 @@ class TestBoundaryKernels:
                 want = admissible_direct(band_direct(c, lo, hi), 0.0)
                 assert bool(check(sr, si, ct, st_, lo, hi, 0.0)) == want
 
-
-class TestDispatch:
-    def test_backend_listing(self):
-        assert "numpy" in _kernels.backends()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            _kernels.boundary_functions("fortran")
-
-    @pytest.mark.parametrize("flag,expect", [("0", "numpy"), ("off", "numpy")])
-    def test_env_flag_forces_numpy(self, flag, expect):
-        code = ("import fdmkit._kernels as k; print(k.BACKEND)")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True,
-            env={**os.environ, "FDMKIT_NUMBA": flag},
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == expect
-
-    @needs_numba
-    def test_env_flag_forces_numba(self):
-        code = ("import fdmkit._kernels as k; print(k.BACKEND)")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True,
-            env={**os.environ, "FDMKIT_NUMBA": "1"},
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numba"

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 from fdmkit import (
     AnalyticSignal,
     BandRangeError,
+    GeneratorSpec,
     ParameterError,
     Signal,
     Spectrum,
     SymmetryError,
     analytic_band,
     analytic_energy,
+    decompose,
     dft,
+    generate,
     idft,
     signal_energy,
 )
@@ -95,6 +98,15 @@ class TestDft:
         s = random_signal(seed, n)
         back = idft(dft(s))
         assert np.max(np.abs(back.samples - s.samples)) < 1e-12
+
+    def test_overflowing_transform_rejected(self):
+        # every sample is finite, but the bin sums pass the float64 range
+        x = generate(GeneratorSpec("tone_mix", 1024, 128.0)).samples * 2.0**1015
+        s = Signal(x, 128.0)
+        with pytest.raises(ParameterError, match="overflows"):
+            dft(s)
+        with pytest.raises(ParameterError, match="overflows"):
+            decompose(s)
 
     def test_idft_rejects_asymmetric_spectrum(self):
         c = np.zeros(8, dtype=complex)

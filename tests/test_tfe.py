@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fdmkit.tfe
 from fdmkit import (
     Afibf,
     DecompositionResult,
@@ -99,6 +100,22 @@ class TestMarginalSpectrum:
         pts = fhs(two_tone_result())
         with pytest.raises(ParameterError):
             marginal_spectrum(pts, 0.0)
+
+    @pytest.mark.parametrize("df", [1e-12, 1e-300])
+    def test_bin_width_too_fine_for_the_cell_limit(self, df):
+        # 1e-300 would overflow the int64 bin index and pile every
+        # point into bin 0
+        pts = fhs(two_tone_result())
+        with pytest.raises(ParameterError, match="freq_bin_hz"):
+            marginal_spectrum(pts, df)
+
+    def test_cell_limit_counts_bins_up_to_the_top_frequency(self, monkeypatch):
+        # the top tone sits at 20 Hz: 81 bins of 0.25 Hz, 101 of 0.2 Hz
+        pts = fhs(two_tone_result())
+        monkeypatch.setattr(fdmkit.tfe, "MAX_CELLS", 81)
+        assert marginal_spectrum(pts, 0.25)[1].size == 81
+        with pytest.raises(ParameterError):
+            marginal_spectrum(pts, 0.2)
 
     def test_empty_points(self):
         pts = TfePoints(np.zeros(0), np.zeros(0), np.zeros(0),
