@@ -15,6 +15,7 @@ violation, 4 filesystem trouble.
 """
 
 import argparse
+import array
 import contextlib
 import csv
 import json
@@ -24,6 +25,7 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
+import orjson
 
 from .errors import ContractError, IngestionError, InputError, ParameterError
 from .fdm import FdmConfig, ScanDirection, SearchMode, decompose
@@ -53,50 +55,56 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
     channel. Error messages cite 1-based file rows, header included.
     """
     with open(path, newline="") as fh:
-        raw = [(i, row) for i, row in enumerate(csv.reader(fh), start=1)]
-    rows = [(i, row) for i, row in raw
-            if row and any(cell.strip() != "" for cell in row)]
-    if not rows:
-        raise IngestionError(f"{path}: file holds no rows")
-
-    header_row, header = rows[0]
-    header = [c.strip() for c in header]
-    numeric_header = True
-    for cell in header:
-        try:
-            float(cell)
-        except ValueError:
-            numeric_header = False
-            break
-    if numeric_header:
-        raise IngestionError(
-            f"row {header_row}: looks like data; a header row is required"
-        )
-    ncol = len(header)
-
-    data_rows = rows[1:]
-    if len(data_rows) < 2:
-        raise IngestionError(f"{path}: need at least 2 data rows")
-
-    values = np.empty((len(data_rows), ncol))
-    for j, (rownum, row) in enumerate(data_rows):
-        if len(row) != ncol:
-            raise IngestionError(
-                f"row {rownum}: expected {ncol} columns, found {len(row)}"
-            )
-        for k, cell in enumerate(row):
+        rows = enumerate(csv.reader(fh), start=1)
+        for header_row, header in rows:
+            if not _blank(header):
+                break
+        else:
+            raise IngestionError(f"{path}: file holds no rows")
+        header = [c.strip() for c in header]
+        numeric_header = True
+        for cell in header:
             try:
-                values[j, k] = float(cell)
+                float(cell)
             except ValueError:
-                raise IngestionError(
-                    f"row {rownum}, column {header[k]!r}: "
-                    f"could not parse {cell.strip()!r} as a number"
-                ) from None
+                numeric_header = False
+                break
+        if numeric_header:
+            raise IngestionError(
+                f"row {header_row}: looks like data; a header row is required"
+            )
+        ncol = len(header)
+
+        # one pass: every data row goes straight into a flat float buffer,
+        # and only its file row number is kept beside it
+        flat = array.array("d")
+        rownums = array.array("q")
+        error = None
+        for rownum, row in rows:
+            if error is None and len(row) == ncol:
+                try:
+                    flat.extend(map(float, row))
+                    rownums.append(rownum)
+                    continue
+                except ValueError:
+                    del flat[len(rownums) * ncol:]
+            if _blank(row):
+                continue
+            # a bad row is reported only once a second data row exists;
+            # a file with fewer is refused for that first
+            if error is not None:
+                raise error
+            error = _row_error(rownum, row, header)
+            if rownums:
+                raise error
+    if len(rownums) < 2:
+        raise IngestionError(f"{path}: need at least 2 data rows")
+    values = np.frombuffer(flat, dtype=np.float64).reshape(-1, ncol)
 
     for k, name in enumerate(header):
         bad = np.flatnonzero(~np.isfinite(values[:, k]))
         if bad.size:
-            rownum = data_rows[bad[0]][0]
+            rownum = rownums[bad[0]]
             raise IngestionError(
                 f"row {rownum}, column {name!r}: non-finite value"
             )
@@ -107,11 +115,11 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
         dt = np.diff(t)
         if dt[0] <= 0:
             raise IngestionError(
-                f"row {data_rows[1][0]}: time must increase, step is {dt[0]}"
+                f"row {rownums[1]}: time must increase, step is {dt[0]}"
             )
         off = np.flatnonzero(np.abs(dt - dt[0]) > _REL_TOL * abs(dt[0]))
         if off.size:
-            rownum = data_rows[off[0] + 1][0]
+            rownum = rownums[off[0] + 1]
             raise IngestionError(
                 f"row {rownum}: time step {dt[off[0]]!r} deviates from "
                 f"{dt[0]!r} by more than {_REL_TOL:g} relative"
@@ -137,6 +145,26 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
 
     signals = tuple(Signal(c, fs, start_time) for c in channels)
     return signals[0] if len(signals) == 1 else MultichannelSignal(signals)
+
+
+def _blank(row) -> bool:
+    return not any(cell.strip() for cell in row)
+
+
+def _row_error(rownum: int, row: list, header: list) -> IngestionError:
+    """Why a non-blank data row does not parse."""
+    if len(row) == len(header):
+        for name, cell in zip(header, row):
+            try:
+                float(cell)
+            except ValueError:
+                return IngestionError(
+                    f"row {rownum}, column {name!r}: "
+                    f"could not parse {cell.strip()!r} as a number"
+                )
+    return IngestionError(
+        f"row {rownum}: expected {len(header)} columns, found {len(row)}"
+    )
 
 
 def _load_input(args):
@@ -195,7 +223,33 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _atomic_write(path: str, text: str):
+# cells formatted per orjson call: a chunk's text stays near 1 MB, and
+# the per-call overhead is lost in the formatting
+_CHUNK_CELLS = 1 << 16
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """CSV lines of a C-contiguous float64 block, each cell repr(v).
+
+    orjson prints the shortest round-trip digits, as repr does, and in
+    the same fixed notation for 1e-4 <= |v| < 1e16 and zero. Outside
+    that range its notation differs (``1e16``, ``0.00001``) and it
+    prints nan and inf as null, so rows holding such a cell are printed
+    with repr instead.
+    """
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+    mag = np.abs(block)
+    odd = np.flatnonzero((((mag < 1e-4) & (mag != 0)) | ~(mag < 1e16)).any(axis=1))
+    if not odd.size:
+        return text.replace(b"],[", b"\n").decode() + "\n"
+    lines = text.decode().split("],[")
+    for i in odd.tolist():
+        lines[i] = ",".join(map(repr, block[i].tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def _atomic_write(path: str, chunks):
+    """Write the strings of ``chunks``, in order, to ``path`` atomically."""
     # a temp file of this call's own next to the target, so concurrent
     # runs into one --out directory never share a temp file; os.open
     # with 0o666 gives it the same umask-derived mode as open()
@@ -203,7 +257,7 @@ def _atomic_write(path: str, text: str):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -214,25 +268,34 @@ def _atomic_write(path: str, text: str):
 
 def _write_table(out_dir: str, stem: str, header: list, columns: list,
                  fmt: str) -> str:
-    """Write named columns of equal length; returns the file name."""
-    ncols = len(columns)
-    nrows = columns[0].size if ncols else 0
+    """Write a table with one name per column; returns the file name.
+
+    Each entry of ``columns`` is a 1-D array (one column) or a 2-D
+    array (its columns, in order); all have the same number of rows.
+    CSV is formatted and written one chunk of rows at a time.
+    """
     if fmt == "csv":
-        lines = [",".join(header)]
-        for i in range(nrows):
-            lines.append(",".join(_fmt(columns[k][i]) for k in range(ncols)))
+        nrows = len(columns[0])
+        step = max(1, _CHUNK_CELLS // len(header))
+
+        def chunks():
+            yield ",".join(header) + "\n"
+            for i in range(0, nrows, step):
+                yield _csv_rows(np.ascontiguousarray(
+                    np.column_stack([c[i:i + step] for c in columns]),
+                    dtype=np.float64))
+
         name = stem + ".csv"
-        _atomic_write(os.path.join(out_dir, name), "\n".join(lines) + "\n")
+        _atomic_write(os.path.join(out_dir, name), chunks())
     else:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "columns": header,
-            "rows": [[float(columns[k][i]) for k in range(ncols)]
-                     for i in range(nrows)],
+            "rows": np.column_stack(columns).astype(np.float64, copy=False).tolist(),
         }
         name = stem + ".json"
         _atomic_write(os.path.join(out_dir, name),
-                      json.dumps(doc, sort_keys=True, indent=2) + "\n")
+                      [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
     return name
 
 
@@ -242,7 +305,7 @@ def _write_summary(out_dir: str, payload: dict, args):
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     _atomic_write(os.path.join(out_dir, "summary.json"),
-                  json.dumps(doc, sort_keys=True, indent=2) + "\n")
+                  [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
 
 
 def _prepare_out(args) -> str:
@@ -378,8 +441,7 @@ def cmd_tfe(args) -> int:
     f_axis = np.arange(int(n_f)) * df
     grid = rasterize(points, t_axis, f_axis, mode=args.mode)
     header = ["f_hz"] + [_fmt(tv) for tv in t_axis]
-    columns = [f_axis] + [grid.cells[:, j] for j in range(t_axis.size)]
-    _write_table(out, "tfe_grid", header, columns, args.format)
+    _write_table(out, "tfe_grid", header, [f_axis, grid.cells], args.format)
 
     summary = _decomposition_summary(result, "tfe")
     summary.update({
@@ -395,6 +457,8 @@ def cmd_tfe(args) -> int:
 
 
 def cmd_marginal(args) -> int:
+    if not (args.freq_bin > 0):
+        raise ParameterError(f"--freq-bin must be > 0, got {args.freq_bin}")
     signal, result = _run_decomposition(args)
     points = fhs(result)
     freqs, h = marginal_spectrum(points, args.freq_bin)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import Signal
+from .spectral import Signal, dft
 
 
 @dataclass
@@ -150,22 +150,25 @@ def zero_phase_highpass(signal: Signal, cutoff_hz: float) -> Signal:
 
     DC always lands below any positive cutoff and is removed. The mask
     acts on whole conjugate pairs, so the output is real up to
-    rounding and is returned as such.
+    rounding and is returned as such. The transform is :func:`dft`, so
+    a record whose DFT overflows float64 raises ParameterError.
     """
     _check_cutoff(signal, cutoff_hz)
-    x = signal.samples
-    spec = np.fft.fft(x, norm="forward")
-    keep = _bin_freqs(x.size, signal.sample_rate_hz) >= cutoff_hz
+    spec = dft(signal).coefficients
+    keep = _bin_freqs(signal.n, signal.sample_rate_hz) >= cutoff_hz
     y = np.fft.ifft(spec * keep, norm="forward").real
     return Signal(y, signal.sample_rate_hz, signal.start_time_s)
 
 
 def zero_phase_lowpass(signal: Signal, cutoff_hz: float) -> Signal:
-    """Keep only DFT bins strictly below cutoff_hz (DC included)."""
+    """Keep only DFT bins strictly below cutoff_hz (DC included).
+
+    Like :func:`zero_phase_highpass`, refuses a record whose DFT
+    overflows float64.
+    """
     _check_cutoff(signal, cutoff_hz)
-    x = signal.samples
-    spec = np.fft.fft(x, norm="forward")
-    keep = _bin_freqs(x.size, signal.sample_rate_hz) < cutoff_hz
+    spec = dft(signal).coefficients
+    keep = _bin_freqs(signal.n, signal.sample_rate_hz) < cutoff_hz
     y = np.fft.ifft(spec * keep, norm="forward").real
     return Signal(y, signal.sample_rate_hz, signal.start_time_s)
 

@@ -1,11 +1,19 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 import fdmkit.cli as cli
-from fdmkit import GeneratorSpec, MultichannelSignal, SymmetryError, generate
+from fdmkit import (
+    GeneratorSpec,
+    MultichannelSignal,
+    SymmetryError,
+    cutoff_schedule,
+    generate,
+    mfdm_decompose,
+)
 from fdmkit.cli import ingest_csv, main
 
 TONE_RECIPE = ('gen:{"kind":"tone_mix","n":256,"sample_rate_hz":128,'
@@ -106,6 +114,54 @@ class TestIngestCsv:
         p = self.write(tmp_path, "t,x\n0,1\n\n0.1,2\n0.2,bad\n")
         with pytest.raises(cli.IngestionError, match="row 5"):
             ingest_csv(p)
+
+    def refused(self, tmp_path, text, message):
+        with pytest.raises(cli.IngestionError, match=f"^{re.escape(message)}$"):
+            ingest_csv(self.write(tmp_path, text))
+
+    def test_interleaved_blank_rows(self, tmp_path):
+        text = "\n t , x \n\n0,1\n , \n0.5,2\n\n\n1.0,3\n  \n"
+        s = ingest_csv(self.write(tmp_path, text))
+        assert np.array_equal(s.samples, [1.0, 2.0, 3.0])
+        assert s.sample_rate_hz == 2.0
+        with pytest.raises(cli.IngestionError, match="^row 7: time step"):
+            ingest_csv(self.write(tmp_path, "t,x\n\n0,1\n,\n0.5,2\n\n0.75,3\n"))
+        self.refused(tmp_path, "t,x\n\n0,inf\n\n0.5,2\n",
+                     "row 3, column 'x': non-finite value")
+
+    def test_short_last_row(self, tmp_path):
+        self.refused(tmp_path, "t,x\n0,1\n0.1,2\n\n0.2\n",
+                     "row 5: expected 2 columns, found 1")
+
+    def test_bad_cell_in_last_row(self, tmp_path):
+        self.refused(tmp_path, "t,a,b\n0,1,2\n0.1,2,3\n0.2,3, x \n",
+                     "row 4, column 'b': could not parse 'x' as a number")
+
+    def test_first_bad_row_wins(self, tmp_path):
+        self.refused(tmp_path, "t,x\n0,one\n0.1\n0.2,3\n",
+                     "row 2, column 'x': could not parse 'one' as a number")
+
+    def test_too_few_rows_reported_before_a_bad_row(self, tmp_path):
+        self.refused(tmp_path, "t,x\n0,one\n\n",
+                     f"{tmp_path / 'in.csv'}: need at least 2 data rows")
+
+    def test_mfdm_table_reingests_exactly(self, tmp_path):
+        # tiny samples put cells on both sides of repr's switch to
+        # exponent notation
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4096, 2)) * 10.0 ** rng.integers(-9, 3, (4096, 2))
+        src = self.write(tmp_path, "t,a,b\n" + "".join(
+            f"{i / 64!r},{a!r},{b!r}\n" for i, (a, b) in enumerate(x.tolist())))
+        out = tmp_path / "m"
+        assert main(["mfdm", "--input", src, "--levels", "5",
+                     "--out", str(out), "--no-timestamp"]) == 0
+        result = mfdm_decompose(ingest_csv(src), cutoff_schedule(64.0, 1.5, 5))
+        for p in range(2):
+            table = ingest_csv(str(out / f"mfdm_ch{p + 1}.csv"))
+            want = [x[:, p]] + [band[p] for band in result.bands] + [result.residue[p]]
+            assert table.n_channels == len(want)
+            for got, w in zip(table.channels, want):
+                assert np.array_equal(got.samples, w)
 
 
 class TestGenerateCommand:
@@ -343,6 +399,18 @@ class TestMarginalAndEnergyCommands:
                      "--out", str(tmp_path / "m")]) == 2
         assert "freq_bin_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("df", ["0", "-1", "nan"])
+    def test_marginal_bad_bin_refused_before_decomposing(
+            self, tmp_path, monkeypatch, capsys, df):
+        def no_decompose(*args):
+            raise AssertionError("decomposed before checking --freq-bin")
+
+        monkeypatch.setattr(cli, "decompose", no_decompose)
+        assert main(["marginal", "--input", TONE_RECIPE, "--freq-bin", df,
+                     "--out", str(tmp_path / "m")]) == 2
+        assert "--freq-bin must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_energy_trace_of_two_tones(self, tmp_path):
         out = tmp_path / "e"
         assert main(["energy", "--input", TONE_RECIPE,
@@ -383,6 +451,15 @@ class TestExitCodes:
         path = tmp_path / "huge.csv"
         path.write_text("x\n" + "".join(f"{v!r}\n" for v in x.tolist()))
         assert main(["decompose", "--input", str(path), "--fs", "128",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_mfdm_maps_to_two(self, tmp_path, capsys):
+        x = generate(GeneratorSpec("tone_mix", 1024, 128.0)).samples * 2.0**1015
+        path = tmp_path / "huge.csv"
+        path.write_text("x\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+        assert main(["mfdm", "--input", str(path), "--fs", "128",
                      "--out", str(tmp_path / "o")]) == 2
         assert "overflows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

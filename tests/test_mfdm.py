@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fdmkit import (
     CutoffSchedule,
+    GeneratorSpec,
     MultichannelSignal,
     ParameterError,
     Signal,
     cutoff_schedule,
+    generate,
     mfdm_decompose,
     retained_bins,
     zero_phase_highpass,
@@ -119,6 +123,18 @@ class TestZeroPhaseFilters:
             zero_phase_highpass(s, cutoff)
         with pytest.raises(ParameterError):
             zero_phase_lowpass(s, cutoff)
+
+    @pytest.mark.parametrize("filt", [zero_phase_highpass, zero_phase_lowpass])
+    def test_overflowing_transform_rejected(self, filt):
+        # every sample is finite, but the bin sums pass the float64 range
+        x = generate(GeneratorSpec("tone_mix", 1024, 128.0)).samples * 2.0**1015
+        s = Signal(x, 128.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="overflows"):
+                filt(s, 16.0)
+            with pytest.raises(ParameterError, match="overflows"):
+                mfdm_decompose(s, cutoff_schedule(128.0, 1.5, 4))
 
     def test_retained_bins_match_filter_support(self):
         rng = np.random.default_rng(2)

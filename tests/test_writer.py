@@ -1,0 +1,183 @@
+"""The table writer prints every float exactly as repr does.
+
+``reference_csv``/``reference_json`` are the per-value writer the CSV
+and JSON tables were first produced with; the fast writer must give the
+same bytes on every table shape, including rows that straddle its
+chunk boundaries and cells whose repr uses exponent notation.
+"""
+
+import json
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import fdmkit.cli as cli
+
+# cells per formatting chunk in the writer; test_chunk_size_is_pinned
+# keeps this in step with cli._CHUNK_CELLS
+CHUNK_CELLS = 1 << 16
+
+TINY = np.nextafter(0.0, 1.0)
+EDGES = [
+    0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308,
+    np.nextafter(2.2250738585072014e-308, 0.0),
+    np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+    -np.nextafter(1e-4, 0.0), -1e-4, -np.nextafter(1e-4, 1.0),
+    np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, np.inf),
+    -np.nextafter(1e16, 0.0), -1e16, -np.nextafter(1e16, np.inf),
+    np.finfo(np.float64).max, np.inf, -np.inf, np.nan, 0.1, -2.5,
+]
+
+
+def reference_csv(header, columns) -> str:
+    ncols = len(columns)
+    nrows = columns[0].size if ncols else 0
+    lines = [",".join(header)]
+    for i in range(nrows):
+        lines.append(",".join(repr(float(columns[k][i])) for k in range(ncols)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(header, columns) -> str:
+    ncols = len(columns)
+    nrows = columns[0].size if ncols else 0
+    doc = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "columns": header,
+        "rows": [[float(columns[k][i]) for k in range(ncols)]
+                 for i in range(nrows)],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def written_bytes(out_dir, header, columns, fmt="csv") -> bytes:
+    name = cli._write_table(str(out_dir), "table", header, columns, fmt)
+    with open(os.path.join(out_dir, name), "rb") as fh:
+        return fh.read()
+
+
+def reference_bytes(out_dir, text) -> bytes:
+    # opened the way the writer's temp file is opened
+    path = os.path.join(out_dir, "reference")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def assert_same_as_reference(out_dir, header, columns):
+    want = reference_bytes(out_dir, reference_csv(header, columns))
+    assert written_bytes(out_dir, header, columns) == want
+
+
+def table(rng, nrows, ncols):
+    return [rng.standard_normal(nrows) for _ in range(ncols)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 5))
+@example(EDGES, 1)
+@example(EDGES, 4)
+@example([np.nan] * 3 + [1.5, 2.5, 3.5], 3)
+def test_every_cell_is_repr(values, ncols):
+    values = values + [0.0] * (-len(values) % ncols)
+    block = np.array(values, dtype=np.float64).reshape(-1, ncols)
+    columns = [block[:, k].copy() for k in range(ncols)]
+    header = [f"c{k}" for k in range(ncols)]
+    with tempfile.TemporaryDirectory() as out:
+        lines = written_bytes(out, header, columns).decode().split("\n")
+    assert lines[0] == ",".join(header)
+    assert lines[-1] == ""
+    cells = [line.split(",") for line in lines[1:-1]]
+    assert cells == [[repr(float(v)) for v in row] for row in block.tolist()]
+
+
+def test_tall_table_with_tiny_values(tmp_path):
+    # 65,536 x 9 like an mfdm channel table; about 1% of the cells get
+    # exponent notation in repr
+    rng = np.random.default_rng(1)
+    columns = table(rng, 65536, 9)
+    for c in columns[1:]:
+        c[rng.random(c.size) < 0.002] *= 1e-7
+        c[rng.random(c.size) < 0.001] = 0.0
+        c[rng.random(c.size) < 0.001] = -0.0
+    columns[0] = np.arange(65536) / 128.0
+    header = ["t", "x"] + [f"band{i}" for i in range(1, 7)] + ["residue"]
+    assert_same_as_reference(tmp_path, header, columns)
+
+
+def test_wide_table(tmp_path):
+    # 51 x 16,385 like the tfe grid: a frequency column, then one mostly
+    # empty column of cell energies per sample
+    rng = np.random.default_rng(2)
+    t = np.arange(16384) / 100.0
+    f = np.arange(51) * 1.0
+    cells = np.where(rng.random((51, 16384)) < 0.05,
+                     rng.exponential(size=(51, 16384)), 0.0)
+    header = ["f_hz"] + [repr(float(v)) for v in t]
+    columns = [f] + [cells[:, j] for j in range(t.size)]
+    assert_same_as_reference(tmp_path, header, columns)
+
+
+def test_one_row(tmp_path):
+    rng = np.random.default_rng(3)
+    assert_same_as_reference(tmp_path, list("abcdefg"),
+                             [c[:1] for c in table(rng, 1, 7)])
+
+
+def test_one_column(tmp_path):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 20, 1000)
+    assert_same_as_reference(tmp_path, ["x"], [x])
+
+
+@pytest.mark.parametrize("ncols", [1, 3, 7])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_rows_around_a_chunk_boundary(tmp_path, ncols, shift, chunks):
+    rows_per_chunk = CHUNK_CELLS // ncols
+    nrows = chunks * rows_per_chunk + shift
+    rng = np.random.default_rng(ncols * 10 + shift + chunks)
+    columns = table(rng, nrows, ncols)
+    columns[-1][::97] *= 1e-9  # exponent rows on both sides of the boundary
+    assert_same_as_reference(tmp_path, [f"c{k}" for k in range(ncols)], columns)
+
+
+def test_chunk_size_is_pinned():
+    assert cli._CHUNK_CELLS == CHUNK_CELLS
+
+
+def test_non_ascii_header(tmp_path):
+    header = ["t", "Δx", "größe", "通道"]
+    columns = table(np.random.default_rng(5), 10, 4)
+    assert_same_as_reference(tmp_path, header, columns)
+
+
+def test_empty_table(tmp_path):
+    assert_same_as_reference(tmp_path, ["t", "x"], [np.zeros(0), np.zeros(0)])
+
+
+def test_block_of_columns_matches_separate_columns(tmp_path):
+    # a 2-D array passed as one entry stands for its columns, in order
+    rng = np.random.default_rng(6)
+    f = np.arange(51) * 0.5
+    cells = rng.standard_normal((51, 300))
+    cells[::5, ::7] = 1e-300
+    header = ["f_hz"] + [f"t{j}" for j in range(300)]
+    split = [f] + [cells[:, j] for j in range(300)]
+    for fmt in ("csv", "json"):
+        assert (written_bytes(tmp_path, header, [f, cells], fmt)
+                == written_bytes(tmp_path, header, split, fmt))
+
+
+def test_json_format_unchanged(tmp_path):
+    rng = np.random.default_rng(7)
+    columns = table(rng, 200, 4)
+    columns[1][::3] = [np.nan, np.inf, -0.0, 1e-300, 1e300, 5e-324, 1e16] * 9 + [0.0] * 4
+    header = ["t", "x", "y", "z"]
+    want = reference_bytes(tmp_path, reference_json(header, columns))
+    assert written_bytes(tmp_path, header, columns, "json") == want
