@@ -20,10 +20,31 @@ m of row j is ((z[m] + w_1[m]) + w_2[m]) + ... + w_j[m], the very
 additions, in the very order, of adding each bin into one running
 buffer. The windows are therefore bit-identical to the full
 accumulation, and a zero sample or a phase slope below -eps inside one
-rejects its candidate for good. Only a candidate whose window passes
-has the rest of its band signal caught up: the pending bins are added
-one at a time, in scan order, into a single buffer of the later
-samples, and the phase steps the window could not see are checked.
+rejects its candidate for good.
+
+A candidate whose window passes is a survivor. Its full check catches
+the rest of its band signal up, adding the pending bins one at a time,
+in scan order, into a single buffer of the later samples, and then
+judges the phase steps the window could not see. The maximal search
+judges them in chunks that start at CHUNK samples, double in length
+and overlap by two samples, so a check stops at the first chunk with a
+violation. The first-violation search judges them in one piece: it
+stops a band at its first failing full check, so nearly all of its
+checks pass, and for a pass each chunk only adds fixed cost.
+
+The maximal search only wants the largest admissible candidate, so it
+defers full checks. After a survivor passes, the next 1, 2, 4, ...
+survivors are skipped, the stride doubling with each pass and starting
+over after a failure, and the running sums at the highest pass are kept
+as one checkpoint. At the end of the range the topmost skipped survivor
+is checked, unless the buffer has already been synced past it; if it
+fails, the checkpoint is restored and the other skipped survivors are
+replayed in ascending order. A replay adds the same bins in the same
+order onto the same sums, so every candidate that is judged is judged
+on the same bits as when every survivor was checked in turn, and the
+answer cannot change. The first-violation search checks every survivor
+in turn: its answer is the last pass before the first failure.
+
 Bins after a band's last full check are never synthesized past the
 window. The wrap uses compare and subtract in place of ``np.mod``,
 with the same bits (see ``_wrap``).
@@ -47,6 +68,9 @@ def twiddle_tables(n: int):
 PROBE = 256
 # Candidates whose probe windows come out of one cumulative sum.
 BLOCK = 64
+# Length of the first chunk an early-exit full check judges; later
+# chunks double.
+CHUNK = 1024
 
 
 def _wrap(d, out=None):
@@ -115,17 +139,14 @@ def _term(cr, ci, idx, cos_tab, sin_tab, out=None):
     return re, im
 
 
-def _bin_wave(cr, ci, k, cos_tab, sin_tab):
-    n = cos_tab.shape[0]
-    return _term(cr, ci, (k * np.arange(n)) % n, cos_tab, sin_tab)
-
-
 class _Tail:
     """Samples p-2..n-1 of a band signal that grows one bin at a time.
 
     Samples from p on are brought up to date bin by bin, in scan order,
     only when a candidate needs its full check; the two samples before
-    them come from that candidate's probe window.
+    them come from that candidate's probe window. One checkpoint of
+    the running sums can be saved and restored, so that a lower
+    candidate can be replayed after a higher one was synced.
 
     Each bin is one step (+1 or -1) from the last, so bin k's twiddle
     index k*m mod n is the previous bin's plus step*m, taken back into
@@ -145,6 +166,7 @@ class _Tail:
         # scratch arrays
         self.work = [np.empty(n - p + 2) for _ in range(3)]
         self.wave = [w[2:] for w in self.work] + [np.empty(n - p)]
+        self.saved = None
 
     def add(self, cr, ci, cos_tab, sin_tab):
         idx = self.idx
@@ -156,13 +178,36 @@ class _Tail:
         self.zr[2:] += re
         self.zi[2:] += im
 
-    def admissible(self, head_r, head_i, eps):
-        """Full check of the candidate whose probe window is head; the
-        window itself already passed, so only the phase steps from its
-        last two samples on are left."""
-        self.zr[:2] = head_r[-2:]
-        self.zi[:2] = head_i[-2:]
-        return bool(_admissible_rows(self.zr, self.zi, eps, self.work))
+    def save(self):
+        self.saved = [self.zr.copy(), self.zi.copy(), self.idx.copy()]
+
+    def restore(self):
+        for dst, src in zip((self.zr, self.zi, self.idx), self.saved):
+            np.copyto(dst, src)
+
+    def admissible(self, head_r, head_i, eps, width):
+        """Full check of the candidate whose probe window ends in
+        head_r + i head_i; the window itself already passed, so only
+        the phase steps from its last two samples on are left.
+
+        The tail is checked in chunks of width, 2 width, 4 width, ...
+        samples, each starting two samples before the last one ended,
+        so every interior sample's central step lies inside one chunk.
+        The first chunk that fails decides.
+        """
+        self.zr[:2] = head_r
+        self.zi[:2] = head_i
+        size = self.zr.size
+        start = 0
+        while True:
+            stop = min(start + width, size)
+            w = stop - start
+            if not _admissible_rows(self.zr[start:stop], self.zi[start:stop],
+                                    eps, [a[:w] for a in self.work]):
+                return False
+            if stop == size:
+                return True
+            start, width = stop - 2, 2 * width
 
 
 def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
@@ -171,9 +216,25 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     admissible candidate, or -1 if none is.
 
     Every candidate is first judged on its first PROBE samples, built
-    BLOCK candidates at a time; a violation there is final. Only a
-    candidate that survives has the rest of its band signal caught up
-    and checked.
+    BLOCK candidates at a time; a violation there is final. A candidate
+    that survives has the rest of its band signal caught up and checked
+    (``_Tail.admissible``), unless the search can settle without it.
+
+    The exhaustive search returns the largest admissible candidate, so
+    a survivor's full check matters only if no higher survivor passes.
+    After a pass the next 1, 2, 4, ... survivors are deferred, the
+    stride doubling with each further pass and starting over at 1 after
+    a failure; the tail sums at the highest pass are kept as the one
+    checkpoint. At the end of the range the topmost deferred survivor
+    is checked first, if the tail has not been synced past it; if it
+    fails, the checkpoint is restored and the other deferred survivors
+    are replayed in ascending order. Its full checks stop at the first
+    violating chunk of CHUNK, 2 CHUNK, ... samples. Every candidate
+    judged, replays included, gets its bins added in scan order onto
+    the same sums, so its verdict has the same bits as checking every
+    survivor in turn. The first-violation search checks every survivor
+    in turn, in one piece, because its answer is the last pass before
+    the first failure.
     """
     if bins.size == 0:
         return -1
@@ -187,10 +248,27 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     rows_i = np.zeros((BLOCK + 1, p))
     # building the windows and checking them take turns on the scratch
     work = [np.empty((BLOCK, p)) for _ in range(3)]
-    # caught up through bins[:synced]
     tail = _Tail(n, p, int(bins[0]) - step, step) if p < n else None
-    synced = 0
+    # positions in bins: the tail holds bins[:synced], the checkpoint
+    # bins[:saved], and best is the highest candidate known admissible
+    synced = saved = 0
     best = -1
+    # survivors above best whose full check was deferred:
+    # (position, last two window samples real, imaginary)
+    deferred = []
+    skip, stride = 0, 1
+    # a first-violation band ends at its first failing full check, so
+    # nearly all of its checks pass and an early exit would only add
+    # chunk boundaries; the exhaustive search mostly checks failures
+    chunk = CHUNK if exhaustive else n
+
+    def check(pos, head_r, head_i):
+        nonlocal synced
+        for k in bins[synced:pos + 1].tolist():
+            tail.add(sr[k], si[k], cos_tab, sin_tab)
+        synced = pos + 1
+        return tail.admissible(head_r, head_i, eps, chunk)
+
     for start in range(0, bins.size, BLOCK):
         ks = bins[start:start + BLOCK]
         b = ks.size
@@ -205,28 +283,38 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
         passed = _admissible_rows(rows_r[1:b + 1], rows_i[1:b + 1], eps,
                                   [w[:b] for w in work])
         for j, ok in enumerate(passed.tolist()):
+            pos = start + j
             if ok and tail is not None:
-                for k in bins[synced:start + j + 1].tolist():
-                    tail.add(sr[k], si[k], cos_tab, sin_tab)
-                synced = start + j + 1
-                ok = tail.admissible(rows_r[j + 1], rows_i[j + 1], eps)
+                head_r = rows_r[j + 1, -2:]
+                head_i = rows_i[j + 1, -2:]
+                if skip:
+                    deferred.append((pos, head_r.copy(), head_i.copy()))
+                    skip -= 1
+                    continue
+                ok = check(pos, head_r, head_i)
+                if exhaustive:
+                    if ok:
+                        tail.save()
+                        saved = synced
+                        deferred.clear()
+                        skip, stride = stride, 2 * stride
+                    else:
+                        stride = 1
             if ok:
-                best = int(ks[j])
+                best = pos
             elif best != -1 and not exhaustive:
-                return best
+                return int(bins[best])
         rows_r[0] = rows_r[b]
         rows_i[0] = rows_i[b]
-    return best
-
-
-def band_monotone(sr, si, cos_tab, sin_tab, lo, hi, eps):
-    """Admissibility of the band of bins lo..hi, added in ascending order."""
-    n = sr.shape[0]
-    zr = np.zeros(n)
-    zi = np.zeros(n)
-    for k in range(lo, hi + 1):
-        dr, di = _bin_wave(sr[k], si[k], k, cos_tab, sin_tab)
-        zr += dr
-        zi += di
-    return bool(_admissible_rows(zr, zi, eps))
-
+    if deferred:
+        pos, head_r, head_i = deferred[-1]
+        if pos >= synced:
+            if check(pos, head_r, head_i):
+                return int(bins[pos])
+            deferred.pop()
+        tail.restore()
+        synced = saved
+        for pos, head_r, head_i in deferred:
+            if check(pos, head_r, head_i):
+                best = pos
+    return int(bins[best]) if best != -1 else -1

@@ -121,8 +121,8 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
         if off.size:
             rownum = rownums[off[0] + 1]
             raise IngestionError(
-                f"row {rownum}: time step {dt[off[0]]!r} deviates from "
-                f"{dt[0]!r} by more than {_REL_TOL:g} relative"
+                f"row {rownum}: time step {float(dt[off[0]])!r} deviates "
+                f"from {float(dt[0])!r} by more than {_REL_TOL:g} relative"
             )
         fs = 1.0 / dt[0]
         if sample_rate_hz is not None and \

@@ -208,9 +208,12 @@ def _scan_partition(spectrum: Spectrum, config: FdmConfig):
             # a cap forces everything left into this band; with no
             # admissible extension at all the residual band is emitted
             # anyway, so the partition, and with it reconstruction,
-            # stays exact
-            mono = merged_tail and _kernels.band_monotone(
-                sr, si, cos_tab, sin_tab, lo, hi, eps)
+            # stays exact. [lo, hi] is admissible exactly when it is
+            # its own largest admissible candidate; its bins are summed
+            # in ascending order whichever way the bands were scanned
+            mono = merged_tail and _kernels.scan_boundary(
+                sr, si, cos_tab, sin_tab, np.arange(lo, hi + 1), eps,
+                True) == hi
             cells.append((lo, hi, mono))
             return cells, merged_tail
         if upward:

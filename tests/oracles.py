@@ -38,6 +38,23 @@ def admissible_direct(z: np.ndarray, eps: float) -> bool:
     return not np.any(omega < -eps)
 
 
+def admissible_steps(z: np.ndarray, eps: float) -> bool:
+    """``admissible_direct`` with each central slope taken from the
+    wrapped phase increments themselves, (d[m-1] + d[m]) / 2, with d
+    wrapped the way np.unwrap wraps it, instead of from differences of
+    the accumulated unwrapped phase. The accumulated phase rounds
+    differently, and where a slope is exactly 0 its sign can flip: bins
+    7, 14 and 21 of n=56 holding 0.5, 0.5-1j and -1+1j give a slope of
+    0 one way and -7.1e-15 the other."""
+    if np.any(z == 0):
+        return False
+    dd = np.diff(np.angle(z))
+    d = np.mod(dd + np.pi, 2 * np.pi) - np.pi
+    d[(d == -np.pi) & (dd > 0)] = np.pi
+    omega = 0.5 * (d[:-1] + d[1:])
+    return not np.any(omega < -eps)
+
+
 def lth_partition_direct(coeffs: np.ndarray, eps: float = 0.0,
                          exhaustive: bool = True):
     """Greedy upward partition of bins [1, ceil(n/2)-1].
@@ -86,3 +103,34 @@ def htl_partition_direct(coeffs: np.ndarray, eps: float = 0.0,
         cells.append((best, hi, True))
         hi = best - 1
     return cells
+
+
+def scan_direct(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
+    """The band scan's answer with every candidate judged on its whole
+    band signal: the last bin of ``bins`` that closes an admissible
+    band (the largest one, or with exhaustive=False the last before
+    the first inadmissible one after it), or -1.
+
+    Each band signal is summed from zero in ``bins`` order, with every
+    term spelled out from the lookup tables the scan uses,
+    (cr wr - ci wi) + i (cr wi + ci wr), w = e^{i 2 pi k m / n}. Those
+    are the scan's bits, so an exact zero sample stays exactly zero;
+    ``band_direct``'s complex exponentials round differently and would
+    turn it into a tiny sample of arbitrary phase. Admissibility is
+    ``admissible_steps``, for the same reason.
+    """
+    n = sr.size
+    m = np.arange(n)
+    z = np.zeros(n, dtype=np.complex128)
+    best = -1
+    for k in bins:
+        j = (k * m) % n
+        wr, wi = cos_tab[j], sin_tab[j]
+        # in place, so that no complex product touches a signed zero
+        z.real += sr[k] * wr - si[k] * wi
+        z.imag += sr[k] * wi + si[k] * wr
+        if admissible_steps(z, eps):
+            best = int(k)
+        elif best != -1 and not exhaustive:
+            break
+    return best

@@ -129,6 +129,11 @@ class TestIngestCsv:
         self.refused(tmp_path, "t,x\n\n0,inf\n\n0.5,2\n",
                      "row 3, column 'x': non-finite value")
 
+    def test_non_uniform_step_message(self, tmp_path):
+        self.refused(tmp_path, "t,x\n\n0,1\n,\n0.5,2\n\n0.75,3\n",
+                     f"row 7: time step 0.25 deviates from 0.5 by more "
+                     f"than {cli._REL_TOL:g} relative")
+
     def test_short_last_row(self, tmp_path):
         self.refused(tmp_path, "t,x\n0,1\n0.1,2\n\n0.2\n",
                      "row 5: expected 2 columns, found 1")

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmkit import _kernels
-from oracles import admissible_direct, band_direct
+from oracles import admissible_direct, band_direct, scan_direct
 
 
 def spectrum_of(seed, n):
@@ -34,6 +36,13 @@ def run_partition(sr, si, ct, st_, k_max, eps, exhaustive):
         cells.append((lo, hi))
         lo = hi + 1
     return cells
+
+
+def band_admissible(sr, si, ct, st_, lo, hi, eps):
+    """Is the band [lo, hi] admissible? The one-candidate call that
+    gives ``fdm._scan_partition`` its merged-tail flag."""
+    return _kernels.scan_boundary(sr, si, ct, st_, np.arange(lo, hi + 1),
+                                  eps, True) == hi
 
 
 # -pi - 4.4e-16 is where d + pi < 0 but d + pi + 2pi rounds up to 2pi
@@ -175,7 +184,7 @@ class TestBoundaryKernels:
         for bins in (np.arange(1, 8), np.arange(7, 0, -1)):
             assert _kernels.scan_boundary(sr, si, ct, st_, bins, 0.0, True) == -1
 
-    @pytest.mark.parametrize("check", [_kernels.band_monotone], ids=["numpy"])
+    @pytest.mark.parametrize("check", [band_admissible], ids=["numpy"])
     def test_band_monotone_matches_reference(self, check):
         n = 32
         ct, st_ = _kernels.twiddle_tables(n)
@@ -183,5 +192,119 @@ class TestBoundaryKernels:
             sr, si, c = spectrum_of(seed, n)
             for lo, hi in [(1, 3), (2, 9), (5, 15), (1, 15)]:
                 want = admissible_direct(band_direct(c, lo, hi), 0.0)
-                assert bool(check(sr, si, ct, st_, lo, hi, 0.0)) == want
+                assert check(sr, si, ct, st_, lo, hi, 0.0) == want
 
+
+
+# (PROBE, BLOCK, CHUNK) small enough that records of n <= 64 cross every
+# probe window, block and chunk seam
+SMALL_CONSTANTS = [(16, 5, 4), (4, 1, 3), (8, 3, 5), (32, 7, 8)]
+DYADIC = [-1.0, -0.5, -0.25, 0.25, 0.5, 1.0]
+
+
+def zero_group(n, m0, k_max):
+    """Bins k <= k_max with k*m0 = 0 mod n: at sample m0 their twiddle
+    is exactly 1, so their terms there are their coefficients."""
+    step = n // math.gcd(n, m0)
+    return list(range(step, k_max + 1, step))
+
+
+def chunk_seams(n, probe, chunk):
+    """The two samples before each seam between full-check chunks: the
+    last central step of one chunk and the first of the next."""
+    seams, start, width, size = [], 0, chunk, n - probe + 2
+    while probe < n and start + width < size:
+        stop = start + width
+        # tail index i is sample probe - 2 + i
+        seams += [probe + stop - 4, probe + stop - 3]
+        start, width = stop - 2, 2 * width
+    return seams
+
+
+@st.composite
+def seam_spectra(draw):
+    """A spectrum (full length n, bins 1..k_max set) aimed at the scan's
+    seams, with the small constants to scan it under.
+
+    - sparse: random bins at a drawn density, exact zeros elsewhere
+    - single: one nonzero bin
+    - zero: bins whose twiddles are exactly 1 at a sample m0 next to the
+      end of the probe window, with dyadic coefficients that sum to 0,
+      so some candidates have an exact zero sample there
+    - dip: two bins that nearly cancel at m0 (next to the window's end,
+      next to a seam between full-check chunks, or n-2, the last
+      interior sample), so the phase swings through a near-pi step or
+      slopes down there
+    """
+    probe, block, chunk = draw(st.sampled_from(SMALL_CONSTANTS))
+    kind = draw(st.sampled_from(["sparse", "single", "zero", "dip"]))
+    sites = [probe - 1, probe, probe + 1]
+    if kind == "zero":
+        m0 = draw(st.sampled_from(sites))
+        n = draw(st.sampled_from([
+            n for n in range(max(8, m0 + 2), 65)
+            if len(zero_group(n, m0, (n + 1) // 2 - 1)) >= 2] or [64]))
+    else:
+        n = draw(st.integers(8, 64))
+        m0 = draw(st.sampled_from(sites + [n - 2]
+                                  + chunk_seams(n, probe, chunk)))
+    k_max = (n + 1) // 2 - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = np.zeros(n, dtype=np.complex128)
+    keep = rng.random(k_max) < draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    c[1:k_max + 1] = keep * (rng.standard_normal(k_max)
+                             + 1j * rng.standard_normal(k_max))
+    if kind == "single":
+        c[:] = 0.0
+        c[draw(st.integers(1, k_max))] = complex(rng.standard_normal(),
+                                                 rng.standard_normal())
+    elif kind == "zero":
+        group = zero_group(n, m0, k_max)
+        if draw(st.booleans()):
+            c[:] = 0.0
+        vals = [complex(draw(st.sampled_from(DYADIC)),
+                        draw(st.sampled_from(DYADIC + [0.0])))
+                for _ in group[1:]]
+        # every partial sum of these is exact, in either scan order
+        c[group] = [-sum(vals)] + vals
+    elif kind == "dip" and k_max >= 2:
+        k1 = draw(st.integers(1, k_max - 1))
+        k2 = draw(st.integers(k1 + 1, k_max))
+        r = draw(st.sampled_from([1.0, 1.0 - 1e-9, 0.999, 0.9, 0.5, 1.1]))
+        a = complex(rng.standard_normal(), rng.standard_normal())
+        c[k1] += a
+        c[k2] += -r * a * np.exp(2j * np.pi * (k1 - k2) * m0 / n)
+    return (probe, block, chunk), c
+
+
+class TestScanSeams:
+    @given(seam_spectra(), st.sampled_from([0.0, 1e-3]), st.booleans(),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_matches_fresh_synthesis_at_the_seams(self, case, eps,
+                                                       upward, exhaustive):
+        (probe, block, chunk), c = case
+        n = c.size
+        sr = np.ascontiguousarray(c.real)
+        si = np.ascontiguousarray(c.imag)
+        ct, st_ = _kernels.twiddle_tables(n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "PROBE", probe)
+            mp.setattr(_kernels, "BLOCK", block)
+            mp.setattr(_kernels, "CHUNK", chunk)
+            # walk a whole partition, so every range the scan meets is
+            # compared, not only the first
+            lo, hi = 1, (n + 1) // 2 - 1
+            while lo <= hi:
+                bins = (np.arange(lo, hi + 1) if upward
+                        else np.arange(hi, lo - 1, -1))
+                got = _kernels.scan_boundary(sr, si, ct, st_, bins, eps,
+                                             exhaustive)
+                want = scan_direct(sr, si, ct, st_, bins, eps, exhaustive)
+                assert got == want, (lo, hi)
+                if got == -1:
+                    break
+                if upward:
+                    lo = got + 1
+                else:
+                    hi = got - 1
