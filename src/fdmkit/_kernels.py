@@ -25,12 +25,7 @@ rejects its candidate for good.
 A candidate whose window passes is a survivor. Its full check catches
 the rest of its band signal up, adding the pending bins one at a time,
 in scan order, into a single buffer of the later samples, and then
-judges the phase steps the window could not see. The maximal search
-judges them in chunks that start at CHUNK samples, double in length
-and overlap by two samples, so a check stops at the first chunk with a
-violation. The first-violation search judges them in one piece: it
-stops a band at its first failing full check, so nearly all of its
-checks pass, and for a pass each chunk only adds fixed cost.
+judges the phase steps the window could not see.
 
 The maximal search only wants the largest admissible candidate, so it
 defers full checks. After a survivor passes, the next 1, 2, 4, ...
@@ -68,9 +63,6 @@ def twiddle_tables(n: int):
 PROBE = 256
 # Candidates whose probe windows come out of one cumulative sum.
 BLOCK = 64
-# Length of the first chunk an early-exit full check judges; later
-# chunks double.
-CHUNK = 1024
 
 
 def _wrap(d, out=None):
@@ -185,29 +177,13 @@ class _Tail:
         for dst, src in zip((self.zr, self.zi, self.idx), self.saved):
             np.copyto(dst, src)
 
-    def admissible(self, head_r, head_i, eps, width):
+    def admissible(self, head_r, head_i, eps):
         """Full check of the candidate whose probe window ends in
         head_r + i head_i; the window itself already passed, so only
-        the phase steps from its last two samples on are left.
-
-        The tail is checked in chunks of width, 2 width, 4 width, ...
-        samples, each starting two samples before the last one ended,
-        so every interior sample's central step lies inside one chunk.
-        The first chunk that fails decides.
-        """
+        the phase steps from its last two samples on are left."""
         self.zr[:2] = head_r
         self.zi[:2] = head_i
-        size = self.zr.size
-        start = 0
-        while True:
-            stop = min(start + width, size)
-            w = stop - start
-            if not _admissible_rows(self.zr[start:stop], self.zi[start:stop],
-                                    eps, [a[:w] for a in self.work]):
-                return False
-            if stop == size:
-                return True
-            start, width = stop - 2, 2 * width
+        return bool(_admissible_rows(self.zr, self.zi, eps, self.work))
 
 
 def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
@@ -228,13 +204,11 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     checkpoint. At the end of the range the topmost deferred survivor
     is checked first, if the tail has not been synced past it; if it
     fails, the checkpoint is restored and the other deferred survivors
-    are replayed in ascending order. Its full checks stop at the first
-    violating chunk of CHUNK, 2 CHUNK, ... samples. Every candidate
-    judged, replays included, gets its bins added in scan order onto
-    the same sums, so its verdict has the same bits as checking every
-    survivor in turn. The first-violation search checks every survivor
-    in turn, in one piece, because its answer is the last pass before
-    the first failure.
+    are replayed in ascending order. Every candidate judged, replays
+    included, gets its bins added in scan order onto the same sums, so
+    its verdict has the same bits as checking every survivor in turn.
+    The first-violation search checks every survivor in turn, because
+    its answer is the last pass before the first failure.
     """
     if bins.size == 0:
         return -1
@@ -257,17 +231,13 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     # (position, last two window samples real, imaginary)
     deferred = []
     skip, stride = 0, 1
-    # a first-violation band ends at its first failing full check, so
-    # nearly all of its checks pass and an early exit would only add
-    # chunk boundaries; the exhaustive search mostly checks failures
-    chunk = CHUNK if exhaustive else n
 
     def check(pos, head_r, head_i):
         nonlocal synced
         for k in bins[synced:pos + 1].tolist():
             tail.add(sr[k], si[k], cos_tab, sin_tab)
         synced = pos + 1
-        return tail.admissible(head_r, head_i, eps, chunk)
+        return tail.admissible(head_r, head_i, eps)
 
     for start in range(0, bins.size, BLOCK):
         ks = bins[start:start + BLOCK]

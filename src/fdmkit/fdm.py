@@ -210,10 +210,13 @@ def _scan_partition(spectrum: Spectrum, config: FdmConfig):
             # anyway, so the partition, and with it reconstruction,
             # stays exact. [lo, hi] is admissible exactly when it is
             # its own largest admissible candidate; its bins are summed
-            # in ascending order whichever way the bands were scanned
-            mono = merged_tail and _kernels.scan_boundary(
-                sr, si, cos_tab, sin_tab, np.arange(lo, hi + 1), eps,
-                True) == hi
+            # in ascending order whichever way the bands were scanned.
+            # An upward maximal scan has just made that very call, and
+            # a merged tail means it did not end at hi
+            mono = (merged_tail and not (upward and exhaustive)
+                    and _kernels.scan_boundary(
+                        sr, si, cos_tab, sin_tab, np.arange(lo, hi + 1),
+                        eps, True) == hi)
             cells.append((lo, hi, mono))
             return cells, merged_tail
         if upward:

@@ -4,8 +4,8 @@ The fixture was recorded by ``make_golden.py`` from the kernels before
 the probe-first scan; every configuration must still produce the same
 cells, the same non-monotone indices and the same merged-tail flag.
 The records up to n=256 are checked a second time with the scan's
-probe window, block and full-check chunk shrunk, so that their seams
-fall inside short records too.
+probe window and block shrunk, so that their seams fall inside short
+records too.
 """
 
 import json
@@ -37,7 +37,6 @@ def test_partitions_match_golden_at_small_constants(kind, seed, n,
                                                     monkeypatch):
     monkeypatch.setattr(_kernels, "PROBE", 16)
     monkeypatch.setattr(_kernels, "BLOCK", 5)
-    monkeypatch.setattr(_kernels, "CHUNK", 4)
     want = [r for r in GOLDEN
             if (r["kind"], r["seed"], r["n"]) == (kind, seed, n)]
     assert partitions(kind, seed, n) == want

@@ -195,10 +195,9 @@ class TestBoundaryKernels:
                 assert check(sr, si, ct, st_, lo, hi, 0.0) == want
 
 
-
-# (PROBE, BLOCK, CHUNK) small enough that records of n <= 64 cross every
-# probe window, block and chunk seam
-SMALL_CONSTANTS = [(16, 5, 4), (4, 1, 3), (8, 3, 5), (32, 7, 8)]
+# (PROBE, BLOCK) small enough that records of n <= 64 cross every probe
+# window and block seam
+SMALL_CONSTANTS = [(16, 5), (4, 1), (8, 3), (32, 7)]
 DYADIC = [-1.0, -0.5, -0.25, 0.25, 0.5, 1.0]
 
 
@@ -207,18 +206,6 @@ def zero_group(n, m0, k_max):
     is exactly 1, so their terms there are their coefficients."""
     step = n // math.gcd(n, m0)
     return list(range(step, k_max + 1, step))
-
-
-def chunk_seams(n, probe, chunk):
-    """The two samples before each seam between full-check chunks: the
-    last central step of one chunk and the first of the next."""
-    seams, start, width, size = [], 0, chunk, n - probe + 2
-    while probe < n and start + width < size:
-        stop = start + width
-        # tail index i is sample probe - 2 + i
-        seams += [probe + stop - 4, probe + stop - 3]
-        start, width = stop - 2, 2 * width
-    return seams
 
 
 @st.composite
@@ -232,11 +219,10 @@ def seam_spectra(draw):
       end of the probe window, with dyadic coefficients that sum to 0,
       so some candidates have an exact zero sample there
     - dip: two bins that nearly cancel at m0 (next to the window's end,
-      next to a seam between full-check chunks, or n-2, the last
-      interior sample), so the phase swings through a near-pi step or
-      slopes down there
+      or n-2, the last interior sample), so the phase swings through a
+      near-pi step or slopes down there
     """
-    probe, block, chunk = draw(st.sampled_from(SMALL_CONSTANTS))
+    probe, block = draw(st.sampled_from(SMALL_CONSTANTS))
     kind = draw(st.sampled_from(["sparse", "single", "zero", "dip"]))
     sites = [probe - 1, probe, probe + 1]
     if kind == "zero":
@@ -246,8 +232,7 @@ def seam_spectra(draw):
             if len(zero_group(n, m0, (n + 1) // 2 - 1)) >= 2] or [64]))
     else:
         n = draw(st.integers(8, 64))
-        m0 = draw(st.sampled_from(sites + [n - 2]
-                                  + chunk_seams(n, probe, chunk)))
+        m0 = draw(st.sampled_from(sites + [n - 2]))
     k_max = (n + 1) // 2 - 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = np.zeros(n, dtype=np.complex128)
@@ -274,7 +259,7 @@ def seam_spectra(draw):
         a = complex(rng.standard_normal(), rng.standard_normal())
         c[k1] += a
         c[k2] += -r * a * np.exp(2j * np.pi * (k1 - k2) * m0 / n)
-    return (probe, block, chunk), c
+    return (probe, block), c
 
 
 class TestScanSeams:
@@ -283,7 +268,7 @@ class TestScanSeams:
     @settings(max_examples=300, deadline=None)
     def test_scan_matches_fresh_synthesis_at_the_seams(self, case, eps,
                                                        upward, exhaustive):
-        (probe, block, chunk), c = case
+        (probe, block), c = case
         n = c.size
         sr = np.ascontiguousarray(c.real)
         si = np.ascontiguousarray(c.imag)
@@ -291,7 +276,6 @@ class TestScanSeams:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "PROBE", probe)
             mp.setattr(_kernels, "BLOCK", block)
-            mp.setattr(_kernels, "CHUNK", chunk)
             # walk a whole partition, so every range the scan meets is
             # compared, not only the first
             lo, hi = 1, (n + 1) // 2 - 1
