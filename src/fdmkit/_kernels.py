@@ -43,6 +43,15 @@ in turn: its answer is the last pass before the first failure.
 Bins after a band's last full check are never synthesized past the
 window. The wrap uses compare and subtract in place of ``np.mod``,
 with the same bits (see ``_wrap``).
+
+Layout matters as much as arithmetic here. A block's windows are
+judged as one flat, contiguous run of samples rather than through
+strided 2-D views: the steps across row seams are computed with the
+rest and their slopes dropped before the per-row verdict (see
+``_admissible_rows``). A block's twiddle indices k m mod n come from a
+table of j step m mod n, built once per scan, plus the block's row
+k0 m mod n, folded back into [0, n) by ``_fold`` as the tail's are,
+with no division per block.
 """
 import math
 
@@ -86,28 +95,52 @@ def _wrap(d, out=None):
 def _admissible_rows(zr, zi, eps, work=None):
     """Admissibility of every row of zr + i zi (time on the last axis).
 
-    ``work`` optionally supplies three scratch arrays shaped like zr,
-    so that a hot loop allocates nothing the size of a row.
+    The rows are judged as one flat run of samples, so that every step
+    works on contiguous memory: atan2, the phase steps, the wrap and the
+    slope sums all run over ``reshape(-1)``. The step from the last
+    sample of a row to the first of the next is computed along with the
+    rest; it is a difference of two atan2 values, inside ``_wrap``'s
+    domain, and the two slopes it enters, those of a row's first and
+    last sample, are dropped before the per-row verdict. Interior
+    slopes get the same bits as when each row is judged alone.
+
+    ``work`` optionally supplies three contiguous scratch arrays shaped
+    like zr, so that a hot loop allocates nothing the size of a row.
     """
     if work is None:
         work = [np.empty(zr.shape) for _ in range(3)]
-    raw = work[0]
-    d = work[1][..., :-1]
-    s = work[2][..., :-1]
+    raw = work[0].reshape(-1)
+    d = work[1].reshape(-1)[:-1]
+    s = work[2].reshape(-1)[:-1]
     # a zero sample has no phase; zr alone is almost never exactly 0
     zero = ~zr.all(axis=-1)
     if zero.any():
         zero = ((zr == 0.0) & (zi == 0.0)).any(axis=-1)
-    np.arctan2(zi, zr, out=raw)
-    np.subtract(raw[..., 1:], raw[..., :-1], out=d)
+    np.arctan2(zi.reshape(-1), zr.reshape(-1), out=raw)
+    np.subtract(raw[1:], raw[:-1], out=d)
     dm = _wrap(d, out=s)
     # np.unwrap keeps +pi for a positive jump of exactly pi
     at_pi = dm == -_PI
     if at_pi.any():
         dm[at_pi & (d > 0.0)] = _PI
-    omega = np.add(dm[..., :-1], dm[..., 1:], out=raw[..., :-2])
+    # slope of flat sample i at raw[i]; raw[0] and raw[-1] keep their
+    # atan2 values and sit in masked columns
+    omega = np.add(dm[:-1], dm[1:], out=raw[1:-1])
     omega *= 0.5
-    return ~(zero | (omega < -eps).any(axis=-1))
+    bad = (raw < -eps).reshape(zr.shape)
+    bad[..., 0] = False
+    bad[..., -1] = False
+    return ~(zero | bad.any(axis=-1))
+
+
+def _fold(idx, turn, alt):
+    """Take twiddle indices one ``turn`` (+n or -n) out of [0, n) back
+    into it, in place and without a division: of idx and idx - turn,
+    the one in range is the smaller as unsigned integers. ``alt`` is
+    scratch shaped like idx."""
+    np.subtract(idx, turn, out=alt)
+    np.minimum(idx.view(np.uint64), alt.view(np.uint64),
+               out=idx.view(np.uint64))
 
 
 def _term(cr, ci, idx, cos_tab, sin_tab, out=None):
@@ -142,8 +175,7 @@ class _Tail:
 
     Each bin is one step (+1 or -1) from the last, so bin k's twiddle
     index k*m mod n is the previous bin's plus step*m, taken back into
-    [0, n) without a division: of idx and idx - step*n, the one in
-    range is the smaller as unsigned integers.
+    [0, n) by ``_fold``.
     """
 
     def __init__(self, n, p, k_prev, step):
@@ -163,9 +195,7 @@ class _Tail:
     def add(self, cr, ci, cos_tab, sin_tab):
         idx = self.idx
         idx += self.delta
-        np.subtract(idx, self.turn, out=self.alt)
-        np.minimum(idx.view(np.uint64), self.alt.view(np.uint64),
-                   out=idx.view(np.uint64))
+        _fold(idx, self.turn, self.alt)
         re, im = _term(cr, ci, idx, cos_tab, sin_tab, self.wave)
         self.zr[2:] += re
         self.zi[2:] += im
@@ -216,7 +246,11 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     p = min(PROBE, n)
     step = int(bins[1] - bins[0]) if bins.size > 1 else 1
     head = np.arange(p)
+    # twiddle index of row j, sample m is (k0 m + j step m) mod n: a
+    # per-block row plus this table, folded back into [0, n)
+    table = (step * np.arange(BLOCK)[:, None] * head) % n
     idx = np.empty((BLOCK, p), dtype=np.intp)
+    alt = np.empty((BLOCK, p), dtype=np.intp)
     # row 0: probe window of the previous block's last candidate
     rows_r = np.zeros((BLOCK + 1, p))
     rows_i = np.zeros((BLOCK + 1, p))
@@ -242,8 +276,8 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     for start in range(0, bins.size, BLOCK):
         ks = bins[start:start + BLOCK]
         b = ks.size
-        np.multiply(ks[:, None], head, out=idx[:b])
-        np.remainder(idx[:b], n, out=idx[:b])
+        np.add(table[:b], (int(ks[0]) * head) % n, out=idx[:b])
+        _fold(idx[:b], n, alt[:b])
         _term(sr[ks, None], si[ks, None], idx[:b], cos_tab, sin_tab,
               (work[0][:b], work[1][:b], rows_r[1:b + 1], rows_i[1:b + 1]))
         # row j+1 adds bins one by one onto row j, in scan order: the

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mfdm import MultichannelSignal
-from .spectral import Signal
+from .spectral import Signal, check_sample_rate
 
 
 @dataclass
@@ -32,8 +32,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError(f"n must be >= 2, got {self.n}")
-        if not (self.sample_rate_hz > 0):
-            raise ParameterError(f"sample rate must be > 0, got {self.sample_rate_hz}")
+        check_sample_rate(self.sample_rate_hz, self.n)
         if not isinstance(self.params, dict):
             raise ParameterError("params must be a dict")
 

@@ -17,6 +17,7 @@ which makes envelope magnitudes read directly as physical amplitudes.
 All arithmetic is float64/complex128.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,23 @@ from .errors import BandRangeError, ParameterError, SymmetryError
 IMAG_RESIDUE_RTOL = 1e-10
 
 
+def check_sample_rate(fs, n: int) -> float:
+    """``fs`` as a float; refused unless it is positive and finite and
+    the times m/fs of an n-sample record are finite, its period 1/fs
+    included."""
+    if not (fs > 0):
+        raise ParameterError(f"sample rate must be > 0, got {fs}")
+    fs = float(fs)
+    if not math.isfinite(fs):
+        raise ParameterError(f"sample rate must be finite, got {fs}")
+    if not math.isfinite(max(n - 1, 1) / fs):
+        raise ParameterError(
+            f"sample rate {fs!r} Hz is too small: the times of {n} samples "
+            "overflow float64"
+        )
+    return fs
+
+
 @dataclass
 class Signal:
     """A uniformly sampled real time series.
@@ -38,7 +56,7 @@ class Signal:
     samples : array_like of float
         The sample values. Stored as a read-only float64 array.
     sample_rate_hz : float
-        Sampling rate, strictly positive.
+        Sampling rate: positive and finite, with finite sample times.
     start_time_s : float, optional
         Time of the first sample. Only affects time axes on output
         products, never the mathematics.
@@ -56,12 +74,11 @@ class Signal:
             raise ParameterError(f"signal needs at least 2 samples, got {x.size}")
         if not np.all(np.isfinite(x)):
             raise ParameterError("signal contains NaN or infinite samples")
-        if not (self.sample_rate_hz > 0):
-            raise ParameterError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        fs = check_sample_rate(self.sample_rate_hz, x.size)
         x = x.copy()
         x.flags.writeable = False
         self.samples = x
-        self.sample_rate_hz = float(self.sample_rate_hz)
+        self.sample_rate_hz = fs
         self.start_time_s = float(self.start_time_s)
 
     @property

@@ -2,9 +2,10 @@
 
 Nothing here imports package internals: transforms are direct O(n^2)
 sums, every candidate band is synthesized from scratch, and phase
-admissibility goes through numpy's own unwrap. That keeps the oracle
-failure modes disjoint from the library's (incremental accumulation,
-fft, hand-rolled wrap handling), so agreement is meaningful.
+admissibility wraps each phase step with np.unwrap's own np.mod
+recipe. That keeps the oracle failure modes disjoint from the
+library's (incremental accumulation, fft, hand-rolled wrap handling),
+so agreement is meaningful.
 """
 
 import numpy as np
@@ -30,19 +31,11 @@ def band_direct(coeffs: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 def admissible_direct(z: np.ndarray, eps: float) -> bool:
     """True when z never vanishes and its unwrapped phase never drops
-    by more than eps per interior central difference."""
-    if np.any(z == 0):
-        return False
-    phase = np.unwrap(np.angle(z))
-    omega = 0.5 * (phase[2:] - phase[:-2])
-    return not np.any(omega < -eps)
+    by more than eps per interior central difference.
 
-
-def admissible_steps(z: np.ndarray, eps: float) -> bool:
-    """``admissible_direct`` with each central slope taken from the
-    wrapped phase increments themselves, (d[m-1] + d[m]) / 2, with d
-    wrapped the way np.unwrap wraps it, instead of from differences of
-    the accumulated unwrapped phase. The accumulated phase rounds
+    Each central slope is taken from the wrapped phase increments
+    themselves, (d[m-1] + d[m]) / 2, with d wrapped the way np.unwrap
+    wraps it. Differences of the accumulated unwrapped phase round
     differently, and where a slope is exactly 0 its sign can flip: bins
     7, 14 and 21 of n=56 holding 0.5, 0.5-1j and -1+1j give a slope of
     0 one way and -7.1e-15 the other."""
@@ -116,8 +109,7 @@ def scan_direct(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     (cr wr - ci wi) + i (cr wi + ci wr), w = e^{i 2 pi k m / n}. Those
     are the scan's bits, so an exact zero sample stays exactly zero;
     ``band_direct``'s complex exponentials round differently and would
-    turn it into a tiny sample of arbitrary phase. Admissibility is
-    ``admissible_steps``, for the same reason.
+    turn it into a tiny sample of arbitrary phase.
     """
     n = sr.size
     m = np.arange(n)
@@ -129,7 +121,7 @@ def scan_direct(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
         # in place, so that no complex product touches a signed zero
         z.real += sr[k] * wr - si[k] * wi
         z.imag += sr[k] * wi + si[k] * wr
-        if admissible_steps(z, eps):
+        if admissible_direct(z, eps):
             best = int(k)
         elif best != -1 and not exhaustive:
             break

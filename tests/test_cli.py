@@ -469,6 +469,22 @@ class TestExitCodes:
         assert "overflows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_infinite_rate_maps_to_two(self, tmp_path, capsys):
+        assert main(["decompose", "--input",
+                     'gen:{"kind":"white_gaussian","n":64,"seed":0}',
+                     "--fs", "inf", "--out", str(tmp_path / "o")]) == 2
+        assert "sample rate must be finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rate_with_overflowing_period_maps_to_two(self, tmp_path, capsys):
+        recipe = 'gen:{"kind":"linear_chirp","n":64,"sample_rate_hz":1e-320}'
+        assert main(["decompose", "--input", recipe,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "sample rate 1e-320 Hz is too small" in err
+        assert "NaN" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_signal_too_short_maps_to_two(self, tmp_path, capsys):
         assert main(["decompose",
                      "--input", 'gen:{"kind":"model_wave","n":3,"sample_rate_hz":10}',

@@ -101,6 +101,79 @@ class TestAdmissibility:
         assert not admissible(z.real.copy(), z.imag.copy(), 0.0)
         assert admissible(z.real.copy(), z.imag.copy(), 1e-9)
 
+    def test_exact_zero_slope_matches_oracle(self):
+        # bins 7, 14 and 21 of n=56: a band that holds bins 14 and 21
+        # but not 7 has a central slope of exactly 0, which differences
+        # of the accumulated unwrapped phase read as -7.1e-15
+        n = 56
+        c = np.zeros(n, dtype=np.complex128)
+        c[[7, 14, 21]] = [0.5, 0.5 - 1j, -1 + 1j]
+        sr = np.ascontiguousarray(c.real)
+        si = np.ascontiguousarray(c.imag)
+        ct, st_ = _kernels.twiddle_tables(n)
+        m = np.arange(n)
+        for lo in (7, 14):
+            z = np.zeros(n, dtype=np.complex128)
+            for k in range(lo, 28):
+                j = (k * m) % n
+                z.real += sr[k] * ct[j] - si[k] * st_[j]
+                z.imag += sr[k] * st_[j] + si[k] * ct[j]
+                got = admissible(z.real.copy(), z.imag.copy(), 0.0)
+                assert got == admissible_direct(z, 0.0), (lo, k)
+        assert band_admissible(sr, si, ct, st_, 14, 21, 0.0)
+        for bins in (np.arange(14, 28), np.arange(27, 7, -1)):
+            for exhaustive in (True, False):
+                assert (_kernels.scan_boundary(sr, si, ct, st_, bins, 0.0,
+                                               exhaustive)
+                        == scan_direct(sr, si, ct, st_, bins, 0.0, exhaustive))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_matches_each_row(self, data):
+        """Blocks judged as one flat buffer give each row's own verdict,
+        with hazards at the row edges, where the flat buffer's seam
+        steps are computed and dropped."""
+        rows = data.draw(st.integers(1, 6))
+        length = data.draw(st.integers(3, 40))
+        eps = data.draw(st.sampled_from([0.0, 1e-3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        zr = np.empty((rows, length))
+        zi = np.empty((rows, length))
+        end = 0.0
+        for r in range(rows):
+            hazard = data.draw(st.sampled_from(
+                ["none", "zero_first", "zero_last", "dip_first", "dip_last",
+                 "pi_last", "minus_pi_last", "seam_drop"]))
+            start = end - rng.uniform(0.5, 3.0) if hazard == "seam_drop" \
+                else rng.uniform(-np.pi, np.pi)
+            phase = start + np.cumsum(rng.uniform(0.0, 1.0, length))
+            if hazard == "dip_first":
+                phase[2] = phase[0] - 0.5
+            elif hazard == "dip_last":
+                phase[-1] = phase[-3] - 0.5
+            amp = rng.uniform(0.5, 2.0, length)
+            zr[r] = amp * np.cos(phase)
+            zi[r] = amp * np.sin(phase)
+            end = phase[-1]
+            if hazard in ("zero_first", "zero_last"):
+                col = 0 if hazard == "zero_first" else -1
+                zr[r, col] = zi[r, col] = 0.0
+            elif hazard in ("pi_last", "minus_pi_last"):
+                # atan2 gives 0 then +pi (or -pi): a last step of exactly
+                # +pi, kept as +pi, or of -pi
+                zr[r, -2], zi[r, -2] = 1.0, 0.0
+                zr[r, -1] = -1.0
+                zi[r, -1] = 0.0 if hazard == "pi_last" else -0.0
+        # set in place: 1j * zi would turn -0.0 into +0.0
+        z = np.empty((rows, length), dtype=np.complex128)
+        z.real = zr
+        z.imag = zi
+        got = _kernels._admissible_rows(zr, zi, eps)
+        for r in range(rows):
+            alone = admissible(zr[r].copy(), zi[r].copy(), eps)
+            assert got[r] == alone, r
+            assert alone == admissible_direct(z[r], eps), r
+
 
 class TestBoundaryKernels:
     # one kernel path; the "numpy" id keeps the test names stable

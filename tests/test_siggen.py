@@ -25,6 +25,11 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             GeneratorSpec("model_wave", 16, 10.0, params=[1, 2])
 
+    @pytest.mark.parametrize("fs", [np.inf, 1e-320])
+    def test_rate_needs_finite_period(self, fs):
+        with pytest.raises(ParameterError, match=repr(fs)):
+            GeneratorSpec("linear_chirp", 64, fs)
+
     def test_unknown_kind(self):
         with pytest.raises(ParameterError, match="unknown generator kind"):
             generate(spec("brown_noise"))

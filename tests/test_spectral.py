@@ -55,6 +55,20 @@ class TestSignal:
         with pytest.raises(ParameterError):
             Signal(np.zeros(4), fs)
 
+    @pytest.mark.parametrize("fs", [np.inf, 1e-320, 5e-324])
+    def test_rejects_rate_without_finite_period(self, fs):
+        # inf has a zero period and these subnormals an infinite one;
+        # either would put 0.0 or inf on every time axis
+        with pytest.raises(ParameterError, match=repr(fs)):
+            Signal(np.zeros(4), fs)
+
+    def test_rate_must_keep_every_time_finite(self):
+        # 1/fs is finite, 3/fs is not
+        fs = np.nextafter(1.0 / np.finfo(float).max, 1.0)
+        assert np.isfinite(Signal(np.zeros(2), fs).times()).all()
+        with pytest.raises(ParameterError, match="overflow"):
+            Signal(np.zeros(4), fs)
+
 
 class TestSpectrumProperties:
     @pytest.mark.parametrize("n,k_max,nyq", [
