@@ -23,16 +23,16 @@ accumulation, and a zero sample or a phase slope below -eps inside one
 rejects its candidate for good.
 
 A candidate whose window passes is a survivor. Its full check catches
-the rest of its band signal up, adding the pending bins one at a time,
-in scan order, into a single buffer of the later samples, and then
-judges the phase steps the window could not see.
+up one buffer of the samples from the window's last two on, adding the
+pending bins one at a time with the window's adds in their order, and
+then judges the phase steps the window could not see.
 
 The maximal search only wants the largest admissible candidate, so it
 defers full checks. After a survivor passes, the next 1, 2, 4, ...
 survivors are skipped, the stride doubling with each pass and starting
 over after a failure, and the running sums at the highest pass are kept
 as one checkpoint. At the end of the range the topmost skipped survivor
-is checked, unless the buffer has already been synced past it; if it
+is checked, unless the tail already holds bins past it; if it
 fails, the checkpoint is restored and the other skipped survivors are
 replayed in ascending order. A replay adds the same bins in the same
 order onto the same sums, so every candidate that is judged is judged
@@ -143,15 +143,13 @@ def _fold(idx, turn, alt):
                out=idx.view(np.uint64))
 
 
-def _term(cr, ci, idx, cos_tab, sin_tab, out=None):
+def _term(cr, ci, idx, cos_tab, sin_tab, out):
     """Real and imaginary parts of (cr + i ci) e^{i 2 pi idx / n}.
 
     They are cr*wr - ci*wi and cr*wi + ci*wr, each product rounded on
-    its own. ``out`` optionally supplies four scratch arrays shaped
-    like idx; the last two receive the result.
+    its own. ``out`` supplies four scratch arrays shaped like idx; the
+    last two receive the result.
     """
-    if out is None:
-        out = [np.empty(idx.shape) for _ in range(4)]
     wr, wi, re, im = out
     np.take(cos_tab, idx, out=wr, mode="clip")
     np.take(sin_tab, idx, out=wi, mode="clip")
@@ -167,52 +165,54 @@ def _term(cr, ci, idx, cos_tab, sin_tab, out=None):
 class _Tail:
     """Samples p-2..n-1 of a band signal that grows one bin at a time.
 
-    Samples from p on are brought up to date bin by bin, in scan order,
-    only when a candidate needs its full check; the two samples before
-    them come from that candidate's probe window. One checkpoint of
-    the running sums can be saved and restored, so that a lower
-    candidate can be replayed after a higher one was synced.
+    It adds ``bins`` one at a time, only when a candidate needs its
+    full check, with the probe windows' adds in their order, so its
+    first two samples equal the window's last two bit for bit.
+    ``count`` bins are in; one checkpoint of the sums, the indices and
+    ``count`` lets a lower candidate be replayed after a higher one.
 
     Each bin is one step (+1 or -1) from the last, so bin k's twiddle
     index k*m mod n is the previous bin's plus step*m, taken back into
     [0, n) by ``_fold``.
     """
 
-    def __init__(self, n, p, k_prev, step):
-        m = np.arange(p, n)
-        self.zr = np.zeros(n - p + 2)
-        self.zi = np.zeros(n - p + 2)
-        self.idx = (k_prev * m) % n
+    def __init__(self, sr, si, cos_tab, sin_tab, bins, step, p):
+        n = sr.shape[0]
+        m = np.arange(p - 2, n)
+        self.coeffs = sr, si, cos_tab, sin_tab
+        self.bins = bins
+        self.count = 0
+        self.zr = np.zeros(m.size)
+        self.zi = np.zeros(m.size)
+        self.idx = ((int(bins[0]) - step) * m) % n
         self.alt = np.empty_like(self.idx)
         self.delta = step * m
         self.turn = step * n
         # adding a bin and checking a candidate take turns on the
         # scratch arrays
-        self.work = [np.empty(n - p + 2) for _ in range(3)]
-        self.wave = [w[2:] for w in self.work] + [np.empty(n - p)]
-        self.saved = None
-
-    def add(self, cr, ci, cos_tab, sin_tab):
-        idx = self.idx
-        idx += self.delta
-        _fold(idx, self.turn, self.alt)
-        re, im = _term(cr, ci, idx, cos_tab, sin_tab, self.wave)
-        self.zr[2:] += re
-        self.zi[2:] += im
+        self.work = [np.empty(m.size) for _ in range(4)]
+        self.checkpoint = None
 
     def save(self):
-        self.saved = [self.zr.copy(), self.zi.copy(), self.idx.copy()]
+        self.checkpoint = (self.zr.copy(), self.zi.copy(),
+                           self.idx.copy(), self.count)
 
     def restore(self):
-        for dst, src in zip((self.zr, self.zi, self.idx), self.saved):
-            np.copyto(dst, src)
+        # the scan restores at most once, so the copies can be taken over
+        self.zr, self.zi, self.idx, self.count = self.checkpoint
 
-    def admissible(self, head_r, head_i, eps):
-        """Full check of the candidate whose probe window ends in
-        head_r + i head_i; the window itself already passed, so only
-        the phase steps from its last two samples on are left."""
-        self.zr[:2] = head_r
-        self.zi[:2] = head_i
+    def admissible(self, pos, eps):
+        """Catch up to candidate ``bins[pos]``, at or past the last bin
+        added, and judge the phase steps its window could not see."""
+        sr, si, cos_tab, sin_tab = self.coeffs
+        idx = self.idx
+        for k in self.bins[self.count:pos + 1].tolist():
+            idx += self.delta
+            _fold(idx, self.turn, self.alt)
+            re, im = _term(sr[k], si[k], idx, cos_tab, sin_tab, self.work)
+            self.zr += re
+            self.zi += im
+        self.count = pos + 1
         return bool(_admissible_rows(self.zr, self.zi, eps, self.work))
 
 
@@ -232,7 +232,7 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     stride doubling with each further pass and starting over at 1 after
     a failure; the tail sums at the highest pass are kept as the one
     checkpoint. At the end of the range the topmost deferred survivor
-    is checked first, if the tail has not been synced past it; if it
+    is checked first, unless the tail already holds bins past it; if it
     fails, the checkpoint is restored and the other deferred survivors
     are replayed in ascending order. Every candidate judged, replays
     included, gets its bins added in scan order onto the same sums, so
@@ -245,10 +245,10 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     n = sr.shape[0]
     p = min(PROBE, n)
     step = int(bins[1] - bins[0]) if bins.size > 1 else 1
-    head = np.arange(p)
+    m = np.arange(p)
     # twiddle index of row j, sample m is (k0 m + j step m) mod n: a
     # per-block row plus this table, folded back into [0, n)
-    table = (step * np.arange(BLOCK)[:, None] * head) % n
+    table = (step * np.arange(BLOCK)[:, None] * m) % n
     idx = np.empty((BLOCK, p), dtype=np.intp)
     alt = np.empty((BLOCK, p), dtype=np.intp)
     # row 0: probe window of the previous block's last candidate
@@ -256,27 +256,17 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     rows_i = np.zeros((BLOCK + 1, p))
     # building the windows and checking them take turns on the scratch
     work = [np.empty((BLOCK, p)) for _ in range(3)]
-    tail = _Tail(n, p, int(bins[0]) - step, step) if p < n else None
-    # positions in bins: the tail holds bins[:synced], the checkpoint
-    # bins[:saved], and best is the highest candidate known admissible
-    synced = saved = 0
+    tail = _Tail(sr, si, cos_tab, sin_tab, bins, step, p) if p < n else None
+    # best is the position in bins of the highest candidate known
+    # admissible; deferred holds the positions of the survivors above it
+    # whose full check was put off
     best = -1
-    # survivors above best whose full check was deferred:
-    # (position, last two window samples real, imaginary)
     deferred = []
     skip, stride = 0, 1
-
-    def check(pos, head_r, head_i):
-        nonlocal synced
-        for k in bins[synced:pos + 1].tolist():
-            tail.add(sr[k], si[k], cos_tab, sin_tab)
-        synced = pos + 1
-        return tail.admissible(head_r, head_i, eps)
-
     for start in range(0, bins.size, BLOCK):
         ks = bins[start:start + BLOCK]
         b = ks.size
-        np.add(table[:b], (int(ks[0]) * head) % n, out=idx[:b])
+        np.add(table[:b], (int(ks[0]) * m) % n, out=idx[:b])
         _fold(idx[:b], n, alt[:b])
         _term(sr[ks, None], si[ks, None], idx[:b], cos_tab, sin_tab,
               (work[0][:b], work[1][:b], rows_r[1:b + 1], rows_i[1:b + 1]))
@@ -289,17 +279,14 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
         for j, ok in enumerate(passed.tolist()):
             pos = start + j
             if ok and tail is not None:
-                head_r = rows_r[j + 1, -2:]
-                head_i = rows_i[j + 1, -2:]
                 if skip:
-                    deferred.append((pos, head_r.copy(), head_i.copy()))
+                    deferred.append(pos)
                     skip -= 1
                     continue
-                ok = check(pos, head_r, head_i)
+                ok = tail.admissible(pos, eps)
                 if exhaustive:
                     if ok:
                         tail.save()
-                        saved = synced
                         deferred.clear()
                         skip, stride = stride, 2 * stride
                     else:
@@ -311,14 +298,13 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
         rows_r[0] = rows_r[b]
         rows_i[0] = rows_i[b]
     if deferred:
-        pos, head_r, head_i = deferred[-1]
-        if pos >= synced:
-            if check(pos, head_r, head_i):
+        pos = deferred[-1]
+        if pos >= tail.count:
+            if tail.admissible(pos, eps):
                 return int(bins[pos])
             deferred.pop()
         tail.restore()
-        synced = saved
-        for pos, head_r, head_i in deferred:
-            if check(pos, head_r, head_i):
+        for pos in deferred:
+            if tail.admissible(pos, eps):
                 best = pos
     return int(bins[best]) if best != -1 else -1

@@ -410,7 +410,6 @@ def cmd_mfdm(args) -> int:
         "cutoffs_hz": list(schedule.cutoffs_hz),
         "m": schedule.m,
         "levels": schedule.levels,
-        "variant": result.variant,
     }, args)
     print(f"mfdm: {result.n_levels} levels x {result.n_channels} channels, "
           f"output in {out}")

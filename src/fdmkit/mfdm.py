@@ -8,6 +8,7 @@ and makes band + residue telescoping hold to the last bit: the residue
 is computed in the time domain as what the band left behind.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,19 +106,25 @@ def cutoff_schedule(sample_rate_hz: float, m: float, levels: int) -> CutoffSched
     cutoffs therefore keep the constant ratio (2m + 1) / (2m - 1).
     ``m`` must exceed 1/2 so the ratio stays inside (0, 1); m = 1.5
     gives the dyadic ladder fs/4, fs/8, fs/16, ...
+
+    The ladder stops at the first cutoff not below the one before it
+    (0.0 reached, or r rounds to 1), which the schedule then refuses.
     """
     if not (m > 0.5):
         raise ParameterError(f"m must be > 1/2, got {m}")
+    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
+        raise ParameterError(f"levels must be an integer, got {levels!r}")
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
-    if not (sample_rate_hz > 0):
-        raise ParameterError(f"sample rate must be > 0, got {sample_rate_hz}")
     r = (2.0 * m - 1.0) / (2.0 * m + 1.0)
     cutoffs = []
     f = sample_rate_hz / 2.0
     for _ in range(levels):
-        f = f * r
-        cutoffs.append(f)
+        below = f * r
+        cutoffs.append(below)
+        if not (below < f):
+            break
+        f = below
     return CutoffSchedule(tuple(cutoffs), sample_rate_hz, m=m)
 
 
@@ -135,14 +142,22 @@ def retained_bins(n: int, sample_rate_hz: float, cutoff_hz: float) -> np.ndarray
     checking that the same schedule pins the same bins on every channel.
     """
     half = n // 2
-    k = np.arange(1, half + 1)
-    return k[k * (sample_rate_hz / n) >= cutoff_hz]
+    keep = _bin_freqs(n, sample_rate_hz)[1:half + 1] >= cutoff_hz
+    return np.arange(1, half + 1)[keep]
 
 
-def _check_cutoff(signal: Signal, cutoff_hz: float):
+def _masked(signal: Signal, cutoff_hz: float, keep, freqs=None) -> np.ndarray:
+    """Samples of ``signal`` with only the DFT bins whose frequency f
+    has ``keep(f, cutoff_hz)`` left in; ``freqs`` may supply the bins'
+    ``_bin_freqs``. The result is a contiguous float64 array, not a
+    view that would hold on to the complex inverse."""
     half = signal.sample_rate_hz / 2.0
     if not (0.0 < cutoff_hz < half):
         raise ParameterError(f"cutoff {cutoff_hz} Hz outside (0, {half}) Hz")
+    if freqs is None:
+        freqs = _bin_freqs(signal.n, signal.sample_rate_hz)
+    spec = dft(signal).coefficients
+    return np.fft.ifft(spec * keep(freqs, cutoff_hz), norm="forward").real.copy()
 
 
 def zero_phase_highpass(signal: Signal, cutoff_hz: float) -> Signal:
@@ -153,10 +168,7 @@ def zero_phase_highpass(signal: Signal, cutoff_hz: float) -> Signal:
     rounding and is returned as such. The transform is :func:`dft`, so
     a record whose DFT overflows float64 raises ParameterError.
     """
-    _check_cutoff(signal, cutoff_hz)
-    spec = dft(signal).coefficients
-    keep = _bin_freqs(signal.n, signal.sample_rate_hz) >= cutoff_hz
-    y = np.fft.ifft(spec * keep, norm="forward").real
+    y = _masked(signal, cutoff_hz, np.greater_equal)
     return Signal(y, signal.sample_rate_hz, signal.start_time_s)
 
 
@@ -166,10 +178,7 @@ def zero_phase_lowpass(signal: Signal, cutoff_hz: float) -> Signal:
     Like :func:`zero_phase_highpass`, refuses a record whose DFT
     overflows float64.
     """
-    _check_cutoff(signal, cutoff_hz)
-    spec = dft(signal).coefficients
-    keep = _bin_freqs(signal.n, signal.sample_rate_hz) < cutoff_hz
-    y = np.fft.ifft(spec * keep, norm="forward").real
+    y = _masked(signal, cutoff_hz, np.less)
     return Signal(y, signal.sample_rate_hz, signal.start_time_s)
 
 
@@ -189,7 +198,6 @@ class MfdmResult:
     bands: tuple[tuple[np.ndarray, ...], ...]
     residue: tuple[np.ndarray, ...]
     schedule: CutoffSchedule
-    variant: str
     sample_rate_hz: float
     start_time_s: float
     n: int
@@ -203,9 +211,11 @@ class MfdmResult:
         return len(self.residue)
 
 
-def mfdm_decompose(data, schedule: CutoffSchedule,
-                   variant: str = "highpass") -> MfdmResult:
+def mfdm_decompose(data, schedule: CutoffSchedule) -> MfdmResult:
     """Run the zero-phase filter bank over every channel.
+
+    Each stage highpasses the running residue at its cutoff; the new
+    residue is what that band left behind.
 
     Parameters
     ----------
@@ -214,11 +224,6 @@ def mfdm_decompose(data, schedule: CutoffSchedule,
         Must carry the same sample rate as the data, and every cutoff
         must sit at or above the DFT resolution fs / n; below that a
         highpass stage cannot distinguish the cutoff from DC.
-    variant : {"highpass", "lowpass"}
-        "highpass" peels each band off the running residue directly;
-        "lowpass" forms the new residue first and takes the band as
-        the difference. The band signals are mathematically identical,
-        the flag exists to exercise either filter as the primitive.
 
     Returns
     -------
@@ -226,8 +231,6 @@ def mfdm_decompose(data, schedule: CutoffSchedule,
     """
     if isinstance(data, Signal):
         data = MultichannelSignal((data,))
-    if variant not in ("highpass", "lowpass"):
-        raise ParameterError(f"unknown variant {variant!r}")
     fs = data.sample_rate_hz
     if schedule.sample_rate_hz != fs:
         raise ParameterError(
@@ -242,26 +245,21 @@ def mfdm_decompose(data, schedule: CutoffSchedule,
                 f"{resolution} Hz of an n={data.n} record"
             )
 
+    freqs = _bin_freqs(data.n, fs)
     per_level = [[] for _ in schedule.cutoffs_hz]
     residues = []
     for ch in data.channels:
         residue = ch
         for i, c in enumerate(schedule.cutoffs_hz):
-            if variant == "highpass":
-                band = zero_phase_highpass(residue, c)
-                rest = Signal(residue.samples - band.samples, fs, ch.start_time_s)
-            else:
-                rest = zero_phase_lowpass(residue, c)
-                band = Signal(residue.samples - rest.samples, fs, ch.start_time_s)
-            per_level[i].append(band.samples)
-            residue = rest
+            band = _masked(residue, c, np.greater_equal, freqs)
+            per_level[i].append(band)
+            residue = Signal(residue.samples - band, fs, ch.start_time_s)
         residues.append(residue.samples)
 
     return MfdmResult(
         bands=tuple(tuple(level) for level in per_level),
         residue=tuple(residues),
         schedule=schedule,
-        variant=variant,
         sample_rate_hz=fs,
         start_time_s=data.start_time_s,
         n=data.n,

@@ -184,10 +184,14 @@ def generate(spec: GeneratorSpec):
 
     fs = spec.sample_rate_hz
     t = np.arange(spec.n) / fs
-    out = func(t, fs, spec.params, rng_factory)
-    if isinstance(out, list):
-        return MultichannelSignal(tuple(Signal(x, fs) for x in out))
-    return Signal(out, fs)
+    # finite times can still overflow a recipe (the chirp squares t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = func(t, fs, spec.params, rng_factory)
+    channels = out if isinstance(out, list) else [out]
+    if not all(np.isfinite(x).all() for x in channels):
+        raise ParameterError(f"{spec.kind} at {fs!r} Hz overflows float64")
+    signals = tuple(Signal(x, fs) for x in channels)
+    return MultichannelSignal(signals) if isinstance(out, list) else signals[0]
 
 
 def aligned_tone_fixture(n: int = 1024, sample_rate_hz: float = 128.0,

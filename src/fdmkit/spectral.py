@@ -58,8 +58,8 @@ class Signal:
     sample_rate_hz : float
         Sampling rate: positive and finite, with finite sample times.
     start_time_s : float, optional
-        Time of the first sample. Only affects time axes on output
-        products, never the mathematics.
+        Time of the first sample, finite like the last one's. Only
+        affects time axes on output products, never the mathematics.
     """
 
     samples: np.ndarray
@@ -75,11 +75,15 @@ class Signal:
         if not np.all(np.isfinite(x)):
             raise ParameterError("signal contains NaN or infinite samples")
         fs = check_sample_rate(self.sample_rate_hz, x.size)
+        t0 = float(self.start_time_s)
+        if not math.isfinite(t0 + (x.size - 1) / fs):
+            raise ParameterError(f"start time must be finite, and so must "
+                                 f"the last sample's time, got {t0!r}")
         x = x.copy()
         x.flags.writeable = False
         self.samples = x
         self.sample_rate_hz = fs
-        self.start_time_s = float(self.start_time_s)
+        self.start_time_s = t0
 
     @property
     def n(self) -> int:

@@ -485,6 +485,15 @@ class TestExitCodes:
         assert "NaN" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_recipe_maps_to_two(self, tmp_path, capsys):
+        recipe = 'gen:{"kind":"linear_chirp","n":64,"sample_rate_hz":1e-300}'
+        assert main(["decompose", "--input", recipe,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "linear_chirp at 1e-300 Hz overflows" in err
+        assert "NaN" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_signal_too_short_maps_to_two(self, tmp_path, capsys):
         assert main(["decompose",
                      "--input", 'gen:{"kind":"model_wave","n":3,"sample_rate_hz":10}',

@@ -9,6 +9,7 @@ from fdmkit import (
     MultichannelSignal,
     ParameterError,
     Signal,
+    aligned_tone_fixture,
     cutoff_schedule,
     generate,
     mfdm_decompose,
@@ -42,8 +43,10 @@ class TestCutoffSchedule:
             cutoff_schedule(100.0, m, 3)
 
     def test_levels_domain(self):
-        with pytest.raises(ParameterError):
-            cutoff_schedule(100.0, 1.5, 0)
+        # 10**18 levels would run the ladder to 0.0 long before the end
+        for levels in (0, 2.5, True, 10**18):
+            with pytest.raises(ParameterError):
+                cutoff_schedule(100.0, 1.5, levels)
 
     def test_first_cutoff_below_half_rate(self):
         sched = cutoff_schedule(100.0, 50.0, 1)
@@ -192,21 +195,17 @@ class TestMfdmDecompose:
         assert res.n_channels == 1
         assert res.n_levels == 2
 
-    def test_variants_produce_same_bands(self):
-        data = self.record()
-        sched = cutoff_schedule(self.fs, 1.5, 3)
-        hp = mfdm_decompose(data, sched, variant="highpass")
-        lp = mfdm_decompose(data, sched, variant="lowpass")
-        for i in range(3):
-            for p in range(data.n_channels):
-                assert np.max(np.abs(hp.bands[i][p] - lp.bands[i][p])) < 1e-10
-        for p in range(data.n_channels):
-            assert np.max(np.abs(hp.residue[p] - lp.residue[p])) < 1e-10
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ParameterError):
-            mfdm_decompose(self.record(), cutoff_schedule(self.fs, 1.5, 2),
-                           variant="bandpass")
+    def test_bank_is_chained_public_highpass(self):
+        data = aligned_tone_fixture(n=1024)
+        sched = cutoff_schedule(data.sample_rate_hz, 1.5, 6)
+        res = mfdm_decompose(data, sched)
+        for p, ch in enumerate(data.channels):
+            residue = ch
+            for i, c in enumerate(sched.cutoffs_hz):
+                band = zero_phase_highpass(residue, c).samples
+                assert np.array_equal(res.bands[i][p], band), (p, i)
+                residue = Signal(residue.samples - band, ch.sample_rate_hz)
+            assert np.array_equal(res.residue[p], residue.samples), p
 
     def test_sample_rate_mismatch_rejected(self):
         with pytest.raises(ParameterError, match="sample rate"):

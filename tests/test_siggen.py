@@ -30,6 +30,12 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match=repr(fs)):
             GeneratorSpec("linear_chirp", 64, fs)
 
+    def test_overflowing_recipe_rejected(self):
+        # fs passes the rate check, but the chirp squares t = m/fs
+        with pytest.raises(ParameterError,
+                           match=r"linear_chirp at 1e-300 Hz overflows"):
+            generate(GeneratorSpec("linear_chirp", 64, 1e-300))
+
     def test_unknown_kind(self):
         with pytest.raises(ParameterError, match="unknown generator kind"):
             generate(spec("brown_noise"))

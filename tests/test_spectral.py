@@ -69,6 +69,18 @@ class TestSignal:
         with pytest.raises(ParameterError, match="overflow"):
             Signal(np.zeros(4), fs)
 
+    @pytest.mark.parametrize("t0", [np.inf, -np.inf, np.nan])
+    def test_rejects_start_time_that_is_not_finite(self, t0):
+        with pytest.raises(ParameterError, match="start time"):
+            Signal(np.zeros(4), 1.0, start_time_s=t0)
+
+    def test_start_time_must_keep_every_time_finite(self):
+        # t0 and 1/fs are finite, t0 + 1/fs is not
+        with pytest.raises(ParameterError, match="start time"):
+            Signal(np.zeros(2), 1e-308, start_time_s=1.7e308)
+        s = Signal(np.zeros(2), 1e-308, start_time_s=-1.7e308)
+        assert np.isfinite(s.times()).all()
+
 
 class TestSpectrumProperties:
     @pytest.mark.parametrize("n,k_max,nyq", [
