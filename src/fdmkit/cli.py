@@ -20,6 +20,7 @@ import contextlib
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -28,7 +29,7 @@ import numpy as np
 import orjson
 
 from .errors import ContractError, IngestionError, InputError, ParameterError
-from .fdm import FdmConfig, ScanDirection, SearchMode, decompose
+from .fdm import FdmConfig, decompose
 from .mfdm import CutoffSchedule, MultichannelSignal, cutoff_schedule, mfdm_decompose
 from .siggen import GeneratorSpec, generate
 from .spectral import Signal
@@ -62,14 +63,7 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
         else:
             raise IngestionError(f"{path}: file holds no rows")
         header = [c.strip() for c in header]
-        numeric_header = True
-        for cell in header:
-            try:
-                float(cell)
-            except ValueError:
-                numeric_header = False
-                break
-        if numeric_header:
+        if _unparsable(header) is None:
             raise IngestionError(
                 f"row {header_row}: looks like data; a header row is required"
             )
@@ -124,13 +118,7 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
                 f"row {rownum}: time step {float(dt[off[0]])!r} deviates "
                 f"from {float(dt[0])!r} by more than {_REL_TOL:g} relative"
             )
-        fs = 1.0 / dt[0]
-        if sample_rate_hz is not None and \
-                abs(sample_rate_hz - fs) > _REL_TOL * fs:
-            raise ParameterError(
-                f"--fs {sample_rate_hz} disagrees with the t column "
-                f"({fs} Hz inferred)"
-            )
+        fs = _agree(sample_rate_hz, 1.0 / dt[0], "the t column")
         start_time = float(t[0])
         channels = [values[:, k] for k in range(1, ncol)]
         if not channels:
@@ -151,20 +139,36 @@ def _blank(row) -> bool:
     return not any(cell.strip() for cell in row)
 
 
+def _unparsable(cells):
+    """Index of the first cell that is not a number, or None."""
+    for i, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return i
+    return None
+
+
 def _row_error(rownum: int, row: list, header: list) -> IngestionError:
     """Why a non-blank data row does not parse."""
-    if len(row) == len(header):
-        for name, cell in zip(header, row):
-            try:
-                float(cell)
-            except ValueError:
-                return IngestionError(
-                    f"row {rownum}, column {name!r}: "
-                    f"could not parse {cell.strip()!r} as a number"
-                )
+    bad = _unparsable(row) if len(row) == len(header) else None
+    if bad is not None:
+        return IngestionError(
+            f"row {rownum}, column {header[bad]!r}: "
+            f"could not parse {row[bad].strip()!r} as a number"
+        )
     return IngestionError(
         f"row {rownum}: expected {len(header)} columns, found {len(row)}"
     )
+
+
+def _agree(flag_fs, fs: float, source: str) -> float:
+    """The record's own rate ``fs``; --fs, if given, must agree with it."""
+    if flag_fs is not None and not abs(flag_fs - fs) <= _REL_TOL * fs:
+        raise ParameterError(
+            f"--fs {flag_fs} disagrees with {source}, which gives {fs} Hz"
+        )
+    return fs
 
 
 def _load_input(args):
@@ -191,26 +195,25 @@ def _load_input(args):
     fs = recipe.get("sample_rate_hz")
     if fs is None:
         fs = args.fs
-    elif args.fs is not None and abs(args.fs - fs) > _REL_TOL * abs(fs):
-        raise ParameterError(
-            f"--fs {args.fs} disagrees with recipe sample_rate_hz {fs}"
-        )
     if fs is None:
         raise ParameterError(
             "sample rate missing: set --fs or recipe key 'sample_rate_hz'"
         )
     seed = args.seed if args.seed is not None else recipe.get("seed")
-    spec = GeneratorSpec(kind=str(kind), n=int(n), sample_rate_hz=float(fs),
-                         seed=seed, params=recipe.get("params", {}))
+    spec = GeneratorSpec(kind=kind, n=n, sample_rate_hz=fs, seed=seed,
+                         params=recipe.get("params", {}))
+    _agree(args.fs, spec.sample_rate_hz, "the recipe's sample_rate_hz")
     return generate(spec)
 
 
-def _single_channel(data, command: str) -> Signal:
+def _load_signal(args) -> Signal:
+    """The input of a command that takes one channel."""
+    data = _load_input(args)
     if isinstance(data, MultichannelSignal):
         if data.n_channels == 1:
             return data.channels[0]
         raise ParameterError(
-            f"{command} expects a single channel, got {data.n_channels}"
+            f"{args.command} expects a single channel, got {data.n_channels}"
         )
     return data
 
@@ -218,10 +221,6 @@ def _single_channel(data, command: str) -> Signal:
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
-
-def _fmt(v) -> str:
-    return repr(float(v))
-
 
 # cells formatted per orjson call: a chunk's text stays near 1 MB, and
 # the per-call overhead is lost in the formatting
@@ -294,28 +293,26 @@ def _write_table(out_dir: str, stem: str, header: list, columns: list,
             "rows": np.column_stack(columns).astype(np.float64, copy=False).tolist(),
         }
         name = stem + ".json"
-        _atomic_write(os.path.join(out_dir, name),
-                      [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
+        _write_json(os.path.join(out_dir, name), doc)
     return name
 
 
-def _write_summary(out_dir: str, payload: dict, args):
-    doc = {"schema_version": SCHEMA_VERSION}
-    doc.update(payload)
+def _write_json(path: str, doc: dict):
+    _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
+
+
+def _emit(args, tables, summary: dict, message: str) -> int:
+    """Write each (stem, header, columns) of ``tables``, in order, then
+    summary.json, into --out; print ``message`` and where it went."""
+    os.makedirs(args.out, exist_ok=True)
+    for stem, header, columns in tables:
+        _write_table(args.out, stem, header, columns, args.format)
+    summary = {"schema_version": SCHEMA_VERSION, **summary}
     if not args.no_timestamp:
-        doc["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    _atomic_write(os.path.join(out_dir, "summary.json"),
-                  [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
-
-
-def _prepare_out(args) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _times(n: int, fs: float, start: float) -> np.ndarray:
-    return start + np.arange(n) / fs
+        summary["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    _write_json(os.path.join(args.out, "summary.json"), summary)
+    print(f"{message}, output in {args.out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +320,13 @@ def _times(n: int, fs: float, start: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fdm_config(args) -> FdmConfig:
-    return FdmConfig(
-        scan=ScanDirection(args.scan),
-        search=SearchMode(args.search),
-        monotonicity_tolerance=args.mono_tol,
-        max_fibfs=args.max_fibfs,
-    )
+    return FdmConfig(scan=args.scan, search=args.search,
+                     monotonicity_tolerance=args.mono_tol,
+                     max_fibfs=args.max_fibfs)
 
 
 def _run_decomposition(args):
-    signal = _single_channel(_load_input(args), "decompose")
+    signal = _load_signal(args)
     return signal, decompose(signal, _fdm_config(args))
 
 
@@ -356,18 +350,15 @@ def _decomposition_summary(result, command: str) -> dict:
 
 def cmd_decompose(args) -> int:
     signal, result = _run_decomposition(args)
-    out = _prepare_out(args)
-    t = _times(result.n, result.sample_rate_hz, result.start_time_s)
     header = ["t", "x"]
-    columns = [t, signal.samples]
+    columns = [signal.times(), signal.samples]
     for i, band in enumerate(result.fibfs, start=1):
         header += [f"y{i}", f"a{i}", f"f{i}"]
         columns += [band.fibf, band.amplitude, band.inst_freq_hz]
-    _write_table(out, "decomposition", header, columns, args.format)
-    _write_summary(out, _decomposition_summary(result, "decompose"), args)
-    print(f"decompose: {result.n_fibfs} bands, reconstruction error "
-          f"{result.reconstruction_error:.3e}, output in {out}")
-    return 0
+    return _emit(args, [("decomposition", header, columns)],
+                 _decomposition_summary(result, "decompose"),
+                 f"decompose: {result.n_fibfs} bands, reconstruction error "
+                 f"{result.reconstruction_error:.3e}")
 
 
 def cmd_mfdm(args) -> int:
@@ -390,18 +381,13 @@ def cmd_mfdm(args) -> int:
         schedule = cutoff_schedule(data.sample_rate_hz, m, levels)
 
     result = mfdm_decompose(data, schedule)
-    out = _prepare_out(args)
-    t = _times(result.n, result.sample_rate_hz, result.start_time_s)
-    for p in range(result.n_channels):
-        header = ["t", "x"]
-        columns = [t, data.channels[p].samples]
-        for i in range(result.n_levels):
-            header.append(f"band{i + 1}")
-            columns.append(result.bands[i][p])
-        header.append("residue")
-        columns.append(result.residue[p])
-        _write_table(out, f"mfdm_ch{p + 1}", header, columns, args.format)
-    _write_summary(out, {
+    t = data.channels[0].times()
+    bands = [f"band{i + 1}" for i in range(result.n_levels)]
+    tables = [(f"mfdm_ch{p + 1}", ["t", "x"] + bands + ["residue"],
+               [t, ch.samples] + [band[p] for band in result.bands]
+               + [result.residue[p]])
+              for p, ch in enumerate(data.channels)]
+    return _emit(args, tables, {
         "command": "mfdm",
         "n": result.n,
         "n_channels": result.n_channels,
@@ -410,17 +396,12 @@ def cmd_mfdm(args) -> int:
         "cutoffs_hz": list(schedule.cutoffs_hz),
         "m": schedule.m,
         "levels": schedule.levels,
-    }, args)
-    print(f"mfdm: {result.n_levels} levels x {result.n_channels} channels, "
-          f"output in {out}")
-    return 0
+    }, f"mfdm: {result.n_levels} levels x {result.n_channels} channels")
 
 
 def cmd_tfe(args) -> int:
     df = args.freq_bin
-    if not (df > 0):
-        raise ParameterError(f"--freq-bin must be > 0, got {df}")
-    signal = _single_channel(_load_input(args), "tfe")
+    signal = _load_signal(args)
     # counted in float and checked before anything is decomposed or
     # allocated
     n_f = np.floor(signal.sample_rate_hz / 2.0 / df) + 1
@@ -431,16 +412,18 @@ def cmd_tfe(args) -> int:
         )
     result = decompose(signal, _fdm_config(args))
     points = fhs(result)
-    out = _prepare_out(args)
-    _write_table(out, "tfe_points", ["t", "f", "a", "fibf"],
-                 [points.times_s, points.freqs_hz, points.amplitudes,
-                  points.fibf_index.astype(np.float64)], args.format)
-
-    t_axis = _times(result.n, result.sample_rate_hz, result.start_time_s)
+    t_axis = signal.times()
     f_axis = np.arange(int(n_f)) * df
-    grid = rasterize(points, t_axis, f_axis, mode=args.mode)
-    header = ["f_hz"] + [_fmt(tv) for tv in t_axis]
-    _write_table(out, "tfe_grid", header, [f_axis, grid.cells], args.format)
+
+    def tables():
+        # the grid is rasterized only after the points table is written,
+        # so it never shares the peak with that table's write buffers
+        yield ("tfe_points", ["t", "f", "a", "fibf"],
+               [points.times_s, points.freqs_hz, points.amplitudes,
+                points.fibf_index.astype(np.float64)])
+        grid = rasterize(points, t_axis, f_axis, mode=args.mode)
+        yield ("tfe_grid", ["f_hz"] + list(map(repr, t_axis.tolist())),
+               [f_axis, grid.cells])
 
     summary = _decomposition_summary(result, "tfe")
     summary.update({
@@ -449,68 +432,59 @@ def cmd_tfe(args) -> int:
         "n_points": points.n_points,
         "clamped_negative": points.clamped_negative,
     })
-    _write_summary(out, summary, args)
-    print(f"tfe: {points.n_points} points on a {f_axis.size}x{t_axis.size} "
-          f"grid, output in {out}")
-    return 0
+    return _emit(args, tables(), summary,
+                 f"tfe: {points.n_points} points on a "
+                 f"{f_axis.size}x{t_axis.size} grid")
 
 
 def cmd_marginal(args) -> int:
-    if not (args.freq_bin > 0):
-        raise ParameterError(f"--freq-bin must be > 0, got {args.freq_bin}")
-    signal, result = _run_decomposition(args)
-    points = fhs(result)
-    freqs, h = marginal_spectrum(points, args.freq_bin)
-    out = _prepare_out(args)
-    _write_table(out, "marginal", ["f_hz", "h"], [freqs, h], args.format)
+    _, result = _run_decomposition(args)
+    freqs, h = marginal_spectrum(fhs(result), args.freq_bin)
     summary = _decomposition_summary(result, "marginal")
     summary.update({"freq_bin_hz": args.freq_bin, "n_bins": int(freqs.size)})
-    _write_summary(out, summary, args)
-    print(f"marginal: {freqs.size} bins, output in {out}")
-    return 0
+    return _emit(args, [("marginal", ["f_hz", "h"], [freqs, h])], summary,
+                 f"marginal: {freqs.size} bins")
 
 
 def cmd_energy(args) -> int:
     signal, result = _run_decomposition(args)
     e = instantaneous_energy(result)
-    out = _prepare_out(args)
-    t = _times(result.n, result.sample_rate_hz, result.start_time_s)
-    _write_table(out, "energy", ["t", "energy"], [t, e], args.format)
-    _write_summary(out, _decomposition_summary(result, "energy"), args)
-    print(f"energy: {e.size} samples, output in {out}")
-    return 0
+    return _emit(args, [("energy", ["t", "energy"], [signal.times(), e])],
+                 _decomposition_summary(result, "energy"),
+                 f"energy: {e.size} samples")
 
 
 def cmd_generate(args) -> int:
     data = _load_input(args)
-    out = _prepare_out(args)
-    if isinstance(data, MultichannelSignal):
-        t = _times(data.n, data.sample_rate_hz, data.start_time_s)
-        header = ["t"] + [f"ch{p + 1}" for p in range(data.n_channels)]
-        columns = [t] + [ch.samples for ch in data.channels]
-        n_channels = data.n_channels
+    if isinstance(data, Signal):
+        channels, names = [data], ["x"]
     else:
-        t = _times(data.n, data.sample_rate_hz, data.start_time_s)
-        header = ["t", "x"]
-        columns = [t, data.samples]
-        n_channels = 1
-    _write_table(out, "signal", header, columns, args.format)
-    _write_summary(out, {
+        channels = data.channels
+        names = [f"ch{p + 1}" for p in range(data.n_channels)]
+    t = channels[0].times()
+    return _emit(args, [("signal", ["t"] + names,
+                         [t] + [ch.samples for ch in channels])], {
         "command": "generate",
-        "n": int(t.size),
-        "n_channels": n_channels,
+        "n": data.n,
+        "n_channels": len(channels),
         "sample_rate_hz": data.sample_rate_hz,
         "start_time_s": data.start_time_s,
         "seed": args.seed,
-    }, args)
-    print(f"generate: {t.size} samples x {n_channels} channels, "
-          f"output in {out}")
-    return 0
+    }, f"generate: {t.size} samples x {len(channels)} channels")
 
 
 # ---------------------------------------------------------------------------
 # parser and entry point
 # ---------------------------------------------------------------------------
+
+def _freq_bin(text: str) -> float:
+    """--freq-bin: a finite number > 0, refused before any input is read."""
+    with contextlib.suppress(ValueError):
+        if 0 < float(text) < math.inf:
+            return float(text)
+    raise argparse.ArgumentTypeError(
+        f"--freq-bin must be > 0 and finite, got {text}")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -543,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cap on emitted bands; the tail is merged")
 
     binned = argparse.ArgumentParser(add_help=False)
-    binned.add_argument("--freq-bin", type=float, default=1.0,
+    binned.add_argument("--freq-bin", type=_freq_bin, default=1.0,
                         help="frequency bin width in Hz")
 
     p = sub.add_parser("decompose", parents=[io, fdm],

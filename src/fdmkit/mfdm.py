@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import Signal, dft
+from .spectral import Signal, check_sample_rate, dft
 
 
 @dataclass
@@ -80,8 +80,7 @@ class CutoffSchedule:
         self.cutoffs_hz = tuple(float(c) for c in self.cutoffs_hz)
         if not self.cutoffs_hz:
             raise ParameterError("cutoff schedule is empty")
-        if not (self.sample_rate_hz > 0):
-            raise ParameterError(f"sample rate must be > 0, got {self.sample_rate_hz}")
+        self.sample_rate_hz = check_sample_rate(self.sample_rate_hz, 2)
         half = self.sample_rate_hz / 2.0
         for c in self.cutoffs_hz:
             if not (0.0 < c < half):

@@ -6,6 +6,7 @@ run and platform. Randomness comes only from numpy's default
 PCG64 generator; kinds that draw from it refuse to run without a seed.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +31,24 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ParameterError(f"kind must be a string, got {self.kind!r}")
+        if not _is_int(self.n):
+            raise ParameterError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ParameterError(f"n must be >= 2, got {self.n}")
-        check_sample_rate(self.sample_rate_hz, self.n)
+        self.sample_rate_hz = check_sample_rate(self.sample_rate_hz, self.n)
+        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+            raise ParameterError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
         if not isinstance(self.params, dict):
             raise ParameterError("params must be a dict")
+
+
+def _is_int(v) -> bool:
+    # bool is an int subclass, but True samples or seeds are a typo
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _tone_mix(t, fs, params, rng_factory):
@@ -185,8 +199,11 @@ def generate(spec: GeneratorSpec):
     fs = spec.sample_rate_hz
     t = np.arange(spec.n) / fs
     # finite times can still overflow a recipe (the chirp squares t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = func(t, fs, spec.params, rng_factory)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = func(t, fs, spec.params, rng_factory)
+    except (TypeError, ValueError, IndexError) as e:
+        raise ParameterError(f"bad params for {spec.kind}: {e}") from None
     channels = out if isinstance(out, list) else [out]
     if not all(np.isfinite(x).all() for x in channels):
         raise ParameterError(f"{spec.kind} at {fs!r} Hz overflows float64")

@@ -18,6 +18,7 @@ All arithmetic is float64/complex128.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,11 @@ IMAG_RESIDUE_RTOL = 1e-10
 
 
 def check_sample_rate(fs, n: int) -> float:
-    """``fs`` as a float; refused unless it is positive and finite and
-    the times m/fs of an n-sample record are finite, its period 1/fs
-    included."""
+    """``fs`` as a float; refused unless it is a real number, positive
+    and finite, and the times m/fs of an n-sample record are finite, its
+    period 1/fs included."""
+    if isinstance(fs, bool) or not isinstance(fs, numbers.Real):
+        raise ParameterError(f"sample rate must be a real number, got {fs!r}")
     if not (fs > 0):
         raise ParameterError(f"sample rate must be > 0, got {fs}")
     fs = float(fs)

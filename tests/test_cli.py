@@ -67,8 +67,11 @@ class TestIngestCsv:
     def test_rate_must_agree_with_time_column(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0.0,1\n0.5,2\n1.0,3\n")
         assert ingest_csv(p, 2.0).n == 3
-        with pytest.raises(cli.ParameterError, match="disagrees"):
+        with pytest.raises(cli.ParameterError, match="^--fs 3.0 disagrees with "
+                           "the t column, which gives 2.0 Hz$"):
             ingest_csv(p, 3.0)
+        with pytest.raises(cli.ParameterError, match="disagrees"):
+            ingest_csv(p, float("nan"))
 
     def test_numeric_header_rejected(self, tmp_path):
         p = self.write(tmp_path, "0.0,1.0\n0.1,2.0\n0.2,3.0\n")
@@ -226,16 +229,45 @@ class TestGenerateCommand:
         ('gen:{"kind":"model_wave"}', "'kind' and 'n'"),
         ('gen:{"kind":"model_wave","n":64,"foo":1}', "unknown generator recipe"),
         ('gen:{"kind":"model_wave","n":64}', "sample rate missing"),
+        ('gen:{"kind":"tone_mix","n":64,"sample_rate_hz":64,'
+         '"params":{"freqs":"ab"}}',
+         "bad params for tone_mix: could not convert string to float: 'ab'"),
+        ('gen:{"kind":"unit_sample","n":64,"sample_rate_hz":64,'
+         '"params":{"n0":"x"}}', "bad params for unit_sample: "),
+        ('gen:{"kind":"model_wave","n":"abc","sample_rate_hz":64}',
+         "n must be an integer, got 'abc'"),
+        ('gen:{"kind":"model_wave","n":[3],"sample_rate_hz":64}',
+         "n must be an integer, got [3]"),
+        ('gen:{"kind":"model_wave","n":64.9,"sample_rate_hz":64}',
+         "n must be an integer, got 64.9"),
+        ('gen:{"kind":[1],"n":64,"sample_rate_hz":64}',
+         "kind must be a string, got [1]"),
+        ('gen:{"kind":"model_wave","n":64,"sample_rate_hz":"x"}',
+         "sample rate must be a real number, got 'x'"),
+        ('gen:{"kind":"white_gaussian","n":64,"sample_rate_hz":64,"seed":"x"}',
+         "seed must be a non-negative integer, got 'x'"),
     ])
     def test_bad_recipes(self, tmp_path, capsys, recipe, why):
         assert main(["generate", "--input", recipe,
                      "--out", str(tmp_path / "x")]) == 2
         assert why in capsys.readouterr().err
 
-    def test_fs_flag_conflict(self, tmp_path, capsys):
-        assert main(["generate", "--input", NOISE_RECIPE, "--fs", "60",
+    @pytest.mark.parametrize("kind", ["white_gaussian", "tone_mix"])
+    def test_negative_seed_flag(self, tmp_path, capsys, kind):
+        recipe = f'gen:{{"kind":"{kind}","n":64,"sample_rate_hz":64}}'
+        assert main(["generate", "--input", recipe, "--seed", "-1",
                      "--out", str(tmp_path / "x")]) == 2
-        assert "disagrees" in capsys.readouterr().err
+        assert "seed must be a non-negative integer, got -1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_fs_flag_conflict(self, tmp_path, capsys):
+        for fs in ("60", "nan"):
+            assert main(["generate", "--input", NOISE_RECIPE, "--fs", fs,
+                         "--out", str(tmp_path / "x")]) == 2
+            assert (f"--fs {float(fs)} disagrees with the recipe's "
+                    "sample_rate_hz, which gives 100.0 Hz"
+                    ) in capsys.readouterr().err
 
 
 class TestDecomposeCommand:
@@ -294,9 +326,11 @@ class TestDecomposeCommand:
     def test_multichannel_input_rejected(self, tmp_path, capsys):
         recipe = ('gen:{"kind":"tone_mix","n":64,"sample_rate_hz":64,'
                   '"params":{"channels":[[0],[1]]}}')
-        assert main(["decompose", "--input", recipe,
-                     "--out", str(tmp_path / "d")]) == 2
-        assert "single channel" in capsys.readouterr().err
+        for command in ("decompose", "tfe", "marginal", "energy"):
+            assert main([command, "--input", recipe,
+                         "--out", str(tmp_path / "d")]) == 2
+            assert f"{command} expects a single channel, got 2" in \
+                capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "d"
@@ -372,9 +406,12 @@ class TestTfeCommand:
         _, gdata = read_table(out / "tfe_grid.csv")
         assert gdata[:, 1:].max() == pytest.approx(1.0, abs=1e-6)
 
-    def test_bad_freq_bin(self, tmp_path):
-        assert main(["tfe", "--input", TONE_RECIPE, "--freq-bin", "0",
-                     "--out", str(tmp_path / "t")]) == 2
+    def test_bad_freq_bin(self, tmp_path, capsys):
+        for df in ("0", "inf", "x"):
+            assert main(["tfe", "--input", TONE_RECIPE, "--freq-bin", df,
+                         "--out", str(tmp_path / "t")]) == 2
+            assert f"--freq-bin must be > 0 and finite, got {df}" in \
+                capsys.readouterr().err
 
     # a 64 Hz band at 1e-9 Hz per row is 6.4e10 rows by 256 samples
     @pytest.mark.parametrize("df", ["1e-9", "1e-300"])
@@ -404,7 +441,7 @@ class TestMarginalAndEnergyCommands:
                      "--out", str(tmp_path / "m")]) == 2
         assert "freq_bin_hz" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("df", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("df", ["0", "-1", "nan", "inf"])
     def test_marginal_bad_bin_refused_before_decomposing(
             self, tmp_path, monkeypatch, capsys, df):
         def no_decompose(*args):

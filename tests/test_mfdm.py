@@ -63,6 +63,10 @@ class TestCutoffSchedule:
             CutoffSchedule((50.0, 10.0), 100.0)  # at half rate
         with pytest.raises(ParameterError):
             CutoffSchedule((10.0, 0.0), 100.0)
+        with pytest.raises(ParameterError, match="finite, got inf"):
+            CutoffSchedule((1.0,), np.inf)
+        with pytest.raises(ParameterError, match="real number, got '100'"):
+            CutoffSchedule((1.0,), "100")
         sched = CutoffSchedule((20.0, 10.0), 100.0)
         assert sched.m is None
 

@@ -24,11 +24,32 @@ class TestSpecValidation:
             GeneratorSpec("model_wave", 16, 0.0)
         with pytest.raises(ParameterError):
             GeneratorSpec("model_wave", 16, 10.0, params=[1, 2])
+        for n in ("64", 64.0, True, None):
+            with pytest.raises(ParameterError, match=f"n must be an integer, got {n!r}"):
+                GeneratorSpec("model_wave", n, 10.0)
+        with pytest.raises(ParameterError, match=r"kind must be a string, got \[1\]"):
+            GeneratorSpec([1], 64, 10.0)
 
     @pytest.mark.parametrize("fs", [np.inf, 1e-320])
     def test_rate_needs_finite_period(self, fs):
         with pytest.raises(ParameterError, match=repr(fs)):
             GeneratorSpec("linear_chirp", 64, fs)
+
+    @pytest.mark.parametrize("seed", [-1, "x", True, 2.5])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match=f"seed .*got {seed!r}"):
+            GeneratorSpec("white_gaussian", 64, 10.0, seed=seed)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("tone_mix", {"freqs": "ab"}),
+        ("tone_mix", {"channels": 3}),
+        ("tone_mix", {"freqs": 5}),
+        ("unit_sample", {"n0": "x"}),
+        ("fm_sinusoid", {"rate_hz": [1, 2]}),
+    ])
+    def test_unparsable_params_are_parameter_errors(self, kind, params):
+        with pytest.raises(ParameterError, match=f"bad params for {kind}: "):
+            generate(spec(kind, **params))
 
     def test_overflowing_recipe_rejected(self):
         # fs passes the rate check, but the chirp squares t = m/fs

@@ -50,7 +50,7 @@ class TestSignal:
         with pytest.raises(ParameterError):
             Signal(bad, 10.0)
 
-    @pytest.mark.parametrize("fs", [0.0, -1.0])
+    @pytest.mark.parametrize("fs", [0.0, -1.0, "64", None, True, 1j])
     def test_rejects_bad_rate(self, fs):
         with pytest.raises(ParameterError):
             Signal(np.zeros(4), fs)
