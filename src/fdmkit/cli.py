@@ -18,6 +18,7 @@ import argparse
 import array
 import contextlib
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -172,43 +173,40 @@ def _agree(flag_fs, fs: float, source: str) -> float:
 
 
 def _load_input(args):
-    """--input is either a CSV path or an inline gen:{...} recipe."""
+    """The record --input names, a CSV path or an inline gen:{...}
+    recipe, and the seed it was drawn with (None for CSV)."""
     raw = args.input
     if not raw.startswith("gen:"):
-        return ingest_csv(raw, args.fs)
+        return ingest_csv(raw, args.fs), None
     try:
         recipe = json.loads(raw[4:])
     except json.JSONDecodeError as e:
         raise ParameterError(f"bad generator JSON: {e}") from None
     if not isinstance(recipe, dict):
         raise ParameterError("generator recipe must be a JSON object")
-    known = {"kind", "n", "sample_rate_hz", "seed", "params"}
-    extra = set(recipe) - known
+    extra = set(recipe) - {f.name for f in dataclasses.fields(GeneratorSpec)}
     if extra:
         raise ParameterError(
             f"unknown generator recipe keys: {', '.join(sorted(extra))}"
         )
-    kind = recipe.get("kind")
-    n = recipe.get("n")
-    if kind is None or n is None:
+    if recipe.get("kind") is None or recipe.get("n") is None:
         raise ParameterError("generator recipe needs 'kind' and 'n'")
-    fs = recipe.get("sample_rate_hz")
-    if fs is None:
-        fs = args.fs
-    if fs is None:
-        raise ParameterError(
-            "sample rate missing: set --fs or recipe key 'sample_rate_hz'"
-        )
-    seed = args.seed if args.seed is not None else recipe.get("seed")
-    spec = GeneratorSpec(kind=kind, n=n, sample_rate_hz=fs, seed=seed,
-                         params=recipe.get("params", {}))
+    if recipe.get("sample_rate_hz") is None:
+        if args.fs is None:
+            raise ParameterError(
+                "sample rate missing: set --fs or recipe key 'sample_rate_hz'"
+            )
+        recipe["sample_rate_hz"] = args.fs
+    if args.seed is not None:
+        recipe["seed"] = args.seed
+    spec = GeneratorSpec(**recipe)
     _agree(args.fs, spec.sample_rate_hz, "the recipe's sample_rate_hz")
-    return generate(spec)
+    return generate(spec), spec.seed
 
 
 def _load_signal(args) -> Signal:
     """The input of a command that takes one channel."""
-    data = _load_input(args)
+    data, _ = _load_input(args)
     if isinstance(data, MultichannelSignal):
         if data.n_channels == 1:
             return data.channels[0]
@@ -362,7 +360,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_mfdm(args) -> int:
-    data = _load_input(args)
+    data, _ = _load_input(args)
     if isinstance(data, Signal):
         data = MultichannelSignal((data,))
     if args.cutoffs is not None:
@@ -378,6 +376,13 @@ def cmd_mfdm(args) -> int:
     else:
         m = 1.5 if args.m is None else args.m
         levels = 4 if args.levels is None else args.levels
+        # rung i is (fs/2) r**i: past log(n/2) / -log(r) rungs, plus two
+        # for the built ladder's rounding, it is below fs/n
+        r = (2.0 * m - 1.0) / (2.0 * m + 1.0)
+        if 0.0 < r < 1.0 and levels > math.log(data.n / 2) / -math.log(r) + 2:
+            raise ParameterError(
+                f"--levels {levels} with --m {m} puts cutoffs below the "
+                f"resolution fs/n of an n={data.n} record")
         schedule = cutoff_schedule(data.sample_rate_hz, m, levels)
 
     result = mfdm_decompose(data, schedule)
@@ -455,7 +460,7 @@ def cmd_energy(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    data = _load_input(args)
+    data, seed = _load_input(args)
     if isinstance(data, Signal):
         channels, names = [data], ["x"]
     else:
@@ -469,7 +474,7 @@ def cmd_generate(args) -> int:
         "n_channels": len(channels),
         "sample_rate_hz": data.sample_rate_hz,
         "start_time_s": data.start_time_s,
-        "seed": args.seed,
+        "seed": seed,
     }, f"generate: {t.size} samples x {len(channels)} channels")
 
 

@@ -1,12 +1,15 @@
 """Deterministic test-signal generators.
 
-Every generator is a pure function of (n, sample_rate_hz, params) plus
-an optional seeded RNG, so a spec reproduces the same samples on every
-run and platform. Randomness comes only from numpy's default
-PCG64 generator; kinds that draw from it refuse to run without a seed.
+Every kind is a pure function of the sample times, the rate, its params
+(typed keyword-only arguments with defaults) and ``noise(size)``, which
+draws standard normals from the spec's seed with numpy's PCG64, so a
+spec reproduces the same samples on every run and platform. A draw
+without a seed is refused.
 """
 
+import inspect
 import numbers
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +23,8 @@ from .spectral import Signal, check_sample_rate
 class GeneratorSpec:
     """Recipe for one synthetic record.
 
-    ``params`` holds the kind-specific knobs; unknown keys are
-    rejected rather than ignored so typos fail loudly.
+    ``params`` holds the kind-specific knobs; unknown keys and values
+    of the wrong type are rejected rather than ignored or converted.
     """
 
     kind: str
@@ -51,159 +54,151 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _tone_mix(t, fs, params, rng_factory):
-    freqs = np.asarray(params.get("freqs", (4.0, 8.0, 16.0, 32.0)), dtype=np.float64)
-    amps = np.asarray(params.get("amps", np.ones(freqs.size)), dtype=np.float64)
-    sigma = float(params.get("sigma", 0.0))
-    channels = params.get("channels")
+def _tone_mix(t, fs, noise, *, freqs: list[float] = (4.0, 8.0, 16.0, 32.0),
+              amps: list[float] | None = None, sigma: float = 0.0,
+              channels: list[list[int]] | None = None):
+    freqs = np.asarray(freqs, dtype=np.float64)
+    amps = np.ones(freqs.size) if amps is None else np.asarray(amps, dtype=np.float64)
     if amps.size != freqs.size:
         raise ParameterError(
             f"amps has {amps.size} entries for {freqs.size} freqs"
         )
     if sigma < 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    rng = rng_factory() if sigma > 0 else None
     tones = amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t[None, :])
-    if channels is None:
-        x = tones.sum(axis=0)
-        if rng is not None:
-            x = x + sigma * rng.standard_normal(t.size)
-        return x
     out = []
-    for idx in channels:
-        idx = tuple(int(j) for j in idx)
+    for idx in [list(range(freqs.size))] if channels is None else channels:
         for j in idx:
             if not (0 <= j < freqs.size):
                 raise ParameterError(f"channel tone index {j} out of range")
-        x = tones[list(idx)].sum(axis=0) if idx else np.zeros(t.size)
-        if rng is not None:
+        x = tones[idx].sum(axis=0)
+        if sigma > 0:
             # one stream, channels drawn in order, so channel noise is
             # independent yet the whole record is a function of the seed
-            x = x + sigma * rng.standard_normal(t.size)
+            x = x + sigma * noise(t.size)
         out.append(x)
-    return out
+    return out[0] if channels is None else out
 
 
-def _intermittent_tone(t, fs, params, rng_factory):
-    f_low = float(params.get("f_low", 4.0))
-    f_high = float(params.get("f_high", 32.0))
-    amp_low = float(params.get("amp_low", 1.0))
-    amp_high = float(params.get("amp_high", 0.5))
-    start = float(params.get("burst_start", 0.4))
-    stop = float(params.get("burst_stop", 0.6))
-    if not (0.0 <= start < stop <= 1.0):
+def _intermittent_tone(t, fs, noise, *, f_low: float = 4.0,
+                       f_high: float = 32.0, amp_low: float = 1.0,
+                       amp_high: float = 0.5, burst_start: float = 0.4,
+                       burst_stop: float = 0.6):
+    if not (0.0 <= burst_start < burst_stop <= 1.0):
         raise ParameterError(
-            f"burst window [{start}, {stop}) must sit inside [0, 1]"
+            f"burst window [{burst_start}, {burst_stop}) must sit inside [0, 1]"
         )
     duration = t.size / fs
-    gate = (t >= start * duration) & (t < stop * duration)
+    gate = (t >= burst_start * duration) & (t < burst_stop * duration)
     x = amp_low * np.sin(2.0 * np.pi * f_low * t)
     x = x + np.where(gate, amp_high * np.sin(2.0 * np.pi * f_high * t), 0.0)
     return x
 
 
-def _linear_chirp(t, fs, params, rng_factory):
-    f0 = float(params.get("f0", 2.0))
-    f1 = float(params.get("f1", 30.0))
+def _linear_chirp(t, fs, noise, *, f0: float = 2.0, f1: float = 30.0):
     duration = t.size / fs
     phase = 2.0 * np.pi * (f0 * t + (f1 - f0) * t * t / (2.0 * duration))
     return np.cos(phase)
 
 
-def _fm_sinusoid(t, fs, params, rng_factory):
-    fc = float(params.get("f_carrier", 20.0))
-    dev = float(params.get("deviation_hz", 8.0))
-    rate = float(params.get("rate_hz", 1.0))
-    if rate <= 0:
-        raise ParameterError(f"rate_hz must be > 0, got {rate}")
-    # modulation index dev/rate: instantaneous frequency swings
-    # fc +- dev at rate_hz
-    return np.cos(2.0 * np.pi * fc * t
-                  + (dev / rate) * np.sin(2.0 * np.pi * rate * t))
+def _fm_sinusoid(t, fs, noise, *, f_carrier: float = 20.0,
+                 deviation_hz: float = 8.0, rate_hz: float = 1.0):
+    if rate_hz <= 0:
+        raise ParameterError(f"rate_hz must be > 0, got {rate_hz}")
+    # modulation index deviation_hz/rate_hz: instantaneous frequency
+    # swings f_carrier +- deviation_hz at rate_hz
+    return np.cos(2.0 * np.pi * f_carrier * t
+                  + (deviation_hz / rate_hz) * np.sin(2.0 * np.pi * rate_hz * t))
 
 
-def _intrawave_mix(t, fs, params, rng_factory):
+def _intrawave_mix(t, fs, noise):
     a = 1.0 / (1.2 + np.cos(2.0 * np.pi * t))
     b = np.cos(32.0 * np.pi * t + 0.2 * np.cos(64.0 * np.pi * t))
     c = 1.5 + np.sin(2.0 * np.pi * t)
     return a + b / c
 
 
-def _model_wave(t, fs, params, rng_factory):
-    omega = float(params.get("omega", 1.0))
-    epsilon = float(params.get("epsilon", 0.5))
+def _model_wave(t, fs, noise, *, omega: float = 1.0, epsilon: float = 0.5):
     return np.cos(omega * t + epsilon * np.sin(omega * t))
 
 
-def _unit_sample(t, fs, params, rng_factory):
-    n = t.size
-    n0 = int(params.get("n0", n // 2))
-    if not (0 <= n0 < n):
-        raise ParameterError(f"n0 must be in [0, {n}), got {n0}")
-    x = np.zeros(n)
+def _unit_sample(t, fs, noise, *, n0: int | None = None):
+    n0 = t.size // 2 if n0 is None else n0
+    if not (0 <= n0 < t.size):
+        raise ParameterError(f"n0 must be in [0, {t.size}), got {n0}")
+    x = np.zeros(t.size)
     x[n0] = 1.0
     return x
 
 
-def _white_gaussian(t, fs, params, rng_factory):
-    sigma = float(params.get("sigma", 1.0))
+def _white_gaussian(t, fs, noise, *, sigma: float = 1.0):
     if sigma <= 0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
-    return sigma * rng_factory().standard_normal(t.size)
+    return sigma * noise(t.size)
 
 
-# kind -> (generator, allowed params, always needs a seed)
-_GENERATORS = {
-    "tone_mix": (_tone_mix, {"freqs", "amps", "sigma", "channels"}, False),
-    "intermittent_tone": (_intermittent_tone,
-                          {"f_low", "f_high", "amp_low", "amp_high",
-                           "burst_start", "burst_stop"}, False),
-    "linear_chirp": (_linear_chirp, {"f0", "f1"}, False),
-    "fm_sinusoid": (_fm_sinusoid, {"f_carrier", "deviation_hz", "rate_hz"}, False),
-    "intrawave_mix": (_intrawave_mix, set(), False),
-    "model_wave": (_model_wave, {"omega", "epsilon"}, False),
-    "unit_sample": (_unit_sample, {"n0"}, False),
-    "white_gaussian": (_white_gaussian, {"sigma"}, True),
-}
+# a kind's name is its function's, without the underscore
+_GENERATORS = {f.__name__[1:]: f for f in (
+    _tone_mix, _intermittent_tone, _linear_chirp, _fm_sinusoid,
+    _intrawave_mix, _model_wave, _unit_sample, _white_gaussian)}
+
+
+def _as_declared(value, hint):
+    """``value`` checked as a ``hint`` of float, int, list[...] or ``... |
+    None``; TypeError if it is not one (no bool is). Numbers come back as
+    float for float, and sequences as lists, which index arrays by element."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _as_declared(value, args[0])
+    if isinstance(value, bool):
+        raise TypeError
+    if hint is float and isinstance(value, numbers.Real):
+        return float(value)
+    if hint is int and isinstance(value, numbers.Integral):
+        return value
+    if typing.get_origin(hint) is list and isinstance(value, (list, tuple)):
+        return [_as_declared(v, args[0]) for v in value]
+    raise TypeError
 
 
 def generate(spec: GeneratorSpec):
     """Produce the record a GeneratorSpec describes.
 
+    The params are checked against the kind's keyword-only arguments.
     Returns a Signal, or a MultichannelSignal when the recipe's params
     ask for multiple channels (tone_mix with a ``channels`` list).
     """
-    try:
-        func, allowed, needs_seed = _GENERATORS[spec.kind]
-    except KeyError:
-        raise ParameterError(
-            f"unknown generator kind {spec.kind!r}; valid kinds: "
-            + ", ".join(sorted(_GENERATORS))
-        ) from None
-    extra = set(spec.params) - allowed
-    if extra:
-        raise ParameterError(
-            f"unknown params for {spec.kind}: {', '.join(sorted(extra))}"
-        )
-    if needs_seed and spec.seed is None:
-        raise ParameterError(f"kind {spec.kind!r} draws noise; a seed is required")
-
-    def rng_factory():
-        if spec.seed is None:
+    func = _GENERATORS.get(spec.kind)
+    if func is None:
+        raise ParameterError(f"unknown generator kind {spec.kind!r}; valid "
+                             "kinds: " + ", ".join(sorted(_GENERATORS)))
+    declared = {name: p.annotation
+                for name, p in inspect.signature(func).parameters.items()
+                if p.kind is p.KEYWORD_ONLY}
+    unknown = sorted(set(spec.params) - set(declared))
+    if unknown:
+        raise ParameterError(f"bad params for {spec.kind}: unknown params "
+                             + ", ".join(unknown))
+    kwargs = {}
+    for name, value in spec.params.items():
+        try:
+            kwargs[name] = _as_declared(value, declared[name])
+        except (TypeError, OverflowError):
             raise ParameterError(
-                f"kind {spec.kind!r} with these params draws noise; "
-                "a seed is required"
-            )
-        return np.random.default_rng(spec.seed)
+                f"bad params for {spec.kind}: {name} must be "
+                f"{inspect.formatannotation(declared[name])}, got {value!r}"
+            ) from None
+    if spec.seed is not None:
+        noise = np.random.default_rng(spec.seed).standard_normal
+    else:
+        def noise(size):
+            raise ParameterError(f"{spec.kind} draws noise; a seed is required")
 
     fs = spec.sample_rate_hz
     t = np.arange(spec.n) / fs
     # finite times can still overflow a recipe (the chirp squares t)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = func(t, fs, spec.params, rng_factory)
-    except (TypeError, ValueError, IndexError) as e:
-        raise ParameterError(f"bad params for {spec.kind}: {e}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = func(t, fs, noise, **kwargs)
     channels = out if isinstance(out, list) else [out]
     if not all(np.isfinite(x).all() for x in channels):
         raise ParameterError(f"{spec.kind} at {fs!r} Hz overflows float64")

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -222,6 +223,9 @@ class TestGenerateCommand:
                      "--out", str(out2), "--no-timestamp"]) == 0
         assert (out1 / "signal.csv").read_bytes() == \
                (out2 / "signal.csv").read_bytes()
+        # the summary records the seed the record was drawn with
+        for out in (out1, out2):
+            assert json.loads((out / "summary.json").read_text())["seed"] == 3
 
     @pytest.mark.parametrize("recipe,why", [
         ("gen:not json", "bad generator JSON"),
@@ -231,7 +235,7 @@ class TestGenerateCommand:
         ('gen:{"kind":"model_wave","n":64}', "sample rate missing"),
         ('gen:{"kind":"tone_mix","n":64,"sample_rate_hz":64,'
          '"params":{"freqs":"ab"}}',
-         "bad params for tone_mix: could not convert string to float: 'ab'"),
+         "bad params for tone_mix: freqs must be list[float], got 'ab'"),
         ('gen:{"kind":"unit_sample","n":64,"sample_rate_hz":64,'
          '"params":{"n0":"x"}}', "bad params for unit_sample: "),
         ('gen:{"kind":"model_wave","n":"abc","sample_rate_hz":64}',
@@ -246,6 +250,22 @@ class TestGenerateCommand:
          "sample rate must be a real number, got 'x'"),
         ('gen:{"kind":"white_gaussian","n":64,"sample_rate_hz":64,"seed":"x"}',
          "seed must be a non-negative integer, got 'x'"),
+        ('gen:{"kind":"unit_sample","n":64,"sample_rate_hz":64,'
+         '"params":{"n0":2.7}}',
+         "bad params for unit_sample: n0 must be int | None, got 2.7"),
+        ('gen:{"kind":"white_gaussian","n":64,"sample_rate_hz":64,"seed":1,'
+         '"params":{"sigma":true}}',
+         "bad params for white_gaussian: sigma must be float, got True"),
+        ('gen:{"kind":"linear_chirp","n":64,"sample_rate_hz":64,'
+         '"params":{"f0":"2"}}',
+         "bad params for linear_chirp: f0 must be float, got '2'"),
+        ('gen:{"kind":"tone_mix","n":64,"sample_rate_hz":64,'
+         '"params":{"channels":[[0,1.5]]}}',
+         "bad params for tone_mix: channels must be list[list[int]] | None, "
+         "got [[0, 1.5]]"),
+        ('gen:{"kind":"tone_mix","n":64,"sample_rate_hz":64,'
+         '"params":{"freqs":[true,8]}}',
+         "bad params for tone_mix: freqs must be list[float], got [True, 8]"),
     ])
     def test_bad_recipes(self, tmp_path, capsys, recipe, why):
         assert main(["generate", "--input", recipe,
@@ -379,6 +399,24 @@ class TestMfdmCommand:
     def test_bad_shape_parameter(self, tmp_path):
         assert main(["mfdm", "--input", NOISE_RECIPE, "--m", "0.5",
                      "--out", str(tmp_path / "m")]) == 2
+
+    def test_ladder_below_resolution_refused_before_building(self, tmp_path,
+                                                             capsys):
+        # building this ladder down to its floor takes about half a minute
+        start = time.perf_counter()
+        assert main(["mfdm", "--input", NOISE_RECIPE, "--m", "100000",
+                     "--levels", str(10**18), "--out", str(tmp_path / "m")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert ("--levels 1000000000000000000 with --m 100000.0 puts cutoffs "
+                "below the resolution fs/n of an n=128 record"
+                ) in capsys.readouterr().err
+        # n=128 fits 6 dyadic levels; 7 and 8 sit inside the two-rung
+        # guard, so mfdm_decompose refuses the built ladder
+        assert main(["mfdm", "--input", NOISE_RECIPE, "--levels", "8",
+                     "--out", str(tmp_path / "m")]) == 2
+        assert "is below the frequency resolution" in capsys.readouterr().err
+        assert main(["mfdm", "--input", NOISE_RECIPE, "--levels", "6",
+                     "--out", str(tmp_path / "m")]) == 0
 
 
 class TestTfeCommand:

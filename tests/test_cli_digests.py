@@ -71,7 +71,7 @@ CASES = {
         "signal.csv":
             "5c1de28531ecb3b168ff20f833a4441b8580577ff8cae10eb1b17d3c2ca9ba23",
         "summary.json":
-            "2c303e2e99eee23c046eaefe54ff0caa0a54c9d78b752021d20c8a698c39b008",
+            "c7c2382687097ad1d66d2f1b7e4dfb48d1bf331040c1e2d7a8648efa7df5296e",
     }),
     "generate_csv": (["generate", "--input", "{record}", "--fs", "8"], {
         "signal.csv":

@@ -1,3 +1,7 @@
+import inspect
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from fdmkit import (
     aligned_tone_fixture,
     generate,
 )
+from fdmkit.siggen import _GENERATORS
 
 
 def spec(kind, n=256, fs=128.0, seed=None, **params):
@@ -46,6 +51,11 @@ class TestSpecValidation:
         ("tone_mix", {"freqs": 5}),
         ("unit_sample", {"n0": "x"}),
         ("fm_sinusoid", {"rate_hz": [1, 2]}),
+        ("unit_sample", {"n0": 2.7}),
+        ("white_gaussian", {"sigma": True}),
+        ("linear_chirp", {"f0": "2"}),
+        ("tone_mix", {"channels": [[0, 1.5]]}),
+        ("tone_mix", {"freqs": [True, 8]}),
     ])
     def test_unparsable_params_are_parameter_errors(self, kind, params):
         with pytest.raises(ParameterError, match=f"bad params for {kind}: "):
@@ -72,6 +82,17 @@ class TestSpecValidation:
             generate(spec("tone_mix", sigma=0.1))
         # noiseless tone mix needs no seed
         generate(spec("tone_mix"))
+
+
+def test_readme_table_lists_each_kinds_params():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| kind | params (defaults) |")[1].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M))
+    assert sorted(rows) == sorted(_GENERATORS)
+    for kind, func in _GENERATORS.items():
+        declared = [p.name for p in inspect.signature(func).parameters.values()
+                    if p.kind is p.KEYWORD_ONLY]
+        assert re.findall(r"`(\w+)`", rows[kind]) == declared, kind
 
 
 class TestDeterminism:
