@@ -7,8 +7,6 @@ from .errors import (
     IngestionError,
     InputError,
     ParameterError,
-    SymmetryError,
-    UndefinedPhaseError,
 )
 from .fdm import (
     Afibf,
@@ -33,13 +31,11 @@ from .mfdm import (
 )
 from .siggen import GeneratorSpec, aligned_tone_fixture, generate
 from .spectral import (
-    AnalyticSignal,
     Signal,
     Spectrum,
     analytic_band,
     analytic_energy,
     dft,
-    idft,
     signal_energy,
 )
 from .tfe import (
@@ -55,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Afibf",
-    "AnalyticSignal",
     "BandRangeError",
     "ContractError",
     "CutoffSchedule",
@@ -72,10 +67,8 @@ __all__ = [
     "SearchMode",
     "Signal",
     "Spectrum",
-    "SymmetryError",
     "TfeGrid",
     "TfePoints",
-    "UndefinedPhaseError",
     "aligned_tone_fixture",
     "analytic_band",
     "analytic_energy",
@@ -84,7 +77,6 @@ __all__ = [
     "dft",
     "fhs",
     "generate",
-    "idft",
     "inst_freq",
     "instantaneous_energy",
     "marginal_spectrum",

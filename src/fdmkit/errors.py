@@ -32,27 +32,5 @@ class IngestionError(InputError):
 
 
 class ContractError(FdmkitError):
-    """A numerical invariant the library guarantees did not hold."""
-
-
-class SymmetryError(ContractError):
-    """Inverse transform of a supposedly symmetric spectrum came out
-    complex beyond tolerance."""
-
-
-class UndefinedPhaseError(ContractError):
-    """Phase requested at a sample where the analytic signal is exactly
-    zero.
-
-    Attributes
-    ----------
-    sample_index : int
-        First sample at which the magnitude vanished.
-    """
-
-    def __init__(self, sample_index):
-        self.sample_index = int(sample_index)
-        super().__init__(
-            f"analytic signal has zero magnitude at sample {sample_index}; "
-            "phase is undefined there"
-        )
+    """A numerical invariant the library guarantees did not hold. It has
+    no subclasses and is reserved for runtime contracts (exit code 3)."""

@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .errors import ParameterError, UndefinedPhaseError
-from .spectral import AnalyticSignal, Signal, Spectrum, analytic_band, dft
+from .errors import ParameterError
+from .spectral import Signal, Spectrum, analytic_band, dft
 
 # Edge bins whose coefficient magnitude falls at or below this fraction
 # of the largest positive-bin magnitude are considered empty and do not
@@ -130,19 +130,18 @@ class DecompositionResult:
         return len(self.fibfs)
 
 
-def unwrap_phase(analytic: AnalyticSignal) -> np.ndarray:
-    """Unwrapped atan2 phase of an analytic signal.
+def unwrap_phase(z: np.ndarray) -> np.ndarray:
+    """Unwrapped atan2 phase of an analytic signal, as ``decompose``
+    emits it for every band.
 
     The first sample is anchored in (-pi, pi]; later samples differ
     from their predecessor by at most pi in magnitude. A sample with
-    exactly zero magnitude has no phase and raises
-    :class:`UndefinedPhaseError` with its index.
+    exactly zero magnitude gets phase 0.
     """
-    v = analytic.values
-    zero = np.flatnonzero((v.real == 0.0) & (v.imag == 0.0))
-    if zero.size:
-        raise UndefinedPhaseError(zero[0])
-    return np.unwrap(np.angle(v))
+    return np.unwrap(np.angle(z))
+
+
+_unwrap_permissive = unwrap_phase  # named only by perfbench's HOOKS; goes with it
 
 
 def inst_freq(phase: np.ndarray, sample_rate_hz: float) -> np.ndarray:
@@ -160,12 +159,6 @@ def inst_freq(phase: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     omega[0] = phase[1] - phase[0]
     omega[-1] = phase[-1] - phase[-2]
     return omega * (sample_rate_hz / (2.0 * np.pi))
-
-
-def _unwrap_permissive(values: np.ndarray) -> np.ndarray:
-    # np.angle treats an exact zero as phase 0, which is what we want
-    # for bands that were flagged non-monotone anyway
-    return np.unwrap(np.angle(values))
 
 
 def _trim_bin_range(coeffs: np.ndarray, lo: int, hi: int, k_max: int) -> tuple[int, int]:
@@ -274,16 +267,14 @@ def decompose(signal: Signal, config: FdmConfig | None = None) -> DecompositionR
     non_monotone = []
     for i, (lo, hi, mono) in enumerate(cells):
         z = analytic_band(spectrum, lo, hi)
-        amplitude = np.abs(z.values)
-        phase = _unwrap_permissive(z.values)
-        freq = inst_freq(phase, fs)
+        phase = unwrap_phase(z)
         fibfs.append(Afibf(
             bin_range=_trim_bin_range(coeffs, lo, hi, k_max),
             partition_range=(lo, hi),
-            amplitude=amplitude,
+            amplitude=np.abs(z),
             phase=phase,
-            inst_freq_hz=freq,
-            fibf=z.values.real.copy(),
+            inst_freq_hz=inst_freq(phase, fs),
+            fibf=z.real.copy(),
         ))
         if not mono:
             non_monotone.append(i)

@@ -8,6 +8,7 @@ and makes band + residue telescoping hold to the last bit: the residue
 is computed in the time domain as what the band left behind.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -107,7 +108,9 @@ def cutoff_schedule(sample_rate_hz: float, m: float, levels: int) -> CutoffSched
     gives the dyadic ladder fs/4, fs/8, fs/16, ...
 
     The ladder stops at the first cutoff not below the one before it
-    (0.0 reached, or r rounds to 1), which the schedule then refuses.
+    (0.0 reached, or r rounds to 1), which the schedule then refuses;
+    ``levels`` beyond a closed-form bound on that point are refused
+    without building the ladder.
     """
     if not (m > 0.5):
         raise ParameterError(f"m must be > 1/2, got {m}")
@@ -116,8 +119,13 @@ def cutoff_schedule(sample_rate_hz: float, m: float, levels: int) -> CutoffSched
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
     r = (2.0 * m - 1.0) / (2.0 * m + 1.0)
+    f = check_sample_rate(sample_rate_hz, 2) / 2.0
+    if r < 1.0 and levels > (bound := _ladder_bound(f, r)):
+        raise ParameterError(
+            f"levels must be <= {bound} with m={m}: deeper "
+            f"cutoffs cannot keep falling above 0 Hz, got {levels}"
+        )
     cutoffs = []
-    f = sample_rate_hz / 2.0
     for _ in range(levels):
         below = f * r
         cutoffs.append(below)
@@ -125,6 +133,21 @@ def cutoff_schedule(sample_rate_hz: float, m: float, levels: int) -> CutoffSched
             break
         f = below
     return CutoffSchedule(tuple(cutoffs), sample_rate_hz, m=m)
+
+
+def _ladder_bound(f: float, r: float) -> int:
+    """An upper bound on the positive, strictly falling rungs that
+    f -> fl(f*r), 0 < r < 1, takes from f. A normal rung is at most
+    (1 - shrink) times the one before: fl(f*r) <= f*r*(1 + 2**-53), and a
+    strict fall is at least an ulp, over 2**-54 of f. A subnormal rung is
+    k * 2**-1074, k < 2**52: round(k*r) < k needs k >= c = 1/(2*(1 - r)),
+    and round(k*r) - c <= r*(k - c), so at most two rungs follow the
+    log(2**52) / -log(r) that bring k - c below 1. Slack covers the logs.
+    """
+    shrink = max((1.0 - r) - r * 2.0**-53, 2.0**-54)
+    normal = max(0.0, math.log(f) + 1022 * math.log(2.0)) / -math.log1p(-shrink)
+    subnormal = 52 * math.log(2.0) / -math.log(r)
+    return int((normal + subnormal) * (1.0 + 1e-9)) + 4
 
 
 def _bin_freqs(n: int, sample_rate_hz: float) -> np.ndarray:

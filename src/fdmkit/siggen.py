@@ -8,6 +8,7 @@ without a seed is refused.
 """
 
 import inspect
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field
@@ -63,7 +64,7 @@ def _tone_mix(t, fs, noise, *, freqs: list[float] = (4.0, 8.0, 16.0, 32.0),
         raise ParameterError(
             f"amps has {amps.size} entries for {freqs.size} freqs"
         )
-    if sigma < 0:
+    if not sigma >= 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
     tones = amps[:, None] * np.sin(2.0 * np.pi * freqs[:, None] * t[None, :])
     out = []
@@ -103,7 +104,7 @@ def _linear_chirp(t, fs, noise, *, f0: float = 2.0, f1: float = 30.0):
 
 def _fm_sinusoid(t, fs, noise, *, f_carrier: float = 20.0,
                  deviation_hz: float = 8.0, rate_hz: float = 1.0):
-    if rate_hz <= 0:
+    if not rate_hz > 0:
         raise ParameterError(f"rate_hz must be > 0, got {rate_hz}")
     # modulation index deviation_hz/rate_hz: instantaneous frequency
     # swings f_carrier +- deviation_hz at rate_hz
@@ -132,7 +133,7 @@ def _unit_sample(t, fs, noise, *, n0: int | None = None):
 
 
 def _white_gaussian(t, fs, noise, *, sigma: float = 1.0):
-    if sigma <= 0:
+    if not sigma > 0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
     return sigma * noise(t.size)
 
@@ -145,14 +146,15 @@ _GENERATORS = {f.__name__[1:]: f for f in (
 
 def _as_declared(value, hint):
     """``value`` checked as a ``hint`` of float, int, list[...] or ``... |
-    None``; TypeError if it is not one (no bool is). Numbers come back as
-    float for float, and sequences as lists, which index arrays by element."""
+    None``; TypeError if it is not one (no bool is, nor a non-finite
+    float). Numbers come back as float for float, and sequences as lists,
+    which index arrays by element."""
     args = typing.get_args(hint)
     if type(None) in args:
         return None if value is None else _as_declared(value, args[0])
     if isinstance(value, bool):
         raise TypeError
-    if hint is float and isinstance(value, numbers.Real):
+    if hint is float and isinstance(value, numbers.Real) and math.isfinite(value):
         return float(value)
     if hint is int and isinstance(value, numbers.Integral):
         return value

@@ -19,16 +19,11 @@ All arithmetic is float64/complex128.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandRangeError, ParameterError, SymmetryError
-
-# Inverse transforms of conjugate-symmetric spectra should be real to
-# roundoff; anything above this (relative to the real part's peak) means
-# the caller handed us a spectrum that does not describe a real signal.
-IMAG_RESIDUE_RTOL = 1e-10
+from .errors import BandRangeError, ParameterError
 
 
 def check_sample_rate(fs, n: int) -> float:
@@ -137,41 +132,6 @@ class Spectrum:
         return self.source_length // 2 if self.source_length % 2 == 0 else None
 
 
-@dataclass
-class AnalyticSignal:
-    """Complex band signal 2 * sum_{k=k_lo}^{k_hi} X[k] e^{j 2 pi k n / N}.
-
-    ``Re{values}`` is the zero-phase band-passed contribution of bins
-    [k_lo, k_hi] (plus their mirrored negative twins) to the original
-    signal.
-    """
-
-    values: np.ndarray
-    bin_range: tuple[int, int]
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.ndim != 1:
-            raise ParameterError(f"analytic values must be 1-D, got shape {v.shape}")
-        lo, hi = self.bin_range
-        k_top = (v.size + 1) // 2 - 1
-        if not (1 <= lo <= hi <= k_top):
-            raise BandRangeError(
-                f"bin range ({lo}, {hi}) outside positive-frequency bins "
-                f"[1, {k_top}] for length {v.size}"
-            )
-        v = v.copy()
-        v.flags.writeable = False
-        self.values = v
-        self.bin_range = (int(lo), int(hi))
-        self.sample_rate_hz = float(self.sample_rate_hz)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
 def dft(signal: Signal) -> Spectrum:
     """Forward DFT with 1/N normalization (X[0] equals the mean).
 
@@ -188,27 +148,10 @@ def dft(signal: Signal) -> Spectrum:
     return Spectrum(coeffs, signal.n, signal.sample_rate_hz)
 
 
-def idft(spectrum: Spectrum) -> Signal:
-    """Synthesize the time series a spectrum describes.
-
-    The spectrum must be (numerically) conjugate symmetric, i.e. come
-    from a real signal; a residual imaginary part above
-    ``IMAG_RESIDUE_RTOL`` relative to the real peak raises
-    :class:`SymmetryError` rather than being silently discarded.
-    """
-    z = np.fft.ifft(spectrum.coefficients, norm="forward")
-    scale = np.max(np.abs(z.real))
-    worst = np.max(np.abs(z.imag))
-    if worst > IMAG_RESIDUE_RTOL * max(scale, 1e-300):
-        raise SymmetryError(
-            f"imaginary residue {worst:.3e} exceeds {IMAG_RESIDUE_RTOL:g} "
-            f"of peak {scale:.3e}; spectrum is not conjugate symmetric"
-        )
-    return Signal(z.real, spectrum.sample_rate_hz)
-
-
-def analytic_band(spectrum: Spectrum, k_lo: int, k_hi: int) -> AnalyticSignal:
-    """Analytic signal of the positive-frequency bins [k_lo, k_hi].
+def analytic_band(spectrum: Spectrum, k_lo: int, k_hi: int) -> np.ndarray:
+    """Analytic signal 2 * sum_{k=k_lo}^{k_hi} X[k] e^{j 2 pi k n / N}: a
+    read-only complex128 array whose real part is the zero-phase share
+    of the positive-frequency bins [k_lo, k_hi] in the signal.
 
     DC and Nyquist are deliberately outside the admissible range; they
     are real standalone terms in the reconstruction identity and never
@@ -222,8 +165,9 @@ def analytic_band(spectrum: Spectrum, k_lo: int, k_hi: int) -> AnalyticSignal:
         )
     masked = np.zeros(n, dtype=np.complex128)
     masked[k_lo:k_hi + 1] = spectrum.coefficients[k_lo:k_hi + 1]
-    values = 2.0 * np.fft.ifft(masked, norm="forward")
-    return AnalyticSignal(values, (k_lo, k_hi), spectrum.sample_rate_hz)
+    z = 2.0 * np.fft.ifft(masked, norm="forward")
+    z.flags.writeable = False
+    return z
 
 
 def signal_energy(signal: Signal) -> float:
@@ -232,7 +176,6 @@ def signal_energy(signal: Signal) -> float:
     return float(np.mean(x * x))
 
 
-def analytic_energy(a: AnalyticSignal) -> float:
+def analytic_energy(z: np.ndarray) -> float:
     """Mean power (1/N) * sum |z[n]|^2 of an analytic signal."""
-    v = a.values
-    return float(np.mean(v.real * v.real + v.imag * v.imag))
+    return float(np.mean(z.real * z.real + z.imag * z.imag))

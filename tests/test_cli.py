@@ -8,9 +8,9 @@ import pytest
 
 import fdmkit.cli as cli
 from fdmkit import (
+    ContractError,
     GeneratorSpec,
     MultichannelSignal,
-    SymmetryError,
     cutoff_schedule,
     generate,
     mfdm_decompose,
@@ -266,6 +266,12 @@ class TestGenerateCommand:
         ('gen:{"kind":"tone_mix","n":64,"sample_rate_hz":64,'
          '"params":{"freqs":[true,8]}}',
          "bad params for tone_mix: freqs must be list[float], got [True, 8]"),
+        ('gen:{"kind":"tone_mix","n":64,"sample_rate_hz":64,"seed":1,'
+         '"params":{"sigma":NaN}}',
+         "bad params for tone_mix: sigma must be float, got nan"),
+        ('gen:{"kind":"linear_chirp","n":64,"sample_rate_hz":64,'
+         '"params":{"f0":Infinity}}',
+         "bad params for linear_chirp: f0 must be float, got inf"),
     ])
     def test_bad_recipes(self, tmp_path, capsys, recipe, why):
         assert main(["generate", "--input", recipe,
@@ -514,7 +520,7 @@ class TestExitCodes:
 
     def test_contract_violation_maps_to_three(self, tmp_path, monkeypatch, capsys):
         def boom(args):
-            raise SymmetryError("synthetic")
+            raise ContractError("synthetic")
         monkeypatch.setattr(cli, "cmd_decompose", boom)
         assert main(["decompose", "--input", TONE_RECIPE,
                      "--out", str(tmp_path / "o")]) == 3

@@ -11,7 +11,6 @@ from fdmkit import (
     ScanDirection,
     SearchMode,
     Signal,
-    UndefinedPhaseError,
     analytic_band,
     decompose,
     dft,
@@ -60,15 +59,27 @@ class TestUnwrapPhase:
         steps = np.diff(unwrap_phase(z))
         assert np.max(np.abs(steps)) <= np.pi + 1e-12
 
-    def test_zero_sample_raises_with_index(self):
-        from fdmkit import AnalyticSignal
-        v = np.exp(1j * np.linspace(0.0, 3.0, 16))
-        v[5] = 0.0
-        z = AnalyticSignal(v, (1, 2), 10.0)
-        with pytest.raises(UndefinedPhaseError) as exc:
-            unwrap_phase(z)
-        assert exc.value.sample_index == 5
-        assert "sample 5" in str(exc.value)
+    def test_zero_sample_gets_angle_phase(self):
+        z = np.exp(1j * np.linspace(0.0, 3.0, 16))
+        z[5] = 0.0
+        assert np.array_equal(unwrap_phase(z), np.unwrap(np.angle(z)))
+
+    @pytest.mark.parametrize("signal,config", [
+        (noise(0, 1024), FdmConfig(scan="lth", search="max")),
+        (noise(1, 1024), FdmConfig(scan="htl", search="first")),
+        (generate(GeneratorSpec("linear_chirp", 1024, 100.0)),
+         FdmConfig(scan="htl")),
+        (noise(2, 1024), FdmConfig(max_fibfs=2)),
+    ], ids=["noise_lth_max", "noise_htl_first", "chirp_htl", "merged_tail"])
+    def test_decompose_emits_each_band_through_it(self, signal, config):
+        res = decompose(signal, config)
+        assert res.merged_tail == (config.max_fibfs is not None)
+        spec = dft(signal)
+        for band in res.fibfs:
+            z = analytic_band(spec, *band.partition_range)
+            assert np.array_equal(band.phase, unwrap_phase(z))
+            assert np.array_equal(band.amplitude, np.abs(z))
+            assert np.array_equal(band.fibf, z.real)
 
 
 class TestInstFreq:

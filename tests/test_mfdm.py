@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -47,6 +48,29 @@ class TestCutoffSchedule:
         for levels in (0, 2.5, True, 10**18):
             with pytest.raises(ParameterError):
                 cutoff_schedule(100.0, 1.5, levels)
+
+    @pytest.mark.parametrize("fs", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sample_rate_domain(self, fs):
+        with pytest.raises(ParameterError, match="sample rate must be"):
+            cutoff_schedule(fs, 1.5, 3)
+
+    def test_deep_ladder_refused_without_building_it(self):
+        # m=1e5 keeps r within 1e-5 of 1: the ladder reaches 0 Hz only
+        # after about 7e7 rungs, which take tens of seconds to build
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="levels must be <="):
+            cutoff_schedule(100.0, 1e5, 10**18)
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("m,longest", [(0.51, 162), (1.5, 1080), (10.0, 7460)])
+    def test_longest_ladder_is_kept(self, m, longest):
+        r = (2.0 * m - 1.0) / (2.0 * m + 1.0)
+        want = [50.0 * r]
+        while len(want) < longest:
+            want.append(want[-1] * r)
+        assert cutoff_schedule(100.0, m, longest).cutoffs_hz == tuple(want)
+        with pytest.raises(ParameterError):
+            cutoff_schedule(100.0, m, longest + 1)
 
     def test_first_cutoff_below_half_rate(self):
         sched = cutoff_schedule(100.0, 50.0, 1)
