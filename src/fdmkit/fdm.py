@@ -12,7 +12,6 @@ join a band: they are real standalone terms in the reconstruction
     x[n] = dc + sum_i y_i[n] + nyquist * (-1)^n
 """
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .spectral import Signal, Spectrum, analytic_band, dft
+from .spectral import Signal, Spectrum, analytic_band, dft, is_integer, is_real
 
 # Edge bins whose coefficient magnitude falls at or below this fraction
 # of the largest positive-bin magnitude are considered empty and do not
@@ -57,18 +56,24 @@ class FdmConfig:
     max_fibfs: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.scan, str):
-            self.scan = ScanDirection(self.scan)
-        if isinstance(self.search, str):
-            self.search = SearchMode(self.search)
+        # a member, or its value as a string
+        for name, enum in (("scan", ScanDirection), ("search", SearchMode)):
+            try:
+                setattr(self, name, enum(getattr(self, name)))
+            except ValueError:
+                raise ParameterError(
+                    f"{name} must be one of {[m.value for m in enum]}, "
+                    f"got {getattr(self, name)!r}") from None
+        if not is_real(self.monotonicity_tolerance):
+            raise ParameterError("monotonicity_tolerance must be a real number, "
+                                 f"got {self.monotonicity_tolerance!r}")
         if not (self.monotonicity_tolerance >= 0.0):
             raise ParameterError(
                 f"monotonicity_tolerance must be >= 0, got {self.monotonicity_tolerance}"
             )
         if self.max_fibfs is not None:
-            # bool is an int subclass; a float cap would never be hit
-            if isinstance(self.max_fibfs, bool) or \
-                    not isinstance(self.max_fibfs, numbers.Integral):
+            # a float cap would never be hit
+            if not is_integer(self.max_fibfs):
                 raise ParameterError(
                     f"max_fibfs must be an integer, got {self.max_fibfs!r}"
                 )
@@ -99,10 +104,6 @@ class Afibf:
     phase: np.ndarray
     inst_freq_hz: np.ndarray
     fibf: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.fibf.size
 
     def energy(self) -> float:
         """Total energy sum(y^2) of the band signal."""
@@ -162,11 +163,7 @@ def inst_freq(phase: np.ndarray, sample_rate_hz: float) -> np.ndarray:
 
 
 def _trim_bin_range(coeffs: np.ndarray, lo: int, hi: int, k_max: int) -> tuple[int, int]:
-    mags = np.abs(coeffs[1:k_max + 1])
-    peak = mags.max() if mags.size else 0.0
-    if peak <= 0.0:
-        return lo, hi
-    thr = ZERO_BIN_RTOL * peak
+    thr = ZERO_BIN_RTOL * np.abs(coeffs[1:k_max + 1]).max()
     t_lo, t_hi = lo, hi
     while t_lo < t_hi and abs(coeffs[t_lo]) <= thr:
         t_lo += 1

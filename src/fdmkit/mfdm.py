@@ -9,13 +9,12 @@ is computed in the time domain as what the band left behind.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import Signal, check_sample_rate, dft
+from .spectral import Signal, check_sample_rate, dft, is_integer, is_real
 
 
 @dataclass
@@ -78,7 +77,10 @@ class CutoffSchedule:
     m: float | None = None
 
     def __post_init__(self):
-        self.cutoffs_hz = tuple(float(c) for c in self.cutoffs_hz)
+        cutoffs = tuple(self.cutoffs_hz)
+        if not all(map(is_real, cutoffs)):
+            raise ParameterError(f"cutoffs must be real numbers, got {cutoffs!r}")
+        self.cutoffs_hz = tuple(map(float, cutoffs))
         if not self.cutoffs_hz:
             raise ParameterError("cutoff schedule is empty")
         self.sample_rate_hz = check_sample_rate(self.sample_rate_hz, 2)
@@ -112,9 +114,11 @@ def cutoff_schedule(sample_rate_hz: float, m: float, levels: int) -> CutoffSched
     ``levels`` beyond a closed-form bound on that point are refused
     without building the ladder.
     """
+    if not is_real(m) or m == math.inf:
+        raise ParameterError(f"m must be a finite real number, got {m!r}")
     if not (m > 0.5):
         raise ParameterError(f"m must be > 1/2, got {m}")
-    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
+    if not is_integer(levels):
         raise ParameterError(f"levels must be an integer, got {levels!r}")
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
@@ -168,16 +172,14 @@ def retained_bins(n: int, sample_rate_hz: float, cutoff_hz: float) -> np.ndarray
     return np.arange(1, half + 1)[keep]
 
 
-def _masked(signal: Signal, cutoff_hz: float, keep, freqs=None) -> np.ndarray:
-    """Samples of ``signal`` with only the DFT bins whose frequency f
-    has ``keep(f, cutoff_hz)`` left in; ``freqs`` may supply the bins'
-    ``_bin_freqs``. The result is a contiguous float64 array, not a
-    view that would hold on to the complex inverse."""
+def _masked(signal: Signal, cutoff_hz: float, keep, freqs) -> np.ndarray:
+    """Samples of ``signal`` with only the DFT bins whose frequency f in
+    ``freqs`` (the bins' ``_bin_freqs``) has ``keep(f, cutoff_hz)`` left
+    in. The result is a contiguous float64 array, not a view that would
+    hold on to the complex inverse."""
     half = signal.sample_rate_hz / 2.0
     if not (0.0 < cutoff_hz < half):
         raise ParameterError(f"cutoff {cutoff_hz} Hz outside (0, {half}) Hz")
-    if freqs is None:
-        freqs = _bin_freqs(signal.n, signal.sample_rate_hz)
     spec = dft(signal).coefficients
     return np.fft.ifft(spec * keep(freqs, cutoff_hz), norm="forward").real.copy()
 
@@ -190,7 +192,8 @@ def zero_phase_highpass(signal: Signal, cutoff_hz: float) -> Signal:
     rounding and is returned as such. The transform is :func:`dft`, so
     a record whose DFT overflows float64 raises ParameterError.
     """
-    y = _masked(signal, cutoff_hz, np.greater_equal)
+    y = _masked(signal, cutoff_hz, np.greater_equal,
+                _bin_freqs(signal.n, signal.sample_rate_hz))
     return Signal(y, signal.sample_rate_hz, signal.start_time_s)
 
 
@@ -200,7 +203,8 @@ def zero_phase_lowpass(signal: Signal, cutoff_hz: float) -> Signal:
     Like :func:`zero_phase_highpass`, refuses a record whose DFT
     overflows float64.
     """
-    y = _masked(signal, cutoff_hz, np.less)
+    y = _masked(signal, cutoff_hz, np.less,
+                _bin_freqs(signal.n, signal.sample_rate_hz))
     return Signal(y, signal.sample_rate_hz, signal.start_time_s)
 
 

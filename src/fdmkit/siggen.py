@@ -9,7 +9,6 @@ without a seed is refused.
 
 import inspect
 import math
-import numbers
 import typing
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mfdm import MultichannelSignal
-from .spectral import Signal, check_sample_rate
+from .spectral import Signal, check_sample_rate, is_integer, is_real
 
 
 @dataclass
@@ -37,22 +36,17 @@ class GeneratorSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str):
             raise ParameterError(f"kind must be a string, got {self.kind!r}")
-        if not _is_int(self.n):
+        if not is_integer(self.n):
             raise ParameterError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ParameterError(f"n must be >= 2, got {self.n}")
         self.sample_rate_hz = check_sample_rate(self.sample_rate_hz, self.n)
-        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+        if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
             raise ParameterError(
                 f"seed must be a non-negative integer, got {self.seed!r}"
             )
         if not isinstance(self.params, dict):
             raise ParameterError("params must be a dict")
-
-
-def _is_int(v) -> bool:
-    # bool is an int subclass, but True samples or seeds are a typo
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _tone_mix(t, fs, noise, *, freqs: list[float] = (4.0, 8.0, 16.0, 32.0),
@@ -152,11 +146,9 @@ def _as_declared(value, hint):
     args = typing.get_args(hint)
     if type(None) in args:
         return None if value is None else _as_declared(value, args[0])
-    if isinstance(value, bool):
-        raise TypeError
-    if hint is float and isinstance(value, numbers.Real) and math.isfinite(value):
+    if hint is float and is_real(value) and math.isfinite(value):
         return float(value)
-    if hint is int and isinstance(value, numbers.Integral):
+    if hint is int and is_integer(value):
         return value
     if typing.get_origin(hint) is list and isinstance(value, (list, tuple)):
         return [_as_declared(v, args[0]) for v in value]

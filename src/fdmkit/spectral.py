@@ -26,11 +26,21 @@ import numpy as np
 from .errors import BandRangeError, ParameterError
 
 
+def is_integer(v) -> bool:
+    """True for any integer but a bool: a True count or seed is a typo."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """True for any real number but a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def check_sample_rate(fs, n: int) -> float:
     """``fs`` as a float; refused unless it is a real number, positive
     and finite, and the times m/fs of an n-sample record are finite, its
     period 1/fs included."""
-    if isinstance(fs, bool) or not isinstance(fs, numbers.Real):
+    if not is_real(fs):
         raise ParameterError(f"sample rate must be a real number, got {fs!r}")
     if not (fs > 0):
         raise ParameterError(f"sample rate must be > 0, got {fs}")
@@ -73,6 +83,9 @@ class Signal:
         if not np.all(np.isfinite(x)):
             raise ParameterError("signal contains NaN or infinite samples")
         fs = check_sample_rate(self.sample_rate_hz, x.size)
+        if not is_real(self.start_time_s):
+            raise ParameterError(f"start time must be a real number, "
+                                 f"got {self.start_time_s!r}")
         t0 = float(self.start_time_s)
         if not math.isfinite(t0 + (x.size - 1) / fs):
             raise ParameterError(f"start time must be finite, and so must "
@@ -94,19 +107,16 @@ class Signal:
 
 @dataclass
 class Spectrum:
-    """DFT coefficients of a real signal, forward-normalized by 1/N."""
+    """DFT coefficients of a real signal, forward-normalized by 1/N, held
+    as a read-only 1-D complex128 copy; their count is the length N."""
 
     coefficients: np.ndarray
-    source_length: int
     sample_rate_hz: float
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.ndim != 1 or c.size != self.source_length:
-            raise ParameterError(
-                f"coefficient array shape {c.shape} does not match "
-                f"source_length {self.source_length}"
-            )
+        if c.ndim != 1:
+            raise ParameterError(f"coefficients must be 1-D, got shape {c.shape}")
         c = c.copy()
         c.flags.writeable = False
         self.coefficients = c
@@ -114,22 +124,22 @@ class Spectrum:
 
     @property
     def n(self) -> int:
-        return self.source_length
+        return self.coefficients.size
 
     @property
     def bin_hz(self) -> float:
         """Frequency spacing between adjacent bins."""
-        return self.sample_rate_hz / self.source_length
+        return self.sample_rate_hz / self.n
 
     @property
     def k_max(self) -> int:
         """Highest positive-frequency bin below Nyquist: ceil(N/2) - 1."""
-        return (self.source_length + 1) // 2 - 1
+        return (self.n + 1) // 2 - 1
 
     @property
     def nyquist_bin(self) -> int | None:
         """Index N/2 when N is even, else None."""
-        return self.source_length // 2 if self.source_length % 2 == 0 else None
+        return self.n // 2 if self.n % 2 == 0 else None
 
 
 def dft(signal: Signal) -> Spectrum:
@@ -145,7 +155,7 @@ def dft(signal: Signal) -> Spectrum:
         raise ParameterError(
             "the signal's DFT overflows float64; scale the samples down"
         )
-    return Spectrum(coeffs, signal.n, signal.sample_rate_hz)
+    return Spectrum(coeffs, signal.sample_rate_hz)
 
 
 def analytic_band(spectrum: Spectrum, k_lo: int, k_hi: int) -> np.ndarray:

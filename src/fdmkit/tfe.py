@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fdm import DecompositionResult
+from .spectral import is_real
 
 # Most cells a frequency bin width may ask of a binned product;
 # 2^27 float64 cells take 1 GiB.
@@ -45,32 +46,23 @@ class TfePoints:
 def fhs(result: DecompositionResult) -> TfePoints:
     """Frequency-amplitude point set of a decomposition.
 
-    Emits exactly n_fibfs * n points in band order; the DC and Nyquist
-    terms carry no instantaneous frequency and are not represented.
+    Emits exactly n_fibfs * n points in band order, none when there are
+    no bands; the DC and Nyquist terms carry no instantaneous frequency
+    and are not represented.
     """
-    n = result.n
+    n, bands = result.n, result.fibfs
     t = result.start_time_s + np.arange(n) / result.sample_rate_hz
-    times, freqs, amps, idx = [], [], [], []
-    clamped = 0
-    for i, band in enumerate(result.fibfs):
-        f = band.inst_freq_hz
-        neg = f < 0.0
-        clamped += int(np.count_nonzero(neg))
-        times.append(t)
-        freqs.append(np.where(neg, 0.0, f))
-        amps.append(band.amplitude)
-        idx.append(np.full(n, i, dtype=np.int64))
-    if not times:
-        empty = np.zeros(0)
-        return TfePoints(empty, empty.copy(), empty.copy(),
-                         np.zeros(0, dtype=np.int64), result.sample_rate_hz)
+    freqs = np.array([b.inst_freq_hz for b in bands], dtype=np.float64).reshape(-1)
+    neg = freqs < 0.0
+    freqs[neg] = 0.0
     return TfePoints(
-        times_s=np.concatenate(times),
-        freqs_hz=np.concatenate(freqs),
-        amplitudes=np.concatenate(amps),
-        fibf_index=np.concatenate(idx),
+        times_s=np.tile(t, len(bands)),
+        freqs_hz=freqs,
+        amplitudes=np.array([b.amplitude for b in bands],
+                            dtype=np.float64).reshape(-1),
+        fibf_index=np.repeat(np.arange(len(bands), dtype=np.int64), n),
         sample_rate_hz=result.sample_rate_hz,
-        clamped_negative=clamped,
+        clamped_negative=int(np.count_nonzero(neg)),
     )
 
 
@@ -81,8 +73,9 @@ def marginal_spectrum(points: TfePoints, freq_bin_hz: float):
     the bin its frequency rounds to. Returns (bin_centers_hz, h) with
     bins 0, df, 2*df, ... up to the highest occupied one.
     """
-    if not (freq_bin_hz > 0):
-        raise ParameterError(f"freq_bin_hz must be > 0, got {freq_bin_hz}")
+    if not (is_real(freq_bin_hz) and 0 < freq_bin_hz < np.inf):
+        raise ParameterError(
+            f"freq_bin_hz must be a finite number > 0, got {freq_bin_hz!r}")
     if points.n_points == 0:
         return np.zeros(0), np.zeros(0)
     # counted in float: past int64 the bin indices would wrap
@@ -123,14 +116,12 @@ def _axis_ok(axis: np.ndarray, name: str) -> np.ndarray:
     axis = np.asarray(axis, dtype=np.float64)
     if axis.ndim != 1 or axis.size < 1:
         raise ParameterError(f"{name} must be a non-empty 1-D array")
-    if axis.size > 1 and not np.all(np.diff(axis) > 0):
+    if not np.all(np.diff(axis) > 0):
         raise ParameterError(f"{name} must be strictly increasing")
     return axis
 
 
 def _nearest_index(centers: np.ndarray, values: np.ndarray) -> np.ndarray:
-    if centers.size == 1:
-        return np.zeros(values.size, dtype=np.int64)
     edges = 0.5 * (centers[1:] + centers[:-1])
     # value exactly on an edge goes to the higher cell
     return np.searchsorted(edges, values, side="right")
@@ -149,13 +140,17 @@ def rasterize(points: TfePoints, time_axis, freq_axis,
         raise ParameterError(f"unknown rasterize mode {mode!r}")
     time_axis = _axis_ok(time_axis, "time_axis")
     freq_axis = _axis_ok(freq_axis, "freq_axis")
+    if freq_axis.size * time_axis.size > MAX_CELLS:
+        raise ParameterError(
+            f"a {freq_axis.size} x {time_axis.size} grid has more than "
+            f"{MAX_CELLS} cells"
+        )
     cells = np.zeros((freq_axis.size, time_axis.size))
-    if points.n_points:
-        jt = _nearest_index(time_axis, points.times_s)
-        jf = _nearest_index(freq_axis, points.freqs_hz)
-        if mode == "energy":
-            np.add.at(cells, (jf, jt), points.amplitudes ** 2)
-        else:
-            np.maximum.at(cells, (jf, jt), points.amplitudes)
+    jt = _nearest_index(time_axis, points.times_s)
+    jf = _nearest_index(freq_axis, points.freqs_hz)
+    if mode == "energy":
+        np.add.at(cells, (jf, jt), points.amplitudes ** 2)
+    else:
+        np.maximum.at(cells, (jf, jt), points.amplitudes)
     return TfeGrid(time_axis=time_axis, freq_axis=freq_axis,
                    cells=cells, mode=mode)

@@ -1,5 +1,8 @@
 """The package's public names: each one in ``__all__`` is bound, once,
 and names removed from the API stay gone."""
+import pathlib
+import re
+
 import fdmkit
 
 REMOVED = ["AnalyticSignal", "idft", "IMAG_RESIDUE_RTOL", "SymmetryError",
@@ -13,3 +16,15 @@ def test_every_public_name_resolves_once():
 
 def test_removed_names_are_not_bound():
     assert [name for name in REMOVED if hasattr(fdmkit, name)] == []
+
+
+def test_argument_types_have_one_owner():
+    # what counts as an integer or a real argument is decided by
+    # spectral.is_integer and spectral.is_real; no other module repeats it
+    src = pathlib.Path(fdmkit.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py"))
+                 if p.name != "spectral.py"
+                 and re.search(r"^\s*(import numbers|from numbers import)"
+                               r"|isinstance\([^)]*\bbool\b",
+                               p.read_text(), re.M)]
+    assert offenders == []

@@ -147,6 +147,26 @@ class TestDecomposeBasics:
         with pytest.raises(ParameterError, match="integer"):
             FdmConfig(max_fibfs=cap)
 
+    @pytest.mark.parametrize("field,value,valid", [
+        ("scan", "bogus", "'lth', 'htl'"),
+        ("scan", None, "'lth', 'htl'"),
+        ("search", "x", "'max', 'first'"),
+    ])
+    def test_unknown_scan_or_search_names_the_valid_values(
+            self, field, value, valid):
+        with pytest.raises(ParameterError, match=f"{field} must be one of "
+                           rf"\[{valid}\], got {value!r}"):
+            FdmConfig(**{field: value})
+
+    @pytest.mark.parametrize("tol", ["0.1", True, None, 1j])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        with pytest.raises(ParameterError, match="monotonicity_tolerance"):
+            FdmConfig(monotonicity_tolerance=tol)
+
+    @pytest.mark.parametrize("tol", [0, np.float64(1e-9), float("inf")])
+    def test_tolerance_takes_any_real_number_at_or_above_zero(self, tol):
+        assert FdmConfig(monotonicity_tolerance=tol).monotonicity_tolerance == tol
+
     def test_max_fibfs_accepts_numpy_integers(self):
         assert FdmConfig(max_fibfs=np.int64(3)).max_fibfs == 3
 

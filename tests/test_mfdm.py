@@ -38,10 +38,16 @@ class TestCutoffSchedule:
         for a, b in zip(sched.cutoffs_hz, sched.cutoffs_hz[1:]):
             assert a / b == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("m", [0.5, 0.49, 0.0, -2.0])
+    @pytest.mark.parametrize("m", [0.5, 0.49, 0.0, -2.0, float("nan"),
+                                   float("inf"), "1.5", True, None])
     def test_shape_parameter_domain(self, m):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="m must be"):
             cutoff_schedule(100.0, m, 3)
+
+    @pytest.mark.parametrize("m", [2, np.float64(1.5)])
+    def test_shape_parameter_takes_any_real_number(self, m):
+        assert cutoff_schedule(100.0, m, 2).cutoffs_hz == \
+            cutoff_schedule(100.0, float(m), 2).cutoffs_hz
 
     def test_levels_domain(self):
         # 10**18 levels would run the ladder to 0.0 long before the end
@@ -91,8 +97,14 @@ class TestCutoffSchedule:
             CutoffSchedule((1.0,), np.inf)
         with pytest.raises(ParameterError, match="real number, got '100'"):
             CutoffSchedule((1.0,), "100")
+        for cutoffs in (("a",), (True,), (20.0, None)):
+            with pytest.raises(ParameterError, match="cutoffs must be real"):
+                CutoffSchedule(cutoffs, 100.0)
         sched = CutoffSchedule((20.0, 10.0), 100.0)
         assert sched.m is None
+        sched = CutoffSchedule([20, np.float64(10.0)], 100.0)
+        assert sched.cutoffs_hz == (20.0, 10.0)
+        assert all(type(c) is float for c in sched.cutoffs_hz)
 
 
 class TestZeroPhaseFilters:

@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +19,35 @@ from fdmkit import (
     generate,
     signal_energy,
 )
+from fdmkit.spectral import is_integer, is_real
 from oracles import band_direct, dft_direct
 
 
 def random_signal(seed, n, fs=100.0):
     rng = np.random.default_rng(seed)
     return Signal(rng.standard_normal(n), fs)
+
+
+class TestArgumentTypes:
+    """The one rule for integer and real arguments: a bool is neither."""
+
+    @pytest.mark.parametrize("v", [3, np.int64(3)])
+    def test_is_integer_accepts(self, v):
+        assert is_integer(v)
+
+    @pytest.mark.parametrize("v", [True, np.bool_(True), 3.0, "3", None])
+    def test_is_integer_refuses(self, v):
+        assert not is_integer(v)
+
+    @pytest.mark.parametrize("v", [3, 2.5, np.float32(1), Fraction(1, 3),
+                                   float("inf")])
+    def test_is_real_accepts(self, v):
+        assert is_real(v)
+
+    @pytest.mark.parametrize("v", [True, np.bool_(True), "1", 1j,
+                                   Decimal("1"), None])
+    def test_is_real_refuses(self, v):
+        assert not is_real(v)
 
 
 class TestSignal:
@@ -71,6 +97,17 @@ class TestSignal:
         with pytest.raises(ParameterError, match="start time"):
             Signal(np.zeros(4), 1.0, start_time_s=t0)
 
+    @pytest.mark.parametrize("t0", ["abc", True, None])
+    def test_rejects_start_time_that_is_not_a_real_number(self, t0):
+        with pytest.raises(ParameterError, match="start time must be a real"):
+            Signal(np.zeros(4), 1.0, start_time_s=t0)
+
+    @pytest.mark.parametrize("t0", [2, np.float64(0.5)])
+    def test_start_time_takes_any_real_number(self, t0):
+        s = Signal(np.zeros(4), 1.0, start_time_s=t0)
+        assert s.start_time_s == float(t0)
+        assert type(s.start_time_s) is float
+
     def test_start_time_must_keep_every_time_finite(self):
         # t0 and 1/fs are finite, t0 + 1/fs is not
         with pytest.raises(ParameterError, match="start time"):
@@ -89,9 +126,13 @@ class TestSpectrumProperties:
         assert spec.nyquist_bin == nyq
         assert spec.bin_hz == 1.0
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            Spectrum(np.zeros(4, dtype=complex), 5, 10.0)
+    def test_length_is_the_coefficient_count(self):
+        spec = Spectrum(np.zeros(5, dtype=complex), 10.0)
+        assert (spec.n, spec.k_max, spec.nyquist_bin) == (5, 2, None)
+
+    def test_two_dimensional_coefficients_rejected(self):
+        with pytest.raises(ParameterError, match="1-D"):
+            Spectrum(np.zeros((2, 4), dtype=complex), 10.0)
 
 
 class TestDft:

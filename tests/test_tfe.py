@@ -74,6 +74,10 @@ class TestFhs:
         pts = fhs(r)
         assert pts.n_points == 0
         assert pts.clamped_negative == 0
+        assert [a.dtype for a in (pts.times_s, pts.freqs_hz, pts.amplitudes,
+                                  pts.fibf_index)] == [np.float64] * 3 + [np.int64]
+        assert all(a.shape == (0,) for a in (pts.times_s, pts.freqs_hz,
+                                             pts.amplitudes, pts.fibf_index))
 
 
 class TestMarginalSpectrum:
@@ -100,6 +104,13 @@ class TestMarginalSpectrum:
         pts = fhs(two_tone_result())
         with pytest.raises(ParameterError):
             marginal_spectrum(pts, 0.0)
+
+    @pytest.mark.parametrize("df", [float("inf"), float("nan"), -1.0, "1",
+                                    True, None])
+    def test_bin_width_must_be_a_finite_real_above_zero(self, df):
+        pts = fhs(two_tone_result())
+        with pytest.raises(ParameterError, match="freq_bin_hz must be"):
+            marginal_spectrum(pts, df)
 
     @pytest.mark.parametrize("df", [1e-12, 1e-300])
     def test_bin_width_too_fine_for_the_cell_limit(self, df):
@@ -197,6 +208,17 @@ class TestRasterize:
         with pytest.raises(ParameterError):
             rasterize(pts, np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                       mode="phase")
+
+    def test_cell_limit(self, monkeypatch):
+        # read at call time: a grid of exactly the cap is built, one
+        # cell more is refused before anything is allocated
+        pts = fhs(two_tone_result())
+        monkeypatch.setattr(fdmkit.tfe, "MAX_CELLS", 12)
+        assert rasterize(pts, np.arange(4.0), np.arange(3.0)).cells.shape == (3, 4)
+        with pytest.raises(ParameterError, match="more than 12 cells"):
+            rasterize(pts, np.arange(13.0), np.arange(1.0))
+        with pytest.raises(ParameterError, match="more than 12 cells"):
+            rasterize(pts, np.arange(1.0), np.arange(13.0), mode="amplitude")
 
     def test_single_cell_axis_collects_everything(self):
         pts = fhs(two_tone_result())
