@@ -217,9 +217,9 @@ class _Tail:
 
 
 def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
-    """Grow a band one bin at a time in ``bins`` order (consecutive
-    bins, ascending or descending); return the bin that closes its last
-    admissible candidate, or -1 if none is.
+    """Grow a band one bin at a time in ``bins`` order (a non-empty run
+    of consecutive bins, ascending or descending); return the bin that
+    closes its last admissible candidate, or -1 if none is.
 
     Every candidate is first judged on its first PROBE samples, built
     BLOCK candidates at a time; a violation there is final. A candidate
@@ -240,8 +240,6 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     The first-violation search checks every survivor in turn, because
     its answer is the last pass before the first failure.
     """
-    if bins.size == 0:
-        return -1
     n = sr.shape[0]
     p = min(PROBE, n)
     step = int(bins[1] - bins[0]) if bins.size > 1 else 1

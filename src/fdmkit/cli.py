@@ -31,9 +31,9 @@ import orjson
 
 from .errors import ContractError, IngestionError, InputError, ParameterError
 from .fdm import FdmConfig, decompose
-from .mfdm import CutoffSchedule, MultichannelSignal, cutoff_schedule, mfdm_decompose
+from .mfdm import CutoffSchedule, cutoff_schedule, mfdm_decompose
 from .siggen import GeneratorSpec, generate
-from .spectral import Signal
+from .spectral import MultichannelSignal, Signal
 from .tfe import MAX_CELLS, fhs, instantaneous_energy, marginal_spectrum, rasterize
 
 log = logging.getLogger("fdmkit.cli")
@@ -372,6 +372,7 @@ def cmd_mfdm(args) -> int:
             raise ParameterError(
                 f"--cutoffs must be comma-separated numbers, got {args.cutoffs!r}"
             ) from None
+        m = None
         schedule = CutoffSchedule(cutoffs, data.sample_rate_hz)
     else:
         m = 1.5 if args.m is None else args.m
@@ -394,12 +395,12 @@ def cmd_mfdm(args) -> int:
               for p, ch in enumerate(data.channels)]
     return _emit(args, tables, {
         "command": "mfdm",
-        "n": result.n,
+        "n": data.n,
         "n_channels": result.n_channels,
-        "sample_rate_hz": result.sample_rate_hz,
-        "start_time_s": result.start_time_s,
+        "sample_rate_hz": data.sample_rate_hz,
+        "start_time_s": data.start_time_s,
         "cutoffs_hz": list(schedule.cutoffs_hz),
-        "m": schedule.m,
+        "m": m,
         "levels": schedule.levels,
     }, f"mfdm: {result.n_levels} levels x {result.n_channels} channels")
 

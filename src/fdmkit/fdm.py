@@ -19,7 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .spectral import Signal, Spectrum, analytic_band, dft, is_integer, is_real
+from .spectral import (Signal, Spectrum, analytic_band, check_sample_rate, dft,
+                       is_integer, is_real)
 
 # Edge bins whose coefficient magnitude falls at or below this fraction
 # of the largest positive-bin magnitude are considered empty and do not
@@ -150,16 +151,19 @@ def inst_freq(phase: np.ndarray, sample_rate_hz: float) -> np.ndarray:
 
     Interior samples use the central difference
     (phase[n+1] - phase[n-1]) / 2; the endpoints fall back to one-sided
-    differences.
+    differences. ``phase`` must be 1-D.
     """
     phase = np.asarray(phase, dtype=np.float64)
+    if phase.ndim != 1:
+        raise ParameterError(f"phase must be 1-D, got shape {phase.shape}")
     if phase.size < 3:
         raise ParameterError("instantaneous frequency needs at least 3 samples")
+    fs = check_sample_rate(sample_rate_hz, phase.size)
     omega = np.empty_like(phase)
     omega[1:-1] = 0.5 * (phase[2:] - phase[:-2])
     omega[0] = phase[1] - phase[0]
     omega[-1] = phase[-1] - phase[-2]
-    return omega * (sample_rate_hz / (2.0 * np.pi))
+    return omega * (fs / (2.0 * np.pi))
 
 
 def _trim_bin_range(coeffs: np.ndarray, lo: int, hi: int, k_max: int) -> tuple[int, int]:

@@ -14,67 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import Signal, check_sample_rate, dft, is_integer, is_real
-
-
-@dataclass
-class MultichannelSignal:
-    """Channels sampled on a shared clock.
-
-    All channels must agree on length, sample rate, and start time.
-    """
-
-    channels: tuple[Signal, ...]
-
-    def __post_init__(self):
-        self.channels = tuple(self.channels)
-        if not self.channels:
-            raise ParameterError("need at least one channel")
-        first = self.channels[0]
-        for i, ch in enumerate(self.channels[1:], start=1):
-            if ch.n != first.n:
-                raise ParameterError(
-                    f"channel {i} has {ch.n} samples, channel 0 has {first.n}"
-                )
-            if ch.sample_rate_hz != first.sample_rate_hz:
-                raise ParameterError(
-                    f"channel {i} sample rate {ch.sample_rate_hz} differs from "
-                    f"channel 0 rate {first.sample_rate_hz}"
-                )
-            if ch.start_time_s != first.start_time_s:
-                raise ParameterError(
-                    f"channel {i} start time {ch.start_time_s} differs from "
-                    f"channel 0 start {first.start_time_s}"
-                )
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.channels)
-
-    @property
-    def n(self) -> int:
-        return self.channels[0].n
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.channels[0].sample_rate_hz
-
-    @property
-    def start_time_s(self) -> float:
-        return self.channels[0].start_time_s
+from .spectral import (MultichannelSignal, Signal, check_sample_rate, dft,
+                       is_integer, is_real)
 
 
 @dataclass
 class CutoffSchedule:
-    """Strictly decreasing highpass cutoffs, all inside (0, fs/2).
-
-    ``m`` is recorded when the schedule came from the geometric
-    recurrence; hand-built schedules leave it None.
-    """
+    """Strictly decreasing highpass cutoffs, all inside (0, fs/2)."""
 
     cutoffs_hz: tuple[float, ...]
     sample_rate_hz: float
-    m: float | None = None
 
     def __post_init__(self):
         cutoffs = tuple(self.cutoffs_hz)
@@ -106,13 +55,14 @@ def cutoff_schedule(sample_rate_hz: float, m: float, levels: int) -> CutoffSched
 
     The first cutoff is (fs/2) * (2m - 1) / (2m + 1); consecutive
     cutoffs therefore keep the constant ratio (2m + 1) / (2m - 1).
-    ``m`` must exceed 1/2 so the ratio stays inside (0, 1); m = 1.5
-    gives the dyadic ladder fs/4, fs/8, fs/16, ...
+    ``m`` must exceed 1/2 so the ratio stays inside (0, 1), and must
+    be small enough that the ratio does not round to 1 in float64; m =
+    1.5 gives the dyadic ladder fs/4, fs/8, fs/16, ...
 
     The ladder stops at the first cutoff not below the one before it
-    (0.0 reached, or r rounds to 1), which the schedule then refuses;
-    ``levels`` beyond a closed-form bound on that point are refused
-    without building the ladder.
+    (0.0 reached, or f*r rounds back to f near the subnormal floor),
+    which the schedule then refuses; ``levels`` beyond a closed-form
+    bound on that point are refused without building the ladder.
     """
     if not is_real(m) or m == math.inf:
         raise ParameterError(f"m must be a finite real number, got {m!r}")
@@ -123,8 +73,12 @@ def cutoff_schedule(sample_rate_hz: float, m: float, levels: int) -> CutoffSched
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
     r = (2.0 * m - 1.0) / (2.0 * m + 1.0)
+    if r == 1.0:
+        raise ParameterError(
+            f"m={m} is too large: the ladder ratio (2m - 1) / (2m + 1) "
+            "rounds to 1")
     f = check_sample_rate(sample_rate_hz, 2) / 2.0
-    if r < 1.0 and levels > (bound := _ladder_bound(f, r)):
+    if levels > (bound := _ladder_bound(f, r)):
         raise ParameterError(
             f"levels must be <= {bound} with m={m}: deeper "
             f"cutoffs cannot keep falling above 0 Hz, got {levels}"
@@ -136,7 +90,7 @@ def cutoff_schedule(sample_rate_hz: float, m: float, levels: int) -> CutoffSched
         if not (below < f):
             break
         f = below
-    return CutoffSchedule(tuple(cutoffs), sample_rate_hz, m=m)
+    return CutoffSchedule(tuple(cutoffs), sample_rate_hz)
 
 
 def _ladder_bound(f: float, r: float) -> int:
@@ -166,10 +120,25 @@ def retained_bins(n: int, sample_rate_hz: float, cutoff_hz: float) -> np.ndarray
 
     Indices k in [1, n // 2] with k * fs / n >= cutoff_hz. Useful for
     checking that the same schedule pins the same bins on every channel.
+    ``n`` is a record length (>= 2), and the rate and cutoff are refused
+    where :func:`zero_phase_highpass` would refuse them.
     """
+    if not is_integer(n) or n < 2:
+        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
+    fs = check_sample_rate(sample_rate_hz, n)
+    _check_cutoff(cutoff_hz, fs)
     half = n // 2
-    keep = _bin_freqs(n, sample_rate_hz)[1:half + 1] >= cutoff_hz
+    keep = _bin_freqs(n, fs)[1:half + 1] >= cutoff_hz
     return np.arange(1, half + 1)[keep]
+
+
+def _check_cutoff(cutoff_hz, sample_rate_hz: float):
+    """Refuse a cutoff that is not a real number inside (0, fs/2)."""
+    if not is_real(cutoff_hz):
+        raise ParameterError(f"cutoff must be a real number, got {cutoff_hz!r}")
+    half = sample_rate_hz / 2.0
+    if not (0.0 < cutoff_hz < half):
+        raise ParameterError(f"cutoff {cutoff_hz} Hz outside (0, {half}) Hz")
 
 
 def _masked(signal: Signal, cutoff_hz: float, keep, freqs) -> np.ndarray:
@@ -177,9 +146,7 @@ def _masked(signal: Signal, cutoff_hz: float, keep, freqs) -> np.ndarray:
     ``freqs`` (the bins' ``_bin_freqs``) has ``keep(f, cutoff_hz)`` left
     in. The result is a contiguous float64 array, not a view that would
     hold on to the complex inverse."""
-    half = signal.sample_rate_hz / 2.0
-    if not (0.0 < cutoff_hz < half):
-        raise ParameterError(f"cutoff {cutoff_hz} Hz outside (0, {half}) Hz")
+    _check_cutoff(cutoff_hz, signal.sample_rate_hz)
     spec = dft(signal).coefficients
     return np.fft.ifft(spec * keep(freqs, cutoff_hz), norm="forward").real.copy()
 
@@ -223,10 +190,6 @@ class MfdmResult:
 
     bands: tuple[tuple[np.ndarray, ...], ...]
     residue: tuple[np.ndarray, ...]
-    schedule: CutoffSchedule
-    sample_rate_hz: float
-    start_time_s: float
-    n: int
 
     @property
     def n_levels(self) -> int:
@@ -282,11 +245,5 @@ def mfdm_decompose(data, schedule: CutoffSchedule) -> MfdmResult:
             residue = Signal(residue.samples - band, fs, ch.start_time_s)
         residues.append(residue.samples)
 
-    return MfdmResult(
-        bands=tuple(tuple(level) for level in per_level),
-        residue=tuple(residues),
-        schedule=schedule,
-        sample_rate_hz=fs,
-        start_time_s=data.start_time_s,
-        n=data.n,
-    )
+    return MfdmResult(bands=tuple(tuple(level) for level in per_level),
+                      residue=tuple(residues))

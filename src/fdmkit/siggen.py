@@ -15,8 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .mfdm import MultichannelSignal
-from .spectral import Signal, check_sample_rate, is_integer, is_real
+from .spectral import (MultichannelSignal, Signal, check_sample_rate,
+                       is_integer, is_real)
+
+# Most samples a recipe may ask for: a record's time axis and every
+# channel are float64 arrays of n samples, and 2^27 of them take 1 GiB.
+MAX_SAMPLES = 1 << 27
 
 
 @dataclass
@@ -38,8 +42,9 @@ class GeneratorSpec:
             raise ParameterError(f"kind must be a string, got {self.kind!r}")
         if not is_integer(self.n):
             raise ParameterError(f"n must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ParameterError(f"n must be >= 2, got {self.n}")
+        if not 2 <= self.n <= MAX_SAMPLES:
+            raise ParameterError(
+                f"n must be in [2, {MAX_SAMPLES}], got {self.n}")
         self.sample_rate_hz = check_sample_rate(self.sample_rate_hz, self.n)
         if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
             raise ParameterError(

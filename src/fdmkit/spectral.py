@@ -106,12 +106,61 @@ class Signal:
 
 
 @dataclass
+class MultichannelSignal:
+    """Channels sampled on a shared clock.
+
+    All channels must agree on length, sample rate, and start time.
+    """
+
+    channels: tuple[Signal, ...]
+
+    def __post_init__(self):
+        self.channels = tuple(self.channels)
+        if not self.channels:
+            raise ParameterError("need at least one channel")
+        first = self.channels[0]
+        for i, ch in enumerate(self.channels):
+            if not isinstance(ch, Signal):
+                raise ParameterError(f"channel {i} must be a Signal, "
+                                     f"got {type(ch).__name__}")
+            if ch.n != first.n:
+                raise ParameterError(
+                    f"channel {i} has {ch.n} samples, channel 0 has {first.n}"
+                )
+            if ch.sample_rate_hz != first.sample_rate_hz:
+                raise ParameterError(
+                    f"channel {i} sample rate {ch.sample_rate_hz} differs from "
+                    f"channel 0 rate {first.sample_rate_hz}"
+                )
+            if ch.start_time_s != first.start_time_s:
+                raise ParameterError(
+                    f"channel {i} start time {ch.start_time_s} differs from "
+                    f"channel 0 start {first.start_time_s}"
+                )
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.channels)
+
+    @property
+    def n(self) -> int:
+        return self.channels[0].n
+
+    @property
+    def sample_rate_hz(self) -> float:
+        return self.channels[0].sample_rate_hz
+
+    @property
+    def start_time_s(self) -> float:
+        return self.channels[0].start_time_s
+
+
+@dataclass
 class Spectrum:
     """DFT coefficients of a real signal, forward-normalized by 1/N, held
     as a read-only 1-D complex128 copy; their count is the length N."""
 
     coefficients: np.ndarray
-    sample_rate_hz: float
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=np.complex128)
@@ -120,16 +169,10 @@ class Spectrum:
         c = c.copy()
         c.flags.writeable = False
         self.coefficients = c
-        self.sample_rate_hz = float(self.sample_rate_hz)
 
     @property
     def n(self) -> int:
         return self.coefficients.size
-
-    @property
-    def bin_hz(self) -> float:
-        """Frequency spacing between adjacent bins."""
-        return self.sample_rate_hz / self.n
 
     @property
     def k_max(self) -> int:
@@ -155,7 +198,7 @@ def dft(signal: Signal) -> Spectrum:
         raise ParameterError(
             "the signal's DFT overflows float64; scale the samples down"
         )
-    return Spectrum(coeffs, signal.sample_rate_hz)
+    return Spectrum(coeffs)
 
 
 def analytic_band(spectrum: Spectrum, k_lo: int, k_hi: int) -> np.ndarray:
@@ -168,6 +211,9 @@ def analytic_band(spectrum: Spectrum, k_lo: int, k_hi: int) -> np.ndarray:
     belong to a band.
     """
     n = spectrum.n
+    if not (is_integer(k_lo) and is_integer(k_hi)):
+        raise ParameterError(
+            f"bin range must be integers, got ({k_lo!r}, {k_hi!r})")
     if not (1 <= k_lo <= k_hi <= spectrum.k_max):
         raise BandRangeError(
             f"bin range ({k_lo}, {k_hi}) must satisfy "

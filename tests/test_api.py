@@ -1,7 +1,10 @@
 """The package's public names: each one in ``__all__`` is bound, once,
 and names removed from the API stay gone."""
+import dataclasses
 import pathlib
 import re
+
+import pytest
 
 import fdmkit
 
@@ -28,3 +31,14 @@ def test_argument_types_have_one_owner():
                                r"|isinstance\([^)]*\bbool\b",
                                p.read_text(), re.M)]
     assert offenders == []
+
+
+@pytest.mark.parametrize("cls,names", [
+    (fdmkit.Spectrum, ["coefficients"]),
+    (fdmkit.CutoffSchedule, ["cutoffs_hz", "sample_rate_hz"]),
+    (fdmkit.MfdmResult, ["bands", "residue"]),
+])
+def test_result_types_keep_only_their_own_fields(cls, names):
+    # the rest is held by the caller: the record's clock, the rate a
+    # spectrum came from, the schedule and m that built a bank result
+    assert [f.name for f in dataclasses.fields(cls)] == names

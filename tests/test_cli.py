@@ -46,6 +46,12 @@ class TestIngestCsv:
         assert s.start_time_s == 0.0
         assert np.array_equal(s.samples, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("text", ["", "\n\n , \n"])
+    def test_file_without_rows_refused(self, tmp_path, text):
+        p = self.write(tmp_path, text)
+        with pytest.raises(cli.IngestionError, match="file holds no rows"):
+            ingest_csv(p)
+
     def test_nonzero_start_time_kept(self, tmp_path):
         p = self.write(tmp_path, "t,x\n2.0,1.0\n2.5,2.0\n3.0,3.0\n")
         assert ingest_csv(p).start_time_s == 2.0
@@ -317,6 +323,20 @@ class TestDecomposeCommand:
             recon = recon + summary["nyquist"] * alt
         assert np.max(np.abs(recon - x)) < 1e-9
 
+    def test_one_channel_recipe_reads_as_a_signal(self, tmp_path):
+        # a one-entry channels list yields a one-channel record, which a
+        # single-channel command unwraps to the same record as without it
+        base = '"kind":"tone_mix","n":256,"sample_rate_hz":128'
+        outs = []
+        for name, params in (("plain", ""),
+                             ("one", ',"params":{"channels":[[0,1,2,3]]}')):
+            out = tmp_path / name
+            assert main(["decompose", "--input", "gen:{" + base + params + "}",
+                         "--out", str(out), "--no-timestamp"]) == 0
+            outs.append(out)
+        for fname in ("decomposition.csv", "summary.json"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -405,6 +425,11 @@ class TestMfdmCommand:
     def test_bad_shape_parameter(self, tmp_path):
         assert main(["mfdm", "--input", NOISE_RECIPE, "--m", "0.5",
                      "--out", str(tmp_path / "m")]) == 2
+
+    def test_m_too_large_for_the_ratio_is_named(self, tmp_path, capsys):
+        assert main(["mfdm", "--input", NOISE_RECIPE, "--m", "1e300",
+                     "--out", str(tmp_path / "m")]) == 2
+        assert "m=1e+300 is too large" in capsys.readouterr().err
 
     def test_ladder_below_resolution_refused_before_building(self, tmp_path,
                                                              capsys):
@@ -525,6 +550,13 @@ class TestExitCodes:
         assert main(["decompose", "--input", TONE_RECIPE,
                      "--out", str(tmp_path / "o")]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [10**12, 10**20])
+    def test_oversized_recipe_maps_to_two(self, tmp_path, capsys, n):
+        recipe = f'gen:{{"kind":"tone_mix","n":{n},"sample_rate_hz":100}}'
+        assert main(["generate", "--input", recipe,
+                     "--out", str(tmp_path / "g")]) == 2
+        assert f"n must be in [2, 134217728], got {n}" in capsys.readouterr().err
 
     def test_argparse_errors_return_two(self, capsys):
         assert main(["decompose", "--nonsense"]) == 2

@@ -104,6 +104,21 @@ class TestInstFreq:
         with pytest.raises(ParameterError):
             inst_freq(np.array([0.0, 1.0]), 10.0)
 
+    @pytest.mark.parametrize("fs", ["a", True, None, float("nan"), np.inf,
+                                    0.0, -5.0])
+    def test_rate_is_checked(self, fs):
+        with pytest.raises(ParameterError, match="sample rate"):
+            inst_freq(np.arange(8.0), fs)
+
+    def test_numpy_rate_gives_the_same_bits(self):
+        phase = 0.3 * np.arange(8.0) ** 1.5
+        assert np.array_equal(inst_freq(phase, np.float64(12.5)),
+                              inst_freq(phase, 12.5))
+
+    def test_two_dimensional_phase_rejected(self):
+        with pytest.raises(ParameterError, match="1-D"):
+            inst_freq(np.zeros((4, 4)), 10.0)
+
 
 class TestDecomposeBasics:
     def test_short_signal_rejected(self):

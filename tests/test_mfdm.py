@@ -28,7 +28,6 @@ class TestCutoffSchedule:
     def test_dyadic_ladder_is_exact(self):
         sched = cutoff_schedule(100.0, 1.5, 4)
         assert sched.cutoffs_hz == (25.0, 12.5, 6.25, 3.125)
-        assert sched.m == 1.5
         assert sched.levels == 4
 
     @pytest.mark.parametrize("m", [0.75, 1.5, 5.0, 50.0])
@@ -100,11 +99,16 @@ class TestCutoffSchedule:
         for cutoffs in (("a",), (True,), (20.0, None)):
             with pytest.raises(ParameterError, match="cutoffs must be real"):
                 CutoffSchedule(cutoffs, 100.0)
-        sched = CutoffSchedule((20.0, 10.0), 100.0)
-        assert sched.m is None
+        CutoffSchedule((20.0, 10.0), 100.0)
         sched = CutoffSchedule([20, np.float64(10.0)], 100.0)
         assert sched.cutoffs_hz == (20.0, 10.0)
         assert all(type(c) is float for c in sched.cutoffs_hz)
+
+
+    @pytest.mark.parametrize("m", [1e17, 1e300])
+    def test_m_whose_ratio_rounds_to_one_refused_by_name(self, m):
+        with pytest.raises(ParameterError, match=r"m=.* too large.* rounds to 1"):
+            cutoff_schedule(100.0, m, 3)
 
 
 class TestZeroPhaseFilters:
@@ -167,6 +171,32 @@ class TestZeroPhaseFilters:
         with pytest.raises(ParameterError):
             zero_phase_lowpass(s, cutoff)
 
+    @pytest.mark.parametrize("cutoff", ["1", True, None, 1j])
+    def test_cutoff_must_be_real(self, cutoff):
+        s = self.sig(np.ones(self.n))
+        for filt in (zero_phase_highpass, zero_phase_lowpass):
+            with pytest.raises(ParameterError, match="cutoff must be a real"):
+                filt(s, cutoff)
+
+    @pytest.mark.parametrize("args,match", [
+        ((0, 10.0, 1.0), "n must be"),
+        ((8.5, 10.0, 1.0), "n must be"),
+        ((True, 10.0, 1.0), "n must be"),
+        ((8, -1.0, 1.0), "sample rate"),
+        ((8, "10", 1.0), "sample rate"),
+        ((8, 10.0, float("nan")), "outside"),
+        ((8, 10.0, 5.0), "outside"),
+        ((8, 10.0, 0.0), "outside"),
+        ((8, 10.0, True), "real number"),
+    ])
+    def test_retained_bins_refusals(self, args, match):
+        with pytest.raises(ParameterError, match=match):
+            retained_bins(*args)
+
+    def test_retained_bins_takes_numpy_scalars(self):
+        assert retained_bins(np.int64(8), np.float64(10.0),
+                             np.float32(2.5)).tolist() == [2, 3, 4]
+
     @pytest.mark.parametrize("filt", [zero_phase_highpass, zero_phase_lowpass])
     def test_overflowing_transform_rejected(self, filt):
         # every sample is finite, but the bin sums pass the float64 range
@@ -201,6 +231,13 @@ class TestMultichannelSignal:
             MultichannelSignal((a, Signal(np.zeros(8), 10.0, start_time_s=1.0)))
         with pytest.raises(ParameterError):
             MultichannelSignal(())
+
+    def test_every_channel_must_be_a_signal(self):
+        with pytest.raises(ParameterError, match="channel 0 must be a Signal"):
+            MultichannelSignal([np.zeros(4)])
+        with pytest.raises(ParameterError, match="channel 1 must be a Signal, "
+                                                 "got ndarray"):
+            MultichannelSignal((Signal(np.zeros(4), 1.0), np.zeros(4)))
 
     def test_properties(self):
         mc = MultichannelSignal((Signal(np.zeros(8), 10.0),

@@ -13,7 +13,7 @@ from fdmkit import (
     aligned_tone_fixture,
     generate,
 )
-from fdmkit.siggen import _GENERATORS
+from fdmkit.siggen import _GENERATORS, MAX_SAMPLES
 
 
 def spec(kind, n=256, fs=128.0, seed=None, **params):
@@ -34,6 +34,17 @@ class TestSpecValidation:
                 GeneratorSpec("model_wave", n, 10.0)
         with pytest.raises(ParameterError, match=r"kind must be a string, got \[1\]"):
             GeneratorSpec([1], 64, 10.0)
+
+    @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10**12, 10**20])
+    def test_oversized_record_refused(self, n):
+        with pytest.raises(ParameterError, match=f"n must be in .*got {n}"):
+            GeneratorSpec("tone_mix", n, 100.0)
+        # the cap itself is a valid spec (nothing is generated here)
+        assert GeneratorSpec("tone_mix", MAX_SAMPLES, 100.0).n == MAX_SAMPLES
+
+    def test_negative_noise_level_refused(self):
+        with pytest.raises(ParameterError, match="sigma must be >= 0"):
+            generate(spec("tone_mix", seed=1, sigma=-0.5))
 
     @pytest.mark.parametrize("fs", [np.inf, 1e-320])
     def test_rate_needs_finite_period(self, fs):

@@ -124,15 +124,14 @@ class TestSpectrumProperties:
         spec = dft(Signal(np.arange(n, dtype=float), float(n)))
         assert spec.k_max == k_max
         assert spec.nyquist_bin == nyq
-        assert spec.bin_hz == 1.0
 
     def test_length_is_the_coefficient_count(self):
-        spec = Spectrum(np.zeros(5, dtype=complex), 10.0)
+        spec = Spectrum(np.zeros(5, dtype=complex))
         assert (spec.n, spec.k_max, spec.nyquist_bin) == (5, 2, None)
 
     def test_two_dimensional_coefficients_rejected(self):
         with pytest.raises(ParameterError, match="1-D"):
-            Spectrum(np.zeros((2, 4), dtype=complex), 10.0)
+            Spectrum(np.zeros((2, 4), dtype=complex))
 
 
 class TestDft:
@@ -201,6 +200,20 @@ class TestAnalyticBand:
         assert z.dtype == np.complex128 and z.shape == (16,)
         with pytest.raises(ValueError):
             z[0] = 1.0
+
+
+class TestAnalyticBandArguments:
+    @pytest.mark.parametrize("lo,hi", [(1.5, 3), (True, 3), (1, "3"),
+                                       (1, 3.0), (None, 3)])
+    def test_bin_range_must_be_integers(self, lo, hi):
+        spec = dft(random_signal(seed=3, n=16))
+        with pytest.raises(ParameterError, match="bin range must be integers"):
+            analytic_band(spec, lo, hi)
+
+    def test_numpy_integers_accepted(self):
+        spec = dft(random_signal(seed=3, n=16))
+        assert np.array_equal(analytic_band(spec, np.int64(2), np.int32(5)),
+                              analytic_band(spec, 2, 5))
 
 
 class TestEnergy:
