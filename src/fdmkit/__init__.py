@@ -27,7 +27,6 @@ from .mfdm import (
     mfdm_decompose,
     retained_bins,
     zero_phase_highpass,
-    zero_phase_lowpass,
 )
 from .siggen import GeneratorSpec, aligned_tone_fixture, generate
 from .spectral import (
@@ -87,5 +86,4 @@ __all__ = [
     "signal_energy",
     "unwrap_phase",
     "zero_phase_highpass",
-    "zero_phase_lowpass",
 ]

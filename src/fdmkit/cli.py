@@ -33,8 +33,8 @@ from .errors import ContractError, IngestionError, InputError, ParameterError
 from .fdm import FdmConfig, decompose
 from .mfdm import CutoffSchedule, cutoff_schedule, mfdm_decompose
 from .siggen import GeneratorSpec, generate
-from .spectral import MultichannelSignal, Signal
-from .tfe import MAX_CELLS, fhs, instantaneous_energy, marginal_spectrum, rasterize
+from .spectral import MAX_VALUES, MultichannelSignal, Signal
+from .tfe import fhs, instantaneous_energy, marginal_spectrum, rasterize
 
 log = logging.getLogger("fdmkit.cli")
 
@@ -411,10 +411,10 @@ def cmd_tfe(args) -> int:
     # counted in float and checked before anything is decomposed or
     # allocated
     n_f = np.floor(signal.sample_rate_hz / 2.0 / df) + 1
-    if n_f * signal.n > MAX_CELLS:
+    if n_f * signal.n > MAX_VALUES:
         raise ParameterError(
             f"--freq-bin {df} asks for a {n_f:.4g} x {signal.n} grid, "
-            f"more than {MAX_CELLS} cells"
+            f"more than {MAX_VALUES} cells"
         )
     result = decompose(signal, _fdm_config(args))
     points = fhs(result)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .spectral import (Signal, Spectrum, analytic_band, check_sample_rate, dft,
-                       is_integer, is_real)
+from .spectral import (Signal, Spectrum, analytic_band, check_sample_rate,
+                       check_type, dft, is_integer, is_real)
 
 # Edge bins whose coefficient magnitude falls at or below this fraction
 # of the largest positive-bin magnitude are considered empty and do not
@@ -238,6 +238,7 @@ def decompose(signal: Signal, config: FdmConfig | None = None) -> DecompositionR
         descending for high-to-low), plus the DC and Nyquist terms and
         the relative L2 reconstruction error.
     """
+    check_type(signal, Signal, "signal")
     if config is None:
         config = FdmConfig()
     x = signal.samples

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import (MultichannelSignal, Signal, check_sample_rate, dft,
+from .spectral import (MAX_VALUES, MultichannelSignal, Signal,
+                       check_sample_rate, check_type, dft_coefficients,
                        is_integer, is_real)
 
 
@@ -33,12 +34,8 @@ class CutoffSchedule:
         if not self.cutoffs_hz:
             raise ParameterError("cutoff schedule is empty")
         self.sample_rate_hz = check_sample_rate(self.sample_rate_hz, 2)
-        half = self.sample_rate_hz / 2.0
         for c in self.cutoffs_hz:
-            if not (0.0 < c < half):
-                raise ParameterError(
-                    f"cutoff {c} Hz outside (0, {half}) Hz"
-                )
+            _check_cutoff(c, self.sample_rate_hz)
         for a, b in zip(self.cutoffs_hz, self.cutoffs_hz[1:]):
             if not (b < a):
                 raise ParameterError(
@@ -141,14 +138,11 @@ def _check_cutoff(cutoff_hz, sample_rate_hz: float):
         raise ParameterError(f"cutoff {cutoff_hz} Hz outside (0, {half}) Hz")
 
 
-def _masked(signal: Signal, cutoff_hz: float, keep, freqs) -> np.ndarray:
-    """Samples of ``signal`` with only the DFT bins whose frequency f in
-    ``freqs`` (the bins' ``_bin_freqs``) has ``keep(f, cutoff_hz)`` left
-    in. The result is a contiguous float64 array, not a view that would
-    hold on to the complex inverse."""
-    _check_cutoff(cutoff_hz, signal.sample_rate_hz)
-    spec = dft(signal).coefficients
-    return np.fft.ifft(spec * keep(freqs, cutoff_hz), norm="forward").real.copy()
+def _highpass(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The samples ``x`` with only the DFT bins where the bool mask
+    ``keep`` is true left in. The result is a contiguous float64 array,
+    not a view that would hold on to the complex inverse."""
+    return np.fft.ifft(dft_coefficients(x) * keep, norm="forward").real.copy()
 
 
 def zero_phase_highpass(signal: Signal, cutoff_hz: float) -> Signal:
@@ -156,23 +150,14 @@ def zero_phase_highpass(signal: Signal, cutoff_hz: float) -> Signal:
 
     DC always lands below any positive cutoff and is removed. The mask
     acts on whole conjugate pairs, so the output is real up to
-    rounding and is returned as such. The transform is :func:`dft`, so
-    a record whose DFT overflows float64 raises ParameterError.
+    rounding and is returned as such. A record whose DFT overflows
+    float64 raises ParameterError.
     """
-    y = _masked(signal, cutoff_hz, np.greater_equal,
-                _bin_freqs(signal.n, signal.sample_rate_hz))
-    return Signal(y, signal.sample_rate_hz, signal.start_time_s)
-
-
-def zero_phase_lowpass(signal: Signal, cutoff_hz: float) -> Signal:
-    """Keep only DFT bins strictly below cutoff_hz (DC included).
-
-    Like :func:`zero_phase_highpass`, refuses a record whose DFT
-    overflows float64.
-    """
-    y = _masked(signal, cutoff_hz, np.less,
-                _bin_freqs(signal.n, signal.sample_rate_hz))
-    return Signal(y, signal.sample_rate_hz, signal.start_time_s)
+    check_type(signal, Signal, "signal")
+    fs = signal.sample_rate_hz
+    _check_cutoff(cutoff_hz, fs)
+    y = _highpass(signal.samples, _bin_freqs(signal.n, fs) >= cutoff_hz)
+    return Signal(y, fs, signal.start_time_s)
 
 
 @dataclass
@@ -212,12 +197,16 @@ def mfdm_decompose(data, schedule: CutoffSchedule) -> MfdmResult:
     schedule : CutoffSchedule
         Must carry the same sample rate as the data, and every cutoff
         must sit at or above the DFT resolution fs / n; below that a
-        highpass stage cannot distinguish the cutoff from DC.
+        highpass stage cannot distinguish the cutoff from DC. Levels x
+        channels x n must not pass ``MAX_VALUES``, the float64 values
+        the bands hold.
 
     Returns
     -------
     MfdmResult
     """
+    check_type(data, (Signal, MultichannelSignal), "data")
+    check_type(schedule, CutoffSchedule, "schedule")
     if isinstance(data, Signal):
         data = MultichannelSignal((data,))
     fs = data.sample_rate_hz
@@ -233,17 +222,27 @@ def mfdm_decompose(data, schedule: CutoffSchedule) -> MfdmResult:
                 f"cutoff {c} Hz is below the frequency resolution "
                 f"{resolution} Hz of an n={data.n} record"
             )
+    if schedule.levels * data.n_channels * data.n > MAX_VALUES:
+        raise ParameterError(
+            f"a bank of {schedule.levels} levels x {data.n_channels} "
+            f"channels x {data.n} samples would hold more than "
+            f"{MAX_VALUES} values")
 
     freqs = _bin_freqs(data.n, fs)
-    per_level = [[] for _ in schedule.cutoffs_hz]
-    residues = []
-    for ch in data.channels:
-        residue = ch
-        for i, c in enumerate(schedule.cutoffs_hz):
-            band = _masked(residue, c, np.greater_equal, freqs)
-            per_level[i].append(band)
-            residue = Signal(residue.samples - band, fs, ch.start_time_s)
-        residues.append(residue.samples)
-
-    return MfdmResult(bands=tuple(tuple(level) for level in per_level),
-                      residue=tuple(residues))
+    # the residues are updated in place: past them, the bank allocates
+    # its bands and one level's transforms
+    residues = tuple(ch.samples.copy() for ch in data.channels)
+    bands = []
+    for c in schedule.cutoffs_hz:
+        keep = freqs >= c
+        level = tuple(_highpass(x, keep) for x in residues)
+        for x, band in zip(residues, level):
+            x -= band
+        bands.append(level)
+    # a band that overflowed leaves a non-finite residue, which the
+    # next level's transform refuses; this catches the last level's
+    if not all(np.isfinite(x).all() for x in residues):
+        raise ParameterError(
+            "the filter bank's residue overflows float64; scale the "
+            "samples down")
+    return MfdmResult(bands=tuple(bands), residue=residues)

@@ -15,12 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import (MultichannelSignal, Signal, check_sample_rate,
-                       is_integer, is_real)
-
-# Most samples a recipe may ask for: a record's time axis and every
-# channel are float64 arrays of n samples, and 2^27 of them take 1 GiB.
-MAX_SAMPLES = 1 << 27
+from .spectral import (MAX_VALUES, MultichannelSignal, Signal,
+                       check_sample_rate, is_integer, is_real)
 
 
 @dataclass
@@ -42,9 +38,10 @@ class GeneratorSpec:
             raise ParameterError(f"kind must be a string, got {self.kind!r}")
         if not is_integer(self.n):
             raise ParameterError(f"n must be an integer, got {self.n!r}")
-        if not 2 <= self.n <= MAX_SAMPLES:
+        # a record's time axis and every channel hold n float64 values
+        if not 2 <= self.n <= MAX_VALUES:
             raise ParameterError(
-                f"n must be in [2, {MAX_SAMPLES}], got {self.n}")
+                f"n must be in [2, {MAX_VALUES}], got {self.n}")
         self.sample_rate_hz = check_sample_rate(self.sample_rate_hz, self.n)
         if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
             raise ParameterError(

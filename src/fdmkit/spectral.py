@@ -25,6 +25,10 @@ import numpy as np
 
 from .errors import BandRangeError, ParameterError
 
+# Most float64 values one request may ask for: a record's samples, a
+# binned product's cells or a filter bank's outputs. 2^27 take 1 GiB.
+MAX_VALUES = 1 << 27
+
 
 def is_integer(v) -> bool:
     """True for any integer but a bool: a True count or seed is a typo."""
@@ -34,6 +38,16 @@ def is_integer(v) -> bool:
 def is_real(v) -> bool:
     """True for any real number but a bool."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def check_type(value, types, name: str):
+    """Refuse ``value`` unless it is an instance of ``types`` (a class or
+    a tuple of them), naming the type it has."""
+    if not isinstance(value, types):
+        types = types if isinstance(types, tuple) else (types,)
+        wanted = " or ".join(t.__name__ for t in types)
+        raise ParameterError(
+            f"{name} must be a {wanted}, got {type(value).__name__}")
 
 
 def check_sample_rate(fs, n: int) -> float:
@@ -120,9 +134,7 @@ class MultichannelSignal:
             raise ParameterError("need at least one channel")
         first = self.channels[0]
         for i, ch in enumerate(self.channels):
-            if not isinstance(ch, Signal):
-                raise ParameterError(f"channel {i} must be a Signal, "
-                                     f"got {type(ch).__name__}")
+            check_type(ch, Signal, f"channel {i}")
             if ch.n != first.n:
                 raise ParameterError(
                     f"channel {i} has {ch.n} samples, channel 0 has {first.n}"
@@ -185,20 +197,26 @@ class Spectrum:
         return self.n // 2 if self.n % 2 == 0 else None
 
 
-def dft(signal: Signal) -> Spectrum:
-    """Forward DFT with 1/N normalization (X[0] equals the mean).
+def dft_coefficients(x: np.ndarray) -> np.ndarray:
+    """Forward DFT of the samples ``x`` with 1/N normalization.
 
     Finite samples near the top of the float64 range can still sum past
-    it; such a signal raises :class:`ParameterError` rather than
-    handing NaN or infinite coefficients on.
+    it; such samples raise :class:`ParameterError` rather than handing
+    NaN or infinite coefficients on.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.fft.fft(signal.samples, norm="forward")
+        coeffs = np.fft.fft(x, norm="forward")
     if not np.isfinite(coeffs).all():
         raise ParameterError(
             "the signal's DFT overflows float64; scale the samples down"
         )
-    return Spectrum(coeffs)
+    return coeffs
+
+
+def dft(signal: Signal) -> Spectrum:
+    """Forward DFT with 1/N normalization (X[0] equals the mean); see
+    :func:`dft_coefficients`."""
+    return Spectrum(dft_coefficients(signal.samples))
 
 
 def analytic_band(spectrum: Spectrum, k_lo: int, k_hi: int) -> np.ndarray:

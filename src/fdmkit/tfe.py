@@ -14,11 +14,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .fdm import DecompositionResult
-from .spectral import is_real
-
-# Most cells a frequency bin width may ask of a binned product;
-# 2^27 float64 cells take 1 GiB.
-MAX_CELLS = 1 << 27
+from .spectral import MAX_VALUES as MAX_CELLS  # most cells a binned product holds
+from .spectral import check_type, is_real
 
 
 @dataclass
@@ -50,6 +47,7 @@ def fhs(result: DecompositionResult) -> TfePoints:
     no bands; the DC and Nyquist terms carry no instantaneous frequency
     and are not represented.
     """
+    check_type(result, DecompositionResult, "result")
     n, bands = result.n, result.fibfs
     t = result.start_time_s + np.arange(n) / result.sample_rate_hz
     freqs = np.array([b.inst_freq_hz for b in bands], dtype=np.float64).reshape(-1)

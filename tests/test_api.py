@@ -4,12 +4,13 @@ import dataclasses
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import fdmkit
 
 REMOVED = ["AnalyticSignal", "idft", "IMAG_RESIDUE_RTOL", "SymmetryError",
-           "UndefinedPhaseError"]
+           "UndefinedPhaseError", "zero_phase_lowpass"]
 
 
 def test_every_public_name_resolves_once():
@@ -42,3 +43,35 @@ def test_result_types_keep_only_their_own_fields(cls, names):
     # the rest is held by the caller: the record's clock, the rate a
     # spectrum came from, the schedule and m that built a bank result
     assert [f.name for f in dataclasses.fields(cls)] == names
+
+
+SIGNAL = fdmkit.Signal(np.ones(64), 64.0)
+
+
+@pytest.mark.parametrize("call,got", [
+    (lambda: fdmkit.decompose(np.zeros(8)), "signal must be a Signal, got ndarray"),
+    (lambda: fdmkit.mfdm_decompose(SIGNAL, (2.0,)),
+     "schedule must be a CutoffSchedule, got tuple"),
+    (lambda: fdmkit.mfdm_decompose(np.zeros(8),
+                                   fdmkit.cutoff_schedule(64.0, 1.5, 2)),
+     "data must be a Signal or MultichannelSignal, got ndarray"),
+    (lambda: fdmkit.zero_phase_highpass(np.zeros(8), 1.0),
+     "signal must be a Signal, got ndarray"),
+    (lambda: fdmkit.fhs(None), "result must be a DecompositionResult, got NoneType"),
+], ids=["decompose", "mfdm_schedule", "mfdm_data", "zero_phase_highpass", "fhs"])
+def test_wrong_record_type_refused_by_name(call, got):
+    with pytest.raises(fdmkit.ParameterError, match=got):
+        call()
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_names_the_whole_api():
+    text = README.read_text()
+    assert [n for n in fdmkit.__all__ if f"`{n}`" not in text] == []
+    table = text.split("## API at a glance", 1)[1].split("\n\n")[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    names = [n for row in rows for n in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert names
+    assert [n for n in names if not hasattr(fdmkit, n)] == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fdmkit.cli as cli
+import fdmkit.mfdm
 from fdmkit import (
     ContractError,
     GeneratorSpec,
@@ -448,6 +449,21 @@ class TestMfdmCommand:
         assert "is below the frequency resolution" in capsys.readouterr().err
         assert main(["mfdm", "--input", NOISE_RECIPE, "--levels", "6",
                      "--out", str(tmp_path / "m")]) == 0
+
+    def test_bank_over_the_value_budget_refused_before_filtering(
+            self, tmp_path, capsys, monkeypatch):
+        # the ladder fits the record's resolution, but 10,000 levels of
+        # 4 x 65,536 samples would take about 21 GB of bands
+        def no_filter(x):
+            raise AssertionError("the bank ran a filter")
+        monkeypatch.setattr(fdmkit.mfdm, "dft_coefficients", no_filter)
+        recipe = ('gen:{"kind":"tone_mix","n":65536,"sample_rate_hz":128,'
+                  '"params":{"channels":[[0],[1],[2],[3]]}}')
+        assert main(["mfdm", "--input", recipe, "--m", "1000",
+                     "--levels", "10000", "--out", str(tmp_path / "m")]) == 2
+        assert ("a bank of 10000 levels x 4 channels x 65536 samples would "
+                "hold more than 134217728 values") in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 class TestTfeCommand:

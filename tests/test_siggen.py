@@ -13,7 +13,8 @@ from fdmkit import (
     aligned_tone_fixture,
     generate,
 )
-from fdmkit.siggen import _GENERATORS, MAX_SAMPLES
+from fdmkit.siggen import _GENERATORS
+from fdmkit.spectral import MAX_VALUES
 
 
 def spec(kind, n=256, fs=128.0, seed=None, **params):
@@ -35,12 +36,12 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match=r"kind must be a string, got \[1\]"):
             GeneratorSpec([1], 64, 10.0)
 
-    @pytest.mark.parametrize("n", [MAX_SAMPLES + 1, 10**12, 10**20])
+    @pytest.mark.parametrize("n", [MAX_VALUES + 1, 10**12, 10**20])
     def test_oversized_record_refused(self, n):
         with pytest.raises(ParameterError, match=f"n must be in .*got {n}"):
             GeneratorSpec("tone_mix", n, 100.0)
         # the cap itself is a valid spec (nothing is generated here)
-        assert GeneratorSpec("tone_mix", MAX_SAMPLES, 100.0).n == MAX_SAMPLES
+        assert GeneratorSpec("tone_mix", MAX_VALUES, 100.0).n == MAX_VALUES
 
     def test_negative_noise_level_refused(self):
         with pytest.raises(ParameterError, match="sigma must be >= 0"):
