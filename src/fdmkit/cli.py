@@ -31,7 +31,7 @@ import orjson
 
 from .errors import ContractError, IngestionError, InputError, ParameterError
 from .fdm import FdmConfig, decompose
-from .mfdm import CutoffSchedule, cutoff_schedule, mfdm_decompose
+from .mfdm import CutoffSchedule, _record_schedule, mfdm_decompose
 from .siggen import GeneratorSpec, generate
 from .spectral import MAX_VALUES, MultichannelSignal, Signal
 from .tfe import fhs, instantaneous_energy, marginal_spectrum, rasterize
@@ -377,14 +377,7 @@ def cmd_mfdm(args) -> int:
     else:
         m = 1.5 if args.m is None else args.m
         levels = 4 if args.levels is None else args.levels
-        # rung i is (fs/2) r**i: past log(n/2) / -log(r) rungs, plus two
-        # for the built ladder's rounding, it is below fs/n
-        r = (2.0 * m - 1.0) / (2.0 * m + 1.0)
-        if 0.0 < r < 1.0 and levels > math.log(data.n / 2) / -math.log(r) + 2:
-            raise ParameterError(
-                f"--levels {levels} with --m {m} puts cutoffs below the "
-                f"resolution fs/n of an n={data.n} record")
-        schedule = cutoff_schedule(data.sample_rate_hz, m, levels)
+        schedule = _record_schedule(data, m, levels)
 
     result = mfdm_decompose(data, schedule)
     t = data.channels[0].times()

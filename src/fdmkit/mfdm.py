@@ -39,8 +39,7 @@ class CutoffSchedule:
         for a, b in zip(self.cutoffs_hz, self.cutoffs_hz[1:]):
             if not (b < a):
                 raise ParameterError(
-                    f"cutoffs must be strictly decreasing, got {a} then {b}"
-                )
+                    f"cutoffs must be strictly decreasing, got {a} then {b}")
 
     @property
     def levels(self) -> int:
@@ -56,38 +55,57 @@ def cutoff_schedule(sample_rate_hz: float, m: float, levels: int) -> CutoffSched
     be small enough that the ratio does not round to 1 in float64; m =
     1.5 gives the dyadic ladder fs/4, fs/8, fs/16, ...
 
-    The ladder stops at the first cutoff not below the one before it
-    (0.0 reached, or f*r rounds back to f near the subnormal floor),
-    which the schedule then refuses; ``levels`` beyond a closed-form
-    bound on that point are refused without building the ladder.
+    A ladder that reaches 0.0, or stalls where f*r rounds back to f near
+    the subnormal floor, is refused by the schedule; ``levels`` beyond a
+    closed-form bound on that point, or beyond ``MAX_VALUES // 3`` (a
+    bank's n is at least 3), are refused without building the ladder.
     """
-    if not is_real(m) or m == math.inf:
-        raise ParameterError(f"m must be a finite real number, got {m!r}")
-    if not (m > 0.5):
-        raise ParameterError(f"m must be > 1/2, got {m}")
+    r = _ladder_ratio(m)
     if not is_integer(levels):
         raise ParameterError(f"levels must be an integer, got {levels!r}")
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
-    r = (2.0 * m - 1.0) / (2.0 * m + 1.0)
-    if r == 1.0:
+    f = check_sample_rate(sample_rate_hz, 2) / 2.0
+    if levels > (bound := min(_ladder_bound(f, r), MAX_VALUES // 3)):
+        raise ParameterError(
+            f"levels must be <= {bound} with m={m}: deeper cutoffs fall to "
+            f"0 Hz or past a bank of {MAX_VALUES} values, got {levels}")
+    # accumulate multiplies in order: rung i + 1 is fl(rung i * r)
+    rungs = np.multiply.accumulate(np.r_[f, np.full(levels, r)])[1:]
+    return CutoffSchedule(rungs.tolist(), sample_rate_hz)
+
+
+def _ladder_ratio(m) -> float:
+    """The ladder ratio of shape parameter ``m``, refused unless in (0, 1)."""
+    if not is_real(m) or m == math.inf:
+        raise ParameterError(f"m must be a finite real number, got {m!r}")
+    if not (m > 0.5):
+        raise ParameterError(f"m must be > 1/2, got {m}")
+    if (r := (2.0 * m - 1.0) / (2.0 * m + 1.0)) == 1.0:
         raise ParameterError(
             f"m={m} is too large: the ladder ratio (2m - 1) / (2m + 1) "
             "rounds to 1")
-    f = check_sample_rate(sample_rate_hz, 2) / 2.0
-    if levels > (bound := _ladder_bound(f, r)):
+    return r
+
+
+def _record_schedule(data: MultichannelSignal, m, levels) -> CutoffSchedule:
+    """The ladder for a bank over ``data``, refused before it is built."""
+    # rung i is (fs/2) r**i: past log(n/2) / -log(r) rungs, plus two
+    # for the built ladder's rounding, it is below fs/n
+    deepest = math.floor(math.log(data.n / 2) / -math.log(_ladder_ratio(m)) + 2)
+    if levels > deepest:
         raise ParameterError(
-            f"levels must be <= {bound} with m={m}: deeper "
-            f"cutoffs cannot keep falling above 0 Hz, got {levels}"
-        )
-    cutoffs = []
-    for _ in range(levels):
-        below = f * r
-        cutoffs.append(below)
-        if not (below < f):
-            break
-        f = below
-    return CutoffSchedule(tuple(cutoffs), sample_rate_hz)
+            f"levels must be <= {deepest} with m={m}: deeper cutoffs fall "
+            f"below the resolution fs/n of an n={data.n} record, got {levels}")
+    _check_budget(levels, data.n_channels, data.n)
+    return cutoff_schedule(data.sample_rate_hz, m, levels)
+
+
+def _check_budget(levels: int, channels: int, n: int):
+    if levels * channels * n > MAX_VALUES:
+        raise ParameterError(
+            f"a bank of {levels} levels x {channels} channels x {n} "
+            f"samples would hold more than {MAX_VALUES} values")
 
 
 def _ladder_bound(f: float, r: float) -> int:
@@ -124,9 +142,8 @@ def retained_bins(n: int, sample_rate_hz: float, cutoff_hz: float) -> np.ndarray
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
     fs = check_sample_rate(sample_rate_hz, n)
     _check_cutoff(cutoff_hz, fs)
-    half = n // 2
-    keep = _bin_freqs(n, fs)[1:half + 1] >= cutoff_hz
-    return np.arange(1, half + 1)[keep]
+    # bin 0 sits at 0 Hz, below every cutoff
+    return np.flatnonzero(_bin_freqs(n, fs)[:n // 2 + 1] >= cutoff_hz)
 
 
 def _check_cutoff(cutoff_hz, sample_rate_hz: float):
@@ -213,20 +230,13 @@ def mfdm_decompose(data, schedule: CutoffSchedule) -> MfdmResult:
     if schedule.sample_rate_hz != fs:
         raise ParameterError(
             f"schedule sample rate {schedule.sample_rate_hz} does not match "
-            f"data sample rate {fs}"
-        )
-    resolution = fs / data.n
-    for c in schedule.cutoffs_hz:
-        if c < resolution:
-            raise ParameterError(
-                f"cutoff {c} Hz is below the frequency resolution "
-                f"{resolution} Hz of an n={data.n} record"
-            )
-    if schedule.levels * data.n_channels * data.n > MAX_VALUES:
+            f"data sample rate {fs}")
+    # the schedule's cutoffs strictly decrease: the last is the lowest
+    if (lowest := schedule.cutoffs_hz[-1]) < (resolution := fs / data.n):
         raise ParameterError(
-            f"a bank of {schedule.levels} levels x {data.n_channels} "
-            f"channels x {data.n} samples would hold more than "
-            f"{MAX_VALUES} values")
+            f"cutoff {lowest} Hz is below the frequency resolution "
+            f"{resolution} Hz of an n={data.n} record")
+    _check_budget(schedule.levels, data.n_channels, data.n)
 
     freqs = _bin_freqs(data.n, fs)
     # the residues are updated in place: past them, the bank allocates

@@ -104,10 +104,7 @@ def instantaneous_energy(result: DecompositionResult) -> np.ndarray:
 class TfeGrid:
     """Rasterized point set: cells[i, j] covers freq_axis[i] x time_axis[j]."""
 
-    time_axis: np.ndarray
-    freq_axis: np.ndarray
     cells: np.ndarray
-    mode: str
 
 
 def _axis_ok(axis: np.ndarray, name: str) -> np.ndarray:
@@ -150,5 +147,4 @@ def rasterize(points: TfePoints, time_axis, freq_axis,
         np.add.at(cells, (jf, jt), points.amplitudes ** 2)
     else:
         np.maximum.at(cells, (jf, jt), points.amplitudes)
-    return TfeGrid(time_axis=time_axis, freq_axis=freq_axis,
-                   cells=cells, mode=mode)
+    return TfeGrid(cells)

@@ -34,10 +34,22 @@ def test_argument_types_have_one_owner():
     assert offenders == []
 
 
+def test_ladder_geometry_has_one_owner():
+    # the ratio (2m - 1) / (2m + 1) is computed once, in mfdm, and the
+    # CLI bounds no ladder depth of its own
+    src = pathlib.Path(fdmkit.__file__).parent
+    ratio = re.compile(r"\(\s*2(\.0)?\s*\*\s*m\s*-\s*1(\.0)?\s*\)\s*/")
+    assert {p.name: len(ratio.findall(p.read_text()))
+            for p in sorted(src.glob("*.py"))
+            if ratio.search(p.read_text())} == {"mfdm.py": 1}
+    assert "math.log" not in (src / "cli.py").read_text()
+
+
 @pytest.mark.parametrize("cls,names", [
     (fdmkit.Spectrum, ["coefficients"]),
     (fdmkit.CutoffSchedule, ["cutoffs_hz", "sample_rate_hz"]),
     (fdmkit.MfdmResult, ["bands", "residue"]),
+    (fdmkit.TfeGrid, ["cells"]),
 ])
 def test_result_types_keep_only_their_own_fields(cls, names):
     # the rest is held by the caller: the record's clock, the rate a

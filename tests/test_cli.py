@@ -439,9 +439,9 @@ class TestMfdmCommand:
         assert main(["mfdm", "--input", NOISE_RECIPE, "--m", "100000",
                      "--levels", str(10**18), "--out", str(tmp_path / "m")]) == 2
         assert time.perf_counter() - start < 1.0
-        assert ("--levels 1000000000000000000 with --m 100000.0 puts cutoffs "
-                "below the resolution fs/n of an n=128 record"
-                ) in capsys.readouterr().err
+        assert ("levels must be <= 415890 with m=100000.0: deeper cutoffs "
+                "fall below the resolution fs/n of an n=128 record, got "
+                "1000000000000000000") in capsys.readouterr().err
         # n=128 fits 6 dyadic levels; 7 and 8 sit inside the two-rung
         # guard, so mfdm_decompose refuses the built ladder
         assert main(["mfdm", "--input", NOISE_RECIPE, "--levels", "8",
@@ -462,6 +462,25 @@ class TestMfdmCommand:
         assert main(["mfdm", "--input", recipe, "--m", "1000",
                      "--levels", "10000", "--out", str(tmp_path / "m")]) == 2
         assert ("a bank of 10000 levels x 4 channels x 65536 samples would "
+                "hold more than 134217728 values") in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("levels", [40_000_000, 10**12])
+    def test_bank_over_the_value_budget_refused_before_the_ladder(
+            self, tmp_path, capsys, monkeypatch, levels):
+        # m=1e12 keeps r within 1e-12 of 1, so the record resolves about
+        # 4e12 levels; 4e7 rungs take minutes and GBs to build, and 1e12
+        # cannot be held at all
+        def no_ladder(*args):
+            raise AssertionError("the ladder was built")
+        monkeypatch.setattr(fdmkit.mfdm, "cutoff_schedule", no_ladder)
+        recipe = ('gen:{"kind":"white_gaussian","n":128,"sample_rate_hz":64,'
+                  '"seed":1}')
+        start = time.perf_counter()
+        assert main(["mfdm", "--input", recipe, "--m", "1e12", "--levels",
+                     str(levels), "--out", str(tmp_path / "m")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert (f"a bank of {levels} levels x 1 channels x 128 samples would "
                 "hold more than 134217728 values") in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 

@@ -67,6 +67,15 @@ class TestCutoffSchedule:
             cutoff_schedule(100.0, 1e5, 10**18)
         assert time.perf_counter() - start < 2.0
 
+    def test_levels_past_any_bank_refused_without_building_them(self):
+        # r is within 1e-12 of 1, so the closed-form depth bound is about
+        # 7e14: only the bank budget, MAX_VALUES // 3 levels at n >= 3,
+        # stops a ladder of 1e12 rungs from being built
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="levels must be <= 44739242"):
+            cutoff_schedule(64.0, 1e12, 10**12)
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.parametrize("m,longest", [(0.51, 162), (1.5, 1080), (10.0, 7460)])
     def test_longest_ladder_is_kept(self, m, longest):
         r = (2.0 * m - 1.0) / (2.0 * m + 1.0)
