@@ -1,58 +1,118 @@
 """Band-scan kernels behind the decomposition engine.
 
 The greedy scan spends nearly all its time answering one question per
-candidate band: after adding one more DFT bin to the running analytic
-signal, is its unwrapped phase still non-decreasing (within tolerance)
-at every interior sample? The floating-point recipe is fixed: the
-complex accumulation is spelled out in real/imaginary parts (no
-complex dtype, no fused multiply-add surprises), each sample of the
-band signal is the bins' terms added one at a time in scan order,
-phases come from atan2, and phase increments are wrapped to (-pi, pi]
-the same way ``np.unwrap`` wraps them.
+candidate band: is the unwrapped phase of the band's analytic signal
+non-decreasing (within tolerance) at every interior sample? The answer
+is defined on one floating-point recipe, the sequential sums z_seq: the
+complex accumulation is spelled out in real/imaginary parts (no complex
+dtype, no fused multiply-add surprises), each sample of the band signal
+is the bins' terms added one at a time in scan order onto +0.0, phases
+come from atan2, and phase increments are wrapped to (-pi, pi] the same
+way ``np.unwrap`` wraps them.
 
-The scan is probe-first. On broadband records almost every
-candidate is rejected, most of them by a phase violation within the
-first few samples, so each candidate is first judged on its first
-PROBE samples only. The probe windows of BLOCK consecutive candidates
-come out of one cumulative sum down the candidate axis whose first row
-is the previous candidate's window; cumsum adds row by row, so sample
-m of row j is ((z[m] + w_1[m]) + w_2[m]) + ... + w_j[m], the very
-additions, in the very order, of adding each bin into one running
-buffer. The windows are therefore bit-identical to the full
-accumulation, and a zero sample or a phase slope below -eps inside one
-rejects its candidate for good.
+The scan is probe-first. On broadband records almost every candidate is
+rejected, most of them by a phase violation within the first few
+samples, so each candidate is first judged on its first PROBE samples
+only. The probe windows of BLOCK consecutive candidates come out of one
+cumulative sum down the candidate axis whose first row is the previous
+candidate's window; cumsum adds row by row, so sample m of row j is
+((z[m] + w_1[m]) + w_2[m]) + ... + w_j[m], the very additions, in the
+very order, of z_seq. A zero sample or a phase slope below -eps inside
+a window rejects its candidate for good.
 
-A candidate whose window passes is a survivor. Its full check catches
-up one buffer of the samples from the window's last two on, adding the
-pending bins one at a time with the window's adds in their order, and
-then judges the phase steps the window could not see.
+A candidate whose window passes is a survivor; its full check judges
+the samples from the window's last two on. The maximal search collects
+every survivor and checks them from the highest down, stopping at the
+first pass, with certified checks (``_Check``). A check judges
+z_f = ifft(masked coefficients, norm="forward"), one O(n log n)
+transform whatever the number of bins, and trusts z_f's verdict only
+where a proven bound delta >= |z_seq - z_f| settles it:
 
-The maximal search only wants the largest admissible candidate, so it
-defers full checks. After a survivor passes, the next 1, 2, 4, ...
-survivors are skipped, the stride doubling with each pass and starting
-over after a failure, and the running sums at the highest pass are kept
-as one checkpoint. At the end of the range the topmost skipped survivor
-is checked, unless the tail already holds bins past it; if it
-fails, the checkpoint is restored and the other skipped survivors are
-replayed in ascending order. A replay adds the same bins in the same
-order onto the same sums, so every candidate that is judged is judged
-on the same bits as when every survivor was checked in turn, and the
-answer cannot change. The first-violation search checks every survivor
-in turn: its answer is the last pass before the first failure.
+- a pass is certain when every judged slope clears -eps by its
+  allowance, every |z_f| > 2 delta, and no wrapped step lies within
+  its allowance of +-pi;
+- a fail is certain when one such slope lies below -eps by its
+  allowance.
 
-Bins after a band's last full check are never synthesized past the
-window. The wrap uses compare and subtract in place of ``np.mod``,
-with the same bits (see ``_wrap``).
+A sample's phase moves by at most asin(delta / |z_f|) between z_f and
+z_seq. A step's allowance is the sum of its two samples' moves, and a
+slope's the mean of its two steps'. Each also gets _ATAN2 per phase for
+the atan2 kernel, enough for both numpy's AVX-512 kernel and glibc's,
+and _ROUND for the roundings of the steps, the wrap, the mean and the
+comparisons themselves. A failing check is settled at its least slope
+or at its slopes below -eps; a passing one by a single allowance from
+the least |z_f|. Per-sample allowances are computed only when neither
+settles it. Slopes left uncertified are judged on z_seq itself,
+rebuilt at those samples and their neighbours only (``_exact_sums``)
+with _Tail's adds in _Tail's order. So the verdict is, bit for bit,
+that of summing the whole band in scan order.
 
-Layout matters as much as arithmetic here. A block's windows are
-judged as one flat, contiguous run of samples rather than through
-strided 2-D views: the steps across row seams are computed with the
-rest and their slopes dropped before the per-row verdict (see
-``_admissible_rows``). A block's twiddle indices k m mod n come from a
-table of j step m mod n, built once per scan, plus the block's row
-k0 m mod n, folded back into [0, n) by ``_fold`` as the tail's are,
-with no division per block.
+Failing checks mostly fail early, so a check judges its first WINDOW
+samples first and the rest only when those settle no fail, each on a
+``_Window``. A window is loaded from z_f and then follows the walk down
+the candidates: consecutive survivors are mostly a bin or two apart,
+and dropping those bins' terms from the window costs less than a fresh
+transform. Each drop adds its own rounding to the window's bound. Past
+the leading window a radix transform is the cheaper, so there only a
+length with a slow route (a prime factor above 11) drops bins.
+
+The bound delta on |z_seq - z_f| is stated with u = 2**-53 and
+gamma_k = k u / (1 - k u), for a candidate of K bins with S = sum |c_k|
+and ||c||_2 their 2-norm:
+
+- Sequential side (Higham, Accuracy and Stability of Numerical
+  Algorithms, 2nd ed., ch. 3-4). The twiddle table holds
+  fl(cos(fl(fl(2 pi j) / n))), so its angle is off by at most
+  2 pi gamma_3 and numpy's cos and sin add at most 8 u per part:
+  |w - e^{i 2 pi j/n}| <= mu_tab = 2 pi gamma_3 + 8 sqrt(2) u. A term is
+  off by at most |c_k| tau, tau = mu_tab + sqrt(2) gamma_2 (1 + mu_tab),
+  and recursive summation of K terms, each part on its own, adds
+  gamma_{K-1} sum |term| (Minkowski puts the two parts together):
+  |z_seq - z| <= S (tau + gamma_{K-1} (1 + tau)).
+- FFT side, as a 2-norm bound with ||e||_inf <= ||e||_2. pocketfft
+  runs a length as passes: hard-coded radices 2, 3, 4, 5, 7, 8 and 11,
+  and a generic pass for any other prime factor. In each of them an
+  output part is a sum over the input parts along one path each,
+  weighted by the real and imaginary parts of the DFT coefficient,
+  whose moduli sum to at most |a_l| per input. A path holds at most 12
+  roundings in a hard-coded pass, the rounded literal constants
+  included, and at most r + 6 in a generic pass of radix r, whose
+  weights come from a table of roots off by up to mu = 16 u. The output
+  is then multiplied by a twiddle off by at most mu (pocketfft builds
+  them from two table entries made by sin and cos). So a pass output is
+  off by at most eps_r sum_l |a_l| (``_pass_error``), and a pass of
+  exact norm sqrt(r) by at most r eps_r ||a||_2. Over passes (the
+  argument of Higham's Thm 24.2) ||fl(F x) - F x||_2 <= sqrt(n) theta
+  ||x||_2 with theta = prod (1 + sqrt(r) eps_r) - 1 over the prime
+  factors of n with multiplicity, which bounds any grouping of the 2s
+  into passes of 4 and 8. Where pocketfft's cost rule may instead pick
+  Bluestein's algorithm (n >= 50 with a prime factor p, p**2 > n), the
+  bound is the larger of that and ``_bluestein_error``: a product with
+  a chirp, a transform at an 11-smooth N2 >= 2n - 1, a product with a
+  transformed chirp of modulus <= 1, a transform back and a product
+  with the chirp, whose stage bounds chain to about
+  (N2 / sqrt(n)) 3 theta(N2). Every length is covered, so no check
+  falls back to exact sums at every sample.
+- delta = 1.001 (S (tau + gamma_{K-1}(1 + tau)) + sqrt(n) theta
+  min(S, ||c||_2) + n**2 2**-1070). The factor covers delta's own
+  roundings, and the last term the absolute error of products that
+  underflow, outside the relative model.
+
+The first-violation search wants the last pass before the first
+failure, so it checks every survivor in ascending order on an exact
+tail (``_Tail``) that adds one bin at a time.
+
+The wrap uses compare and subtract in place of ``np.mod``, with the
+same bits (see ``_wrap``). Layout matters as much as arithmetic here. A
+block's windows are judged as one flat, contiguous run of samples
+rather than through strided 2-D views: the steps across row seams are
+computed with the rest and their slopes dropped before the per-row
+verdict (see ``_admissible_rows``). A block's twiddle indices k m mod n
+come from a table of j step m mod n, built once per scan, plus the
+block's row k0 m mod n, folded back into [0, n) by ``_fold`` as the
+tail's are, with no division per block.
 """
+import functools
 import math
 
 import numpy as np
@@ -72,6 +132,16 @@ def twiddle_tables(n: int):
 PROBE = 256
 # Candidates whose probe windows come out of one cumulative sum.
 BLOCK = 64
+# Leading samples of a certified full check judged before the rest;
+# failing checks mostly fail inside it.
+WINDOW = 1024
+
+_U = 2.0**-53
+# the ulp of pi; atan2 error of either numpy kernel, and the slack for
+# the roundings of a step, its wrap, a slope and a comparison
+_ULP_PI = 2.0**-51
+_ATAN2 = 8 * _ULP_PI
+_ROUND = 64 * _ULP_PI
 
 
 def _wrap(d, out=None):
@@ -168,8 +238,7 @@ class _Tail:
     It adds ``bins`` one at a time, only when a candidate needs its
     full check, with the probe windows' adds in their order, so its
     first two samples equal the window's last two bit for bit.
-    ``count`` bins are in; one checkpoint of the sums, the indices and
-    ``count`` lets a lower candidate be replayed after a higher one.
+    ``count`` bins are in.
 
     Each bin is one step (+1 or -1) from the last, so bin k's twiddle
     index k*m mod n is the previous bin's plus step*m, taken back into
@@ -191,15 +260,6 @@ class _Tail:
         # adding a bin and checking a candidate take turns on the
         # scratch arrays
         self.work = [np.empty(m.size) for _ in range(4)]
-        self.checkpoint = None
-
-    def save(self):
-        self.checkpoint = (self.zr.copy(), self.zi.copy(),
-                           self.idx.copy(), self.count)
-
-    def restore(self):
-        # the scan restores at most once, so the copies can be taken over
-        self.zr, self.zi, self.idx, self.count = self.checkpoint
 
     def admissible(self, pos, eps):
         """Catch up to candidate ``bins[pos]``, at or past the last bin
@@ -216,29 +276,382 @@ class _Tail:
         return bool(_admissible_rows(self.zr, self.zi, eps, self.work))
 
 
+# Twiddle and summand cells per chunk of the exact per-sample sums.
+_CHUNK = 1 << 18
+
+
+def _exact_sums(sr, si, cos_tab, sin_tab, ks, ms):
+    """z_seq at samples ``ms`` for the band of bins ``ks``: each bin's
+    term added in ``ks`` order onto +0.0, the adds and the order of
+    ``_Tail`` and of the probe, so the same bits."""
+    n = sr.shape[0]
+    zr = np.empty(ms.size)
+    zi = np.empty(ms.size)
+    cr, ci = sr[ks, None], si[ks, None]
+    width = max(1, _CHUNK // (ks.size + 1))
+    for at in range(0, ms.size, width):
+        m = ms[at:at + width]
+        idx = np.multiply.outer(ks, m) % n
+        # row 0 is the +0.0 the sums start from
+        re = np.zeros((ks.size + 1, m.size))
+        im = np.zeros((ks.size + 1, m.size))
+        _term(cr, ci, idx, cos_tab, sin_tab,
+              (np.empty(idx.shape), np.empty(idx.shape), re[1:], im[1:]))
+        zr[at:at + width] = np.cumsum(re, axis=0, out=re)[-1]
+        zi[at:at + width] = np.cumsum(im, axis=0, out=im)[-1]
+    return zr, zi
+
+
+def _exact_slopes(coeffs, ks, centres, eps):
+    """Judge the slopes at samples ``centres`` (and the samples either
+    side of each for zeros) on z_seq itself."""
+    ms = np.add.outer(centres, np.arange(-1, 2)).reshape(-1)
+    zr, zi = _exact_sums(*coeffs, ks, ms)
+    return bool(_admissible_rows(zr.reshape(-1, 3), zi.reshape(-1, 3),
+                                 eps).all())
+
+
+def _gamma(k):
+    return k * _U / (1.0 - k * _U)
+
+
+_SQRT2 = math.sqrt(2.0)
+# |w - e^{i theta}| for the scan's twiddle tables, and a term's error
+# per unit |c_k|; see the module docstring
+_MU_TAB = _TWO_PI * _gamma(3) + 8 * _SQRT2 * _U
+_TAU = _MU_TAB + _SQRT2 * _gamma(2) * (1 + _MU_TAB)
+# pocketfft: twiddle error, and the error of a product with a twiddle
+# per unit modulus of the other factor
+_MU = 16 * _U
+_EPS_MUL = _SQRT2 * _gamma(2) * (1 + _MU) + _MU
+
+
+def _prime_factors(n):
+    out, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _good_size(n):
+    """The smallest 11-smooth length >= n."""
+    while _prime_factors(n)[-1] > 11:
+        n += 1
+    return n
+
+
+def _pass_error(r):
+    """Error of one output of a radix-r pass per unit sum |a_l| of its
+    inputs, twiddle product included. A hard-coded radix (r <= 11) has
+    at most 12 roundings on a path, its literal constants' included;
+    the generic pass pairs inputs, sums (r - 1) / 2 weighted pairs and
+    pairs the results again, within r + 6 roundings, and its weights,
+    read from a table of roots, are off by up to mu each."""
+    if r <= 11:
+        butterfly = _SQRT2 * _gamma(12)
+    else:
+        g = _gamma(r + 6)
+        butterfly = _SQRT2 * g + 2 * _MU * (1 + g)
+    return butterfly + _EPS_MUL * (1 + butterfly)
+
+
+def _passes_error(factors):
+    """theta with ||fl(F x) - F x||_2 <= sqrt(n) theta ||x||_2 on
+    pocketfft's passes, one per prime factor of n."""
+    theta = 1.0
+    for p in factors:
+        theta *= 1.0 + math.sqrt(p) * _pass_error(p)
+    return theta - 1.0
+
+
+def _bluestein_error(n, n2):
+    """theta for Bluestein's route at inner length n2: the stage bounds
+    of chirp products (_EPS_MUL), transforms (_passes_error) and the
+    product with the transformed chirp, whose own error is rho."""
+    t2 = _passes_error(_prime_factors(n2))
+    tau = _MU + _gamma(2) * (1 + _MU)
+    rho = t2 * (1 + tau) + tau
+    e_b = t2 * (1 + _EPS_MUL) + _EPS_MUL
+    e_c = (1 + rho) * e_b + rho + _SQRT2 * _gamma(2) * (1 + rho) * (1 + e_b)
+    e_d = t2 * (1 + e_c) + e_c
+    return (1 + _EPS_MUL) * n2 / math.sqrt(n) * e_d + _EPS_MUL
+
+
+@functools.lru_cache(maxsize=64)
+def _ifft_error(n):
+    """theta with |z_f - z| <= sqrt(n) theta ||c||_2 at every sample,
+    whichever route pocketfft takes for length n, and whether that
+    route is slow (a prime factor past 11: a generic pass or
+    Bluestein's).
+
+    pocketfft runs its passes unless n >= 50 has a prime factor p with
+    p**2 > n; then a cost estimate picks between its passes and
+    Bluestein's algorithm, and the larger of the two bounds holds
+    either way.
+    """
+    factors = _prime_factors(n)
+    theta = _passes_error(factors)
+    if n >= 50 and factors[-1] ** 2 > n:
+        theta = max(theta, _bluestein_error(n, _good_size(2 * n - 1)))
+    return theta, factors[-1] > 11
+
+
+def _allowance(ratio):
+    """Bound on the phase move of a sample with delta / |z_f| = ratio,
+    plus both samples' atan2 errors."""
+    return np.arcsin(np.minimum(ratio, 1.0)) * (1.0 + 2.0**-40) + 2 * _ATAN2
+
+
+def _certain(absz, dm, omega, eps, delta):
+    """Certain fails and certain passes of the slopes ``omega``, from
+    |z_f| at their samples and their wrapped steps (the last axes hold
+    L samples, L - 1 steps and L - 2 slopes)."""
+    a = _allowance(delta / absz)
+    step = a[..., :-1] + a[..., 1:] + _ROUND
+    far = absz > 2.0 * delta
+    clear = (np.abs(dm) < _PI - step - _ROUND) & far[..., :-1] & far[..., 1:]
+    slope = 0.5 * (step[..., :-1] + step[..., 1:]) + _ROUND
+    clear = clear[..., :-1] & clear[..., 1:]
+    return clear & (omega + slope < -eps), clear & (omega - slope > -eps)
+
+
+# Bins a window drops one term at a time before a fresh transform is
+# cheaper. Past the leading window, a radix transform costs less than
+# one dropped bin, and Bluestein's about as much as this many.
+DROPS = 16
+
+
+class _Window:
+    """A run of samples lo..hi-1 of the band signal of ``count`` bins,
+    kept within ``delta`` of the exact one.
+
+    It is loaded from z_f and then follows the walk down the candidates
+    by dropping the terms of the bins the walk leaves, up to ``limit``
+    bins at a time (fewer where their terms would pass _CHUNK cells).
+    ``row`` holds the twiddle indices of bins[count].
+    """
+
+    def __init__(self, lo, hi, limit, step, n):
+        size = hi - lo
+        self.lo = lo
+        self.m = np.arange(lo, hi)
+        self.limit = min(limit, _CHUNK // size)
+        self.t1 = (step * self.m) % n
+        self.z = np.empty(size, dtype=np.complex128)
+        self.count = 0
+        self.delta = 0.0
+        self.row = np.empty(size, dtype=np.intp)
+        self.idx = np.empty((self.limit, size), dtype=np.intp)
+        self.alt = np.empty(size, dtype=np.intp)
+        self.terms = np.empty((self.limit, size), dtype=np.complex128)
+        self.work = [np.empty(size) for _ in range(3)]
+
+    def reaches(self, pos):
+        return 0 <= self.count - pos - 1 <= self.limit
+
+    def load(self, z, pos, delta, row):
+        np.copyto(self.z, z[self.lo:self.lo + self.z.size])
+        self.count = pos + 1
+        self.delta = delta
+        self.row[...] = row
+
+    def drop(self, check, pos):
+        """Take the terms of bins[pos + 1:count] out.
+
+        The terms are the scan's, each off by at most |c_k| tau; their
+        sum adds gamma_{d-1} of their moduli and the subtraction u of
+        the result, whose modulus is at most S of candidate pos plus
+        the window's error.
+        """
+        d = self.count - pos - 1
+        if d == 0:
+            return
+        n = check.tab.size
+        # rows of bins[count - 1], ..., bins[pos + 1]
+        idx = self.idx[:d]
+        prev = self.row
+        for row in idx:
+            np.subtract(prev, self.t1, out=row)
+            _fold(row, -n, self.alt)
+            prev = row
+        terms = np.take(check.tab, idx, out=self.terms[:d])
+        terms *= check.c[self.count - 1:pos:-1, None]
+        self.z -= terms[0] if d == 1 else terms.sum(axis=0)
+        self.row[...] = prev
+        drop = check.mag[pos + 1:self.count].sum() * (1.0 + 2.0**-40)
+        err = drop * (_TAU + _gamma(d - 1) * (1 + _TAU)) + d * 2.0**-1070
+        self.delta = ((self.delta + err) * (1 + _U)
+                      + 1.001 * _U * check.l1[pos]) * (1 + 16 * _U)
+        self.count = pos + 1
+
+    def judge(self, eps, delta):
+        """Judge the window, within delta of z_seq: None on a certain
+        fail, else the samples whose slopes it leaves uncertified."""
+        z = self.z
+        raw, absz, dm = self.work
+        d = absz[:-1]
+        dm = dm[:-1]
+        np.arctan2(z.imag, z.real, out=raw)
+        np.subtract(raw[1:], raw[:-1], out=d)
+        # the step wrapped to about (-pi, pi]; a step this puts near
+        # +-pi has no certificate, so which side it lands on is moot
+        np.multiply(d, 1.0 / _TWO_PI, out=dm)
+        np.rint(dm, out=dm)
+        dm *= _TWO_PI
+        np.subtract(d, dm, out=dm)
+        omega = np.add(dm[:-1], dm[1:], out=raw[1:-1])
+        omega *= 0.5
+        i = int(omega.argmin())
+        if omega[i] < -eps:
+            # a failing check, most likely certain at its least slope
+            if _fails_at(z, dm, omega, i, eps, delta):
+                return None
+            low = np.flatnonzero(omega < -eps)
+            at = low[:, None] + np.arange(3)
+            fail, _ = _certain(np.abs(z[at]), dm[at[:, :2]],
+                               omega[low, None], eps, delta)
+            if fail.any():
+                return None
+        np.abs(z, out=absz)
+        if not omega[i] < -eps:
+            # one allowance for every sample, from the least |z_f|
+            least = absz.min()
+            if least > 2.0 * delta:
+                step = 2.0 * _allowance(delta / least) + _ROUND
+                if (omega[i] - step - _ROUND > -eps
+                        and max(dm.max(), -dm.min()) < _PI - step - _ROUND):
+                    return np.empty(0, dtype=np.intp)
+        _, sure = _certain(absz, dm, omega, eps, delta)
+        return self.lo + 1 + np.flatnonzero(~sure)
+
+
+def _fails_at(z, dm, omega, i, eps, delta):
+    """``_certain``'s fail verdict for the one slope omega[i]."""
+    mags = [abs(complex(v)) for v in z[i:i + 3]]
+    if not all(r > 2.0 * delta for r in mags):
+        return False
+    a = [math.asin(delta / r) * (1.0 + 2.0**-40) + 2 * _ATAN2 for r in mags]
+    step0 = a[0] + a[1] + _ROUND
+    step1 = a[1] + a[2] + _ROUND
+    return (abs(dm[i]) < _PI - step0 - _ROUND
+            and abs(dm[i + 1]) < _PI - step1 - _ROUND
+            and omega[i] + 0.5 * (step0 + step1) + _ROUND < -eps)
+
+
+class _Check:
+    """Certified full checks of the candidates ``bins[:pos + 1]`` on
+    samples ``start``..n-1 (see the module docstring).
+
+    The samples up to WINDOW from ``start`` are judged first, and the
+    rest only when those do not settle a fail, each on its own
+    ``_Window``. A window that cannot reach the candidate by dropping
+    bins is loaded, with every other, from a fresh z_f; ``band`` holds
+    the masked coefficients of the last candidate transformed.
+    """
+
+    def __init__(self, sr, si, cos_tab, sin_tab, bins, start):
+        n = sr.shape[0]
+        theta, slow = _ifft_error(n)
+        self.coeffs = sr, si, cos_tab, sin_tab
+        self.bins = bins
+        self.step = int(bins[1] - bins[0]) if bins.size > 1 else 1
+        self.count = 0
+        self.band = np.zeros(n, dtype=np.complex128)
+        self.z = np.empty(n, dtype=np.complex128)
+        self.tab = np.empty(n, dtype=np.complex128)
+        self.tab.real = cos_tab
+        self.tab.imag = sin_tab
+        self.c = np.empty(bins.size, dtype=np.complex128)
+        self.c.real = sr[bins]
+        self.c.imag = si[bins]
+        k = np.arange(1, bins.size + 1)
+        self.mag = np.abs(self.c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.l1 = np.cumsum(self.mag)
+            # the floor keeps the norm above what squares underflowing
+            # to zero would hide
+            l2 = np.sqrt(np.cumsum(self.mag * self.mag) + k * 2.0**-1074)
+            g = _gamma(k - 1)
+            tiny = n * n * 2.0**-1070
+            self.dseq = 1.001 * (self.l1 * (_TAU + g * (1 + _TAU)) + tiny)
+            self.dfft = 1.001 * (math.sqrt(n) * theta
+                                 * np.minimum(self.l1, l2) + tiny)
+        end = min(start + WINDOW, n)
+        self.windows = [_Window(start, end, DROPS, self.step, n)]
+        if end < n:
+            self.windows.append(_Window(end - 2, n, DROPS if slow else 0,
+                                        self.step, n))
+
+    def _transform(self, pos):
+        """z_f of candidate ``pos``; every window is loaded from it."""
+        sr, si = self.coeffs[:2]
+        if pos + 1 > self.count:
+            ks = self.bins[self.count:pos + 1]
+            self.band.real[ks] = sr[ks]
+            self.band.imag[ks] = si[ks]
+        else:
+            self.band[self.bins[pos + 1:self.count]] = 0.0
+        self.count = pos + 1
+        np.fft.ifft(self.band, norm="forward", out=self.z)
+        n = self.z.size
+        k = int(self.bins[0]) + self.step * (pos + 1)
+        for w in self.windows:
+            w.load(self.z, pos, self.dfft[pos], (k * w.m) % n)
+
+    def __call__(self, pos, eps):
+        """Is candidate ``bins[pos]`` admissible on the checked samples?"""
+        if not self.l1[pos] > 0.0:
+            # every term is a signed zero, and so is every sum
+            return False
+        centres = []
+        with np.errstate(all="ignore"):
+            for w in self.windows:
+                if w.reaches(pos):
+                    w.drop(self, pos)
+                else:
+                    self._transform(pos)
+                got = w.judge(eps, self.dseq[pos] + w.delta)
+                if got is None:
+                    return False
+                centres.append(got)
+        centres = np.concatenate(centres)
+        return (centres.size == 0
+                or _exact_slopes(self.coeffs, self.bins[:pos + 1], centres,
+                                 eps))
+
+
+def band_admissible(sr, si, cos_tab, sin_tab, lo, hi, eps):
+    """Is the band of bins lo..hi, summed in ascending order, admissible
+    at every sample? The one candidate a merged tail leaves to judge."""
+    bins = np.arange(lo, hi + 1)
+    return _Check(sr, si, cos_tab, sin_tab, bins, 0)(bins.size - 1, eps)
+
+
 def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     """Grow a band one bin at a time in ``bins`` order (a non-empty run
     of consecutive bins, ascending or descending); return the bin that
     closes its last admissible candidate, or -1 if none is.
 
     Every candidate is first judged on its first PROBE samples, built
-    BLOCK candidates at a time; a violation there is final. A candidate
-    that survives has the rest of its band signal caught up and checked
-    (``_Tail.admissible``), unless the search can settle without it.
+    BLOCK candidates at a time; a violation there is final, and a
+    record of at most PROBE samples needs nothing more.
 
-    The exhaustive search returns the largest admissible candidate, so
-    a survivor's full check matters only if no higher survivor passes.
-    After a pass the next 1, 2, 4, ... survivors are deferred, the
-    stride doubling with each further pass and starting over at 1 after
-    a failure; the tail sums at the highest pass are kept as the one
-    checkpoint. At the end of the range the topmost deferred survivor
-    is checked first, unless the tail already holds bins past it; if it
-    fails, the checkpoint is restored and the other deferred survivors
-    are replayed in ascending order. Every candidate judged, replays
-    included, gets its bins added in scan order onto the same sums, so
-    its verdict has the same bits as checking every survivor in turn.
-    The first-violation search checks every survivor in turn, because
-    its answer is the last pass before the first failure.
+    The exhaustive search returns the largest admissible candidate. It
+    collects every survivor of the probe, then gives them certified
+    full checks (``_Check``) from the highest down and stops at the
+    first pass: a lower survivor cannot matter once a higher one is
+    admissible. Each check judges one inverse FFT of the candidate's
+    coefficients where the bound on its distance to the sequential sums
+    settles the verdict, and the sequential sums themselves, rebuilt at
+    the few samples it does not settle; the answer is the one that
+    checking every survivor on the sequential sums would give.
+
+    The first-violation search checks every survivor in turn on the
+    ascending tail (``_Tail.admissible``), because its answer is the
+    last pass before the first failure.
     """
     n = sr.shape[0]
     p = min(PROBE, n)
@@ -254,13 +667,12 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     rows_i = np.zeros((BLOCK + 1, p))
     # building the windows and checking them take turns on the scratch
     work = [np.empty((BLOCK, p)) for _ in range(3)]
-    tail = _Tail(sr, si, cos_tab, sin_tab, bins, step, p) if p < n else None
+    tail = (_Tail(sr, si, cos_tab, sin_tab, bins, step, p)
+            if p < n and not exhaustive else None)
     # best is the position in bins of the highest candidate known
-    # admissible; deferred holds the positions of the survivors above it
-    # whose full check was put off
+    # admissible; the exhaustive search collects the probe's survivors
     best = -1
-    deferred = []
-    skip, stride = 0, 1
+    survivors = []
     for start in range(0, bins.size, BLOCK):
         ks = bins[start:start + BLOCK]
         b = ks.size
@@ -274,35 +686,24 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
         np.cumsum(rows_i[:b + 1], axis=0, out=rows_i[:b + 1])
         passed = _admissible_rows(rows_r[1:b + 1], rows_i[1:b + 1], eps,
                                   [w[:b] for w in work])
+        rows_r[0] = rows_r[b]
+        rows_i[0] = rows_i[b]
+        if exhaustive:
+            survivors += (start + np.flatnonzero(passed)).tolist()
+            continue
         for j, ok in enumerate(passed.tolist()):
             pos = start + j
             if ok and tail is not None:
-                if skip:
-                    deferred.append(pos)
-                    skip -= 1
-                    continue
                 ok = tail.admissible(pos, eps)
-                if exhaustive:
-                    if ok:
-                        tail.save()
-                        deferred.clear()
-                        skip, stride = stride, 2 * stride
-                    else:
-                        stride = 1
             if ok:
                 best = pos
-            elif best != -1 and not exhaustive:
+            elif best != -1:
                 return int(bins[best])
-        rows_r[0] = rows_r[b]
-        rows_i[0] = rows_i[b]
-    if deferred:
-        pos = deferred[-1]
-        if pos >= tail.count:
-            if tail.admissible(pos, eps):
-                return int(bins[pos])
-            deferred.pop()
-        tail.restore()
-        for pos in deferred:
-            if tail.admissible(pos, eps):
-                best = pos
+    if survivors and p < n:
+        check = _Check(sr, si, cos_tab, sin_tab, bins, p - 2)
+        best = next((pos for pos in reversed(survivors) if check(pos, eps)),
+                    -1)
+    elif survivors:
+        # the probe saw every sample
+        best = survivors[-1]
     return int(bins[best]) if best != -1 else -1

@@ -202,15 +202,13 @@ def _scan_partition(spectrum: Spectrum, config: FdmConfig):
             # a cap forces everything left into this band; with no
             # admissible extension at all the residual band is emitted
             # anyway, so the partition, and with it reconstruction,
-            # stays exact. [lo, hi] is admissible exactly when it is
-            # its own largest admissible candidate; its bins are summed
-            # in ascending order whichever way the bands were scanned.
-            # An upward maximal scan has just made that very call, and
-            # a merged tail means it did not end at hi
+            # stays exact. The one candidate [lo, hi] is judged with its
+            # bins summed in ascending order whichever way the bands
+            # were scanned. An upward maximal scan has just judged it,
+            # and a merged tail means it did not end at hi
             mono = (merged_tail and not (upward and exhaustive)
-                    and _kernels.scan_boundary(
-                        sr, si, cos_tab, sin_tab, np.arange(lo, hi + 1),
-                        eps, True) == hi)
+                    and _kernels.band_admissible(sr, si, cos_tab, sin_tab,
+                                                 lo, hi, eps))
             cells.append((lo, hi, mono))
             return cells, merged_tail
         if upward:

@@ -27,19 +27,36 @@ class CutoffSchedule:
     sample_rate_hz: float
 
     def __post_init__(self):
-        cutoffs = tuple(self.cutoffs_hz)
-        if not all(map(is_real, cutoffs)):
-            raise ParameterError(f"cutoffs must be real numbers, got {cutoffs!r}")
-        self.cutoffs_hz = tuple(map(float, cutoffs))
-        if not self.cutoffs_hz:
+        # checked as one array; a message names the first offender
+        cutoffs = self.cutoffs_hz
+        if isinstance(cutoffs, np.ndarray) and cutoffs.ndim == 1 \
+                and cutoffs.dtype.kind in "fiu":
+            values = cutoffs.astype(np.float64)
+            cutoffs = values.tolist()
+        else:
+            cutoffs = tuple(cutoffs)
+            # one value of each type stands for the rest
+            if not all(map(is_real, dict(zip(map(type, cutoffs),
+                                              cutoffs)).values())):
+                raise ParameterError(
+                    f"cutoffs must be real numbers, got {cutoffs!r}")
+            try:
+                values = np.array(cutoffs, dtype=np.float64)
+            except OverflowError:
+                # an integer past the float range lies outside any band
+                values = np.array([_as_float(c) for c in cutoffs])
+        if not values.size:
             raise ParameterError("cutoff schedule is empty")
         self.sample_rate_hz = check_sample_rate(self.sample_rate_hz, 2)
-        for c in self.cutoffs_hz:
-            _check_cutoff(c, self.sample_rate_hz)
-        for a, b in zip(self.cutoffs_hz, self.cutoffs_hz[1:]):
-            if not (b < a):
-                raise ParameterError(
-                    f"cutoffs must be strictly decreasing, got {a} then {b}")
+        half = self.sample_rate_hz / 2.0
+        if (outside := ~((values > 0.0) & (values < half))).any():
+            c = float(values[outside.argmax()])
+            raise ParameterError(f"cutoff {c} Hz outside (0, {half}) Hz")
+        if (rising := ~(values[1:] < values[:-1])).any():
+            a, b = values[rising.argmax():][:2].tolist()
+            raise ParameterError(
+                f"cutoffs must be strictly decreasing, got {a} then {b}")
+        self.cutoffs_hz = tuple(map(float, cutoffs))
 
     @property
     def levels(self) -> int:
@@ -72,7 +89,14 @@ def cutoff_schedule(sample_rate_hz: float, m: float, levels: int) -> CutoffSched
             f"0 Hz or past a bank of {MAX_VALUES} values, got {levels}")
     # accumulate multiplies in order: rung i + 1 is fl(rung i * r)
     rungs = np.multiply.accumulate(np.r_[f, np.full(levels, r)])[1:]
-    return CutoffSchedule(rungs.tolist(), sample_rate_hz)
+    return CutoffSchedule(rungs, sample_rate_hz)
+
+
+def _as_float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _ladder_ratio(m) -> float:
@@ -81,9 +105,13 @@ def _ladder_ratio(m) -> float:
         raise ParameterError(f"m must be a finite real number, got {m!r}")
     if not (m > 0.5):
         raise ParameterError(f"m must be > 1/2, got {m}")
-    if (r := (2.0 * m - 1.0) / (2.0 * m + 1.0)) == 1.0:
+    # from 1e300 on, 2m may overflow and the ratio rounds to 1 anyway;
+    # so it does for an integer past the float range
+    given, m = m, _as_float(m)
+    r = (2.0 * m - 1.0) / (2.0 * m + 1.0) if m < 1e300 else 1.0
+    if r == 1.0:
         raise ParameterError(
-            f"m={m} is too large: the ladder ratio (2m - 1) / (2m + 1) "
+            f"m={given} is too large: the ladder ratio (2m - 1) / (2m + 1) "
             "rounds to 1")
     return r
 

@@ -5,15 +5,26 @@ the probe-first scan; every configuration must still produce the same
 cells, the same non-monotone indices and the same merged-tail flag.
 The records up to n=256 are checked a second time with the scan's
 probe window and block shrunk, so that their seams fall inside short
-records too.
+records too. The maximal rows at n >= 512, which reach the certified
+full checks, are checked once more in a child process with numpy's
+AVX-512 kernels turned off.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fdmkit import _kernels
 from make_golden import FIXTURE, partitions, signal_cases
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 GOLDEN = json.loads(FIXTURE.read_text())
 
@@ -40,3 +51,50 @@ def test_partitions_match_golden_at_small_constants(kind, seed, n,
     want = [r for r in GOLDEN
             if (r["kind"], r["seed"], r["n"]) == (kind, seed, n)]
     assert partitions(kind, seed, n) == want
+
+
+# The maximal rows at n >= 512, which reach the certified full checks,
+# run again in a child process with numpy's AVX-512 kernels turned off.
+WITHOUT_AVX512 = """
+import json, sys
+from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
+from make_golden import FIXTURE, SAMPLE_RATE_HZ
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+assert not __cpu_features__["X86_V4"], "the AVX-512 kernels are still on"
+signals, wrong = {}, []
+for row in json.loads(FIXTURE.read_text()):
+    if row["search"] != "max" or row["n"] < 512:
+        continue
+    key = (row["kind"], row["seed"], row["n"])
+    if key not in signals:
+        signals[key] = generate(GeneratorSpec(kind=key[0], n=key[2],
+                                              sample_rate_hz=SAMPLE_RATE_HZ,
+                                              seed=key[1]))
+    r = decompose(signals[key], FdmConfig(scan=row["scan"], search="max",
+                                          monotonicity_tolerance=row["tol"]))
+    got = ([list(b.partition_range) for b in r.fibfs],
+           list(r.non_monotone), r.merged_tail)
+    if got != (row["partition_ranges"], row["non_monotone"],
+               row["merged_tail"]):
+        wrong.append(key + (row["scan"], row["tol"]))
+sys.exit(f"rows differ: {wrong}" if wrong else 0)
+"""
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"),
+                    reason="numpy has no AVX-512 kernels on this host")
+def test_max_rows_do_not_depend_on_the_arctan2_kernel():
+    """numpy's AVX-512 arctan2 and the AVX2 one (glibc's atan2) differ
+    in the last bits; a certified verdict holds for either, so the
+    maximal rows come out the same with the AVX-512 kernels off."""
+    here = Path(__file__).parent
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_AVX512], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]

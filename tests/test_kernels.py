@@ -41,8 +41,7 @@ def run_partition(sr, si, ct, st_, k_max, eps, exhaustive):
 def band_admissible(sr, si, ct, st_, lo, hi, eps):
     """Is the band [lo, hi] admissible? The one-candidate call that
     gives ``fdm._scan_partition`` its merged-tail flag."""
-    return _kernels.scan_boundary(sr, si, ct, st_, np.arange(lo, hi + 1),
-                                  eps, True) == hi
+    return _kernels.band_admissible(sr, si, ct, st_, lo, hi, eps)
 
 
 # -pi - 4.4e-16 is where d + pi < 0 but d + pi + 2pi rounds up to 2pi
@@ -341,6 +340,10 @@ class TestScanSeams:
     @settings(max_examples=300, deadline=None)
     def test_scan_matches_fresh_synthesis_at_the_seams(self, case, eps,
                                                        upward, exhaustive):
+        self.walk(case, eps, upward, exhaustive)
+
+    @staticmethod
+    def walk(case, eps, upward, exhaustive):
         (probe, block), c = case
         n = c.size
         sr = np.ascontiguousarray(c.real)
@@ -365,3 +368,199 @@ class TestScanSeams:
                     lo = got + 1
                 else:
                     hi = got - 1
+
+
+def sequential_sums(sr, si, ct, st_, bins, count):
+    """The scan's sums at every sample for the first ``count`` of
+    ``bins``, built by ``_Tail``: each bin's term added in order."""
+    step = int(bins[1] - bins[0]) if bins.size > 1 else 1
+    tail = _kernels._Tail(sr, si, ct, st_, bins, step, 2)
+    tail.admissible(count - 1, 0.0)
+    return tail.zr, tail.zi
+
+
+def spread_spectrum(seed, n):
+    """Noise coefficients with magnitudes spread over six decades, so
+    that sum |c_k| and ||c||_2 part ways."""
+    rng = np.random.default_rng(seed)
+    c = np.fft.fft(rng.standard_normal(n), norm="forward")
+    c *= 10.0 ** rng.uniform(-6.0, 0.0, n)
+    return np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag), c
+
+
+class TestCertifiedChecks:
+    """The bound behind the certified full checks, and the exact
+    fallback that takes over where it settles nothing."""
+
+    # a power of two, mixed radix, a length with pocketfft's generic
+    # passes (23 and 29), and a prime that pocketfft sends to Bluestein
+    @pytest.mark.parametrize("n", [4096, 4000, 4002, 4099])
+    @pytest.mark.parametrize("make", [spectrum_of, spread_spectrum],
+                             ids=["noise", "spread"])
+    def test_delta_bounds_sequential_minus_transformed(self, n, make):
+        sr, si, c = make(n, n)
+        ct, st_ = _kernels.twiddle_tables(n)
+        k_max = (n + 1) // 2 - 1
+        for bins in (np.arange(n // 9, k_max + 1), np.arange(k_max, 0, -1)):
+            check = _kernels._Check(sr, si, ct, st_, bins, 0)
+            for count in (1, 7, bins.size // 2, bins.size):
+                zr, zi = sequential_sums(sr, si, ct, st_, bins, count)
+                band = np.zeros(n, dtype=np.complex128)
+                band[bins[:count]] = c[bins[:count]]
+                zf = np.fft.ifft(band, norm="forward")
+                gap = np.hypot(zr - zf.real, zi - zf.imag).max()
+                delta = check.dseq[count - 1] + check.dfft[count - 1]
+                assert gap <= delta, (count, gap, delta)
+
+    def test_routes_of_the_named_lengths(self):
+        # whether the transform may take a slow route: a generic pass
+        # for a prime factor past 11, or Bluestein's algorithm
+        slow = {n: _kernels._ifft_error(n)[1]
+                for n in (64, 4000, 4096, 16384, 13, 169, 4002, 4097, 4099)}
+        assert slow == {64: False, 4000: False, 4096: False, 16384: False,
+                        13: True, 169: True, 4002: True, 4097: True,
+                        4099: True}
+
+    def test_no_length_is_left_uncovered(self):
+        # every length has a bound, the generic passes and Bluestein's
+        # route included, so no record falls back to exact sums at
+        # every sample of every check
+        for n in range(3, 4200):
+            theta, _ = _kernels._ifft_error(n)
+            assert 0.0 < theta < 1e-9, n
+
+    @pytest.mark.parametrize("n", [1031, 1024])
+    def test_window_drops_stay_within_their_bound(self, n, monkeypatch):
+        # 1031 is prime: past the leading window it drops bins too
+        monkeypatch.setattr(_kernels, "WINDOW", 300)
+        sr, si, c = spread_spectrum(3, n)
+        ct, st_ = _kernels.twiddle_tables(n)
+        bins = np.arange((n + 1) // 2 - 1, 0, -1)
+        check = _kernels._Check(sr, si, ct, st_, bins, 254)
+        pos = bins.size - 1
+        check._transform(pos)
+        ms = np.arange(n)
+        for d in [1, 2, 3, 16, 1, 5] * 4:
+            pos -= d
+            for w in check.windows:
+                if not w.reaches(pos):
+                    continue
+                w.drop(check, pos)
+                zr, zi = _kernels._exact_sums(sr, si, ct, st_,
+                                              bins[:pos + 1], ms[w.m])
+                gap = np.hypot(zr - w.z.real, zi - w.z.imag).max()
+                assert gap <= check.dseq[pos] + w.delta, (pos, w.lo)
+        head, rest = check.windows
+        assert head.count == pos + 1
+        # past the window, only the prime length drops
+        assert (rest.count == pos + 1) == (n == 1031)
+
+    @pytest.mark.parametrize("n", [64, 300, 1031])
+    def test_exact_sums_have_the_tail_bits(self, n):
+        rng = np.random.default_rng(n)
+        k_max = (n + 1) // 2 - 1
+        c = np.zeros(n, dtype=np.complex128)
+        c.real[1:k_max + 1] = rng.standard_normal(k_max)
+        c.imag[1:k_max + 1] = rng.standard_normal(k_max)
+        # signed zeros in the leading bins: a first term of -0.0 starts
+        # the tail's sums at +0.0 + -0.0 = +0.0, not at -0.0
+        lead = min(8, k_max)
+        c.real[1:lead] = -0.0
+        c.imag[1:lead] = rng.choice([0.0, -0.0], lead - 1)
+        sr, si = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
+        ct, st_ = _kernels.twiddle_tables(n)
+        ms = np.arange(n)
+        for bins in (np.arange(1, k_max + 1), np.arange(k_max, 0, -1)):
+            for count in (1, lead - 1, lead + 3, bins.size):
+                want = sequential_sums(sr, si, ct, st_, bins, count)
+                got = _kernels._exact_sums(sr, si, ct, st_, bins[:count], ms)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), count
+
+    def test_all_signed_zero_band_has_zero_sums(self):
+        # every term a signed zero: the tail's sums are +0.0 throughout
+        n = 32
+        sr = np.full(n, -0.0)
+        si = np.zeros(n)
+        ct, st_ = _kernels.twiddle_tables(n)
+        bins = np.arange(1, 9)
+        zr, zi = _kernels._exact_sums(sr, si, ct, st_, bins, np.arange(n))
+        want = sequential_sums(sr, si, ct, st_, bins, bins.size)
+        assert zr.tobytes() == want[0].tobytes()
+        assert zi.tobytes() == want[1].tobytes()
+        assert not np.signbit(zr).any()
+        assert not band_admissible(sr, si, ct, st_, 1, 8, 0.0)
+
+    @pytest.mark.parametrize("n", [53, 61, 97, 106, 64])
+    def test_slow_routes_track_the_sequential_reference(self, n,
+                                                        monkeypatch):
+        # small constants, so that these short records take full checks
+        # on every window and drop bins from both
+        for name, value in (("PROBE", 8), ("BLOCK", 3), ("WINDOW", 12),
+                            ("DROPS", 2)):
+            monkeypatch.setattr(_kernels, name, value)
+        ct, st_ = _kernels.twiddle_tables(n)
+        k_max = (n + 1) // 2 - 1
+        for seed in range(3):
+            sr, si, c = spectrum_of(seed, n)
+            for bins in (np.arange(1, k_max + 1), np.arange(k_max, 0, -1)):
+                for eps in (0.0, 1e-3):
+                    got = _kernels.scan_boundary(sr, si, ct, st_, bins, eps,
+                                                 True)
+                    assert got == scan_direct(sr, si, ct, st_, bins, eps,
+                                              True)
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``; returns the list of calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestCheckPaths:
+    """Which path a scan takes, seen through spies."""
+
+    def test_chirp_max_makes_one_full_check_and_builds_no_tail(
+            self, monkeypatch):
+        from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
+        checks = counting(monkeypatch, _kernels._Check, "__call__")
+        tails = counting(monkeypatch, _kernels._Tail, "__init__")
+        signal = generate(GeneratorSpec(kind="linear_chirp", n=16384,
+                                        sample_rate_hz=100))
+        result = decompose(signal, FdmConfig(scan="htl", search="max"))
+        assert result.n_fibfs == 1
+        assert len(checks) == 1
+        assert tails == []
+
+    def test_first_violation_keeps_the_tail(self, monkeypatch):
+        checks = counting(monkeypatch, _kernels._Check, "__call__")
+        tails = counting(monkeypatch, _kernels._Tail, "__init__")
+        sr, si, _ = spectrum_of(0, 600)
+        ct, st_ = _kernels.twiddle_tables(600)
+        _kernels.scan_boundary(sr, si, ct, st_, np.arange(1, 300), 0.0, False)
+        assert checks == []
+        assert len(tails) == 1
+
+    def test_exact_fallback_runs_on_exact_zero_slope(self, monkeypatch):
+        calls = counting(monkeypatch, _kernels, "_exact_slopes")
+        TestAdmissibility().test_exact_zero_slope_matches_oracle()
+        assert calls
+
+    def test_exact_fallback_runs_on_seam_spectra(self, monkeypatch):
+        calls = counting(monkeypatch, _kernels, "_exact_slopes")
+
+        @given(seam_spectra(), st.sampled_from([0.0, 1e-3]), st.booleans())
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        def scan(case, eps, upward):
+            TestScanSeams.walk(case, eps, upward, True)
+
+        scan()
+        assert calls

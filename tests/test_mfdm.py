@@ -119,6 +119,40 @@ class TestCutoffSchedule:
         with pytest.raises(ParameterError, match=r"m=.* too large.* rounds to 1"):
             cutoff_schedule(100.0, m, 3)
 
+    # 2m overflows at the top of the float range, and an integer past it
+    # has no float at all
+    @pytest.mark.parametrize("m", [1e308, 10**400], ids=["1e308", "10**400"])
+    def test_m_past_twice_the_float_range_refused_by_name(self, m):
+        with pytest.raises(ParameterError, match=r"too large.* rounds to 1"):
+            cutoff_schedule(64.0, m, 3)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_long_schedule_names_its_first_offender(self, as_array):
+        cutoffs = np.geomspace(40.0, 1.0, 100_000)
+
+        def refusal(values):
+            values = values if as_array else values.tolist()
+            with pytest.raises(ParameterError) as info:
+                CutoffSchedule(values, 100.0)
+            return str(info.value)
+
+        bad = cutoffs.copy()
+        bad[[70_000, 80_000]] = [60.0, -1.0]
+        assert refusal(bad) == "cutoff 60.0 Hz outside (0, 50.0) Hz"
+        bad = cutoffs.copy()
+        bad[[50_000, 60_000]] = bad[[49_999, 59_998]]
+        a = float(cutoffs[49_999])
+        assert refusal(bad) == (
+            f"cutoffs must be strictly decreasing, got {a} then {a}")
+        sched = CutoffSchedule(cutoffs if as_array else cutoffs.tolist(),
+                               100.0)
+        assert sched.cutoffs_hz == tuple(cutoffs.tolist())
+        assert all(type(c) is float for c in sched.cutoffs_hz[:3])
+
+    def test_integer_cutoff_past_the_float_range_is_outside(self):
+        with pytest.raises(ParameterError, match="cutoff inf Hz outside"):
+            CutoffSchedule((10**400, 1.0), 100.0)
+
 
 class TestZeroPhaseFilters:
     fs = 64.0
