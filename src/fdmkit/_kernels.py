@@ -10,20 +10,25 @@ is the bins' terms added one at a time in scan order onto +0.0, phases
 come from atan2, and phase increments are wrapped to (-pi, pi] the same
 way ``np.unwrap`` wraps them.
 
-The scan is probe-first. On broadband records almost every candidate is
-rejected, most of them by a phase violation within the first few
-samples, so each candidate is first judged on its first PROBE samples
-only. The probe windows of BLOCK consecutive candidates come out of one
-cumulative sum down the candidate axis whose first row is the previous
-candidate's window; cumsum adds row by row, so sample m of row j is
-((z[m] + w_1[m]) + w_2[m]) + ... + w_j[m], the very additions, in the
-very order, of z_seq. A zero sample or a phase slope below -eps inside
-a window rejects its candidate for good.
+The first-violation search judges the candidates in scan order, each
+at every sample of one tail (``_Tail``) that adds one bin at a time,
+and stops at the first failure after a pass. Nearly every candidate it
+judges passes, and a pass needs every sample, so it takes no probe.
+
+The maximal search is probe-first. On broadband records almost every
+candidate is rejected, most of them by a phase violation within the
+first few samples, so each candidate is first judged on its first
+PROBE samples only. The probe windows of BLOCK consecutive candidates
+come out of one cumulative sum down the candidate axis whose first row
+is the previous candidate's window; cumsum adds row by row, so sample
+m of row j is ((z[m] + w_1[m]) + w_2[m]) + ... + w_j[m], the very
+additions, in the very order, of z_seq. A zero sample or a phase slope
+below -eps inside a window rejects its candidate for good.
 
 A candidate whose window passes is a survivor; its full check judges
-the samples from the window's last two on. The maximal search collects
-every survivor and checks them from the highest down, stopping at the
-first pass, with certified checks (``_Check``). A check judges
+the samples from the window's last two on. The search collects every
+survivor and checks them from the highest down, stopping at the first
+pass, with certified checks (``_Check``). A check judges
 z_f = ifft(masked coefficients, norm="forward"), one O(n log n)
 transform whatever the number of bins, and trusts z_f's verdict only
 where a proven bound delta >= |z_seq - z_f| settles it:
@@ -98,10 +103,6 @@ and ||c||_2 their 2-norm:
   roundings, and the last term the absolute error of products that
   underflow, outside the relative model.
 
-The first-violation search wants the last pass before the first
-failure, so it checks every survivor in ascending order on an exact
-tail (``_Tail``) that adds one bin at a time.
-
 The wrap uses compare and subtract in place of ``np.mod``, with the
 same bits (see ``_wrap``). Layout matters as much as arithmetic here. A
 block's windows are judged as one flat, contiguous run of samples
@@ -127,10 +128,10 @@ def twiddle_tables(n: int):
     return np.cos(ang), np.sin(ang)
 
 
-# Leading samples of the band signal kept current for every candidate;
+# Leading samples the maximal search judges every candidate on first;
 # most candidates already break admissibility inside this window.
 PROBE = 256
-# Candidates whose probe windows come out of one cumulative sum.
+# Maximal-search candidates whose probe windows come out of one cumsum.
 BLOCK = 64
 # Leading samples of a certified full check judged before the rest;
 # failing checks mostly fail inside it.
@@ -233,37 +234,35 @@ def _term(cr, ci, idx, cos_tab, sin_tab, out):
 
 
 class _Tail:
-    """Samples p-2..n-1 of a band signal that grows one bin at a time.
+    """Every sample of a band signal that grows one bin at a time.
 
-    It adds ``bins`` one at a time, only when a candidate needs its
-    full check, with the probe windows' adds in their order, so its
-    first two samples equal the window's last two bit for bit.
-    ``count`` bins are in.
+    It adds ``bins`` one at a time, in order, onto +0.0: the sequential
+    sums z_seq. ``count`` bins are in.
 
     Each bin is one step (+1 or -1) from the last, so bin k's twiddle
     index k*m mod n is the previous bin's plus step*m, taken back into
     [0, n) by ``_fold``.
     """
 
-    def __init__(self, sr, si, cos_tab, sin_tab, bins, step, p):
+    def __init__(self, sr, si, cos_tab, sin_tab, bins, step):
         n = sr.shape[0]
-        m = np.arange(p - 2, n)
+        m = np.arange(n)
         self.coeffs = sr, si, cos_tab, sin_tab
         self.bins = bins
         self.count = 0
-        self.zr = np.zeros(m.size)
-        self.zi = np.zeros(m.size)
+        self.zr = np.zeros(n)
+        self.zi = np.zeros(n)
         self.idx = ((int(bins[0]) - step) * m) % n
         self.alt = np.empty_like(self.idx)
         self.delta = step * m
         self.turn = step * n
         # adding a bin and checking a candidate take turns on the
         # scratch arrays
-        self.work = [np.empty(m.size) for _ in range(4)]
+        self.work = [np.empty(n) for _ in range(4)]
 
     def admissible(self, pos, eps):
         """Catch up to candidate ``bins[pos]``, at or past the last bin
-        added, and judge the phase steps its window could not see."""
+        added, and judge it at every sample."""
         sr, si, cos_tab, sin_tab = self.coeffs
         idx = self.idx
         for k in self.bins[self.count:pos + 1].tolist():
@@ -635,27 +634,38 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     of consecutive bins, ascending or descending); return the bin that
     closes its last admissible candidate, or -1 if none is.
 
+    The first-violation search judges the candidates in order, each at
+    every sample of one growing tail (``_Tail.admissible``), and stops
+    at the first failure after a pass.
+
+    The exhaustive search returns the largest admissible candidate.
     Every candidate is first judged on its first PROBE samples, built
     BLOCK candidates at a time; a violation there is final, and a
-    record of at most PROBE samples needs nothing more.
-
-    The exhaustive search returns the largest admissible candidate. It
-    collects every survivor of the probe, then gives them certified
-    full checks (``_Check``) from the highest down and stops at the
-    first pass: a lower survivor cannot matter once a higher one is
-    admissible. Each check judges one inverse FFT of the candidate's
-    coefficients where the bound on its distance to the sequential sums
-    settles the verdict, and the sequential sums themselves, rebuilt at
-    the few samples it does not settle; the answer is the one that
-    checking every survivor on the sequential sums would give.
-
-    The first-violation search checks every survivor in turn on the
-    ascending tail (``_Tail.admissible``), because its answer is the
-    last pass before the first failure.
+    record of at most PROBE samples needs nothing more. The survivors
+    then get certified full checks (``_Check``) from the highest down,
+    up to the first pass: a lower survivor cannot matter once a higher
+    one is admissible. The answer is the one that checking every
+    survivor on the sequential sums would give.
     """
     n = sr.shape[0]
-    p = min(PROBE, n)
     step = int(bins[1] - bins[0]) if bins.size > 1 else 1
+    # position in bins of the highest candidate known admissible
+    best = -1
+    if not exhaustive:
+        # a candidate of exactly zero coefficients sums to +0.0 at every
+        # sample and fails, so the walk starts at the first nonzero bin
+        live = np.flatnonzero((sr[bins] != 0.0) | (si[bins] != 0.0))
+        if live.size == 0:
+            return -1
+        bins = bins[live[0]:]
+        tail = _Tail(sr, si, cos_tab, sin_tab, bins, step)
+        for pos in range(bins.size):
+            if tail.admissible(pos, eps):
+                best = pos
+            elif best != -1:
+                break
+        return int(bins[best]) if best != -1 else -1
+    p = min(PROBE, n)
     m = np.arange(p)
     # twiddle index of row j, sample m is (k0 m + j step m) mod n: a
     # per-block row plus this table, folded back into [0, n)
@@ -667,11 +677,6 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     rows_i = np.zeros((BLOCK + 1, p))
     # building the windows and checking them take turns on the scratch
     work = [np.empty((BLOCK, p)) for _ in range(3)]
-    tail = (_Tail(sr, si, cos_tab, sin_tab, bins, step, p)
-            if p < n and not exhaustive else None)
-    # best is the position in bins of the highest candidate known
-    # admissible; the exhaustive search collects the probe's survivors
-    best = -1
     survivors = []
     for start in range(0, bins.size, BLOCK):
         ks = bins[start:start + BLOCK]
@@ -688,17 +693,7 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
                                   [w[:b] for w in work])
         rows_r[0] = rows_r[b]
         rows_i[0] = rows_i[b]
-        if exhaustive:
-            survivors += (start + np.flatnonzero(passed)).tolist()
-            continue
-        for j, ok in enumerate(passed.tolist()):
-            pos = start + j
-            if ok and tail is not None:
-                ok = tail.admissible(pos, eps)
-            if ok:
-                best = pos
-            elif best != -1:
-                return int(bins[best])
+        survivors += (start + np.flatnonzero(passed)).tolist()
     if survivors and p < n:
         check = _Check(sr, si, cos_tab, sin_tab, bins, p - 2)
         best = next((pos for pos in reversed(survivors) if check(pos, eps)),

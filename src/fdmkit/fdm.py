@@ -42,7 +42,11 @@ class SearchMode(Enum):
     not monotone in the band edge, so this is the faithful reading of
     "maximum value". FIRST_VIOLATION stops at the first inadmissible
     extension after at least one admissible candidate has been seen,
-    trading possibly-smaller bands for speed on long signals.
+    so its bands can be smaller and more numerous. Neither is faster on
+    every record. On 2 x86 CPUs with numpy 2.4, FIRST_VIOLATION makes
+    123 bands of white noise (n=4096, lth) in about 0.35 s to
+    MAXIMAL_EXHAUSTIVE's 32 in 0.6 s, and 603 bands of a linear chirp
+    (n=16384, htl) in about 4 s to MAXIMAL_EXHAUSTIVE's one in 0.15 s.
     """
 
     MAXIMAL_EXHAUSTIVE = "max"

@@ -5,9 +5,11 @@ the probe-first scan; every configuration must still produce the same
 cells, the same non-monotone indices and the same merged-tail flag.
 The records up to n=256 are checked a second time with the scan's
 probe window and block shrunk, so that their seams fall inside short
-records too. The maximal rows at n >= 512, which reach the certified
-full checks, are checked once more in a child process with numpy's
-AVX-512 kernels turned off.
+records too; only the maximal search probes, so that pass moves the
+seams of the maximal rows only. The maximal rows at n >= 512, which
+reach the certified full checks, and every first-violation row are
+checked once more in a child process with numpy's AVX-512 kernels
+turned off.
 """
 
 import json
@@ -54,7 +56,8 @@ def test_partitions_match_golden_at_small_constants(kind, seed, n,
 
 
 # The maximal rows at n >= 512, which reach the certified full checks,
-# run again in a child process with numpy's AVX-512 kernels turned off.
+# run again in a child process with numpy's AVX-512 kernels turned off;
+# arguments "<search> <least n>" pick other rows.
 WITHOUT_AVX512 = """
 import json, sys
 from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
@@ -64,16 +67,17 @@ try:
 except ImportError:
     from numpy.core._multiarray_umath import __cpu_features__
 assert not __cpu_features__["X86_V4"], "the AVX-512 kernels are still on"
+search, least = sys.argv[1:] or ("max", "512")
 signals, wrong = {}, []
 for row in json.loads(FIXTURE.read_text()):
-    if row["search"] != "max" or row["n"] < 512:
+    if row["search"] != search or row["n"] < int(least):
         continue
     key = (row["kind"], row["seed"], row["n"])
     if key not in signals:
         signals[key] = generate(GeneratorSpec(kind=key[0], n=key[2],
                                               sample_rate_hz=SAMPLE_RATE_HZ,
                                               seed=key[1]))
-    r = decompose(signals[key], FdmConfig(scan=row["scan"], search="max",
+    r = decompose(signals[key], FdmConfig(scan=row["scan"], search=search,
                                           monotonicity_tolerance=row["tol"]))
     got = ([list(b.partition_range) for b in r.fibfs],
            list(r.non_monotone), r.merged_tail)
@@ -97,4 +101,22 @@ def test_max_rows_do_not_depend_on_the_arctan2_kernel():
                                            str(here)]))
     done = subprocess.run([sys.executable, "-c", WITHOUT_AVX512], env=env,
                           capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"),
+                    reason="numpy has no AVX-512 kernels on this host")
+def test_first_rows_with_the_avx512_kernels_off():
+    """The first-violation rows, every length, with numpy's AVX-512
+    kernels turned off. Their verdicts are exact, not certified: each
+    is judged on atan2 of the sequential sums, and a phase slope within
+    the two kernels' last-bit difference of -eps would flip with the
+    kernel. So this pins the corpus only, not every record."""
+    here = Path(__file__).parent
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_AVX512, "first", "0"],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -374,7 +374,7 @@ def sequential_sums(sr, si, ct, st_, bins, count):
     """The scan's sums at every sample for the first ``count`` of
     ``bins``, built by ``_Tail``: each bin's term added in order."""
     step = int(bins[1] - bins[0]) if bins.size > 1 else 1
-    tail = _kernels._Tail(sr, si, ct, st_, bins, step, 2)
+    tail = _kernels._Tail(sr, si, ct, st_, bins, step)
     tail.admissible(count - 1, 0.0)
     return tail.zr, tail.zi
 
@@ -547,6 +547,46 @@ class TestCheckPaths:
         _kernels.scan_boundary(sr, si, ct, st_, np.arange(1, 300), 0.0, False)
         assert checks == []
         assert len(tails) == 1
+
+    def test_first_violation_judges_every_sample_once_per_candidate(
+            self, monkeypatch):
+        # past PROBE samples, so a probe would judge shorter rows
+        from fdmkit import GeneratorSpec, generate
+        from fdmkit.spectral import dft_coefficients
+        n = 1024
+        assert n > _kernels.PROBE
+        c = dft_coefficients(generate(GeneratorSpec(
+            kind="unit_sample", n=n, sample_rate_hz=100)).samples)
+        sr, si = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
+        ct, st_ = _kernels.twiddle_tables(n)
+        rows = counting(monkeypatch, _kernels, "_admissible_rows")
+        lo, hi = 1, (n + 1) // 2 - 1
+        while lo <= hi:
+            bins = np.arange(lo, hi + 1)
+            rows.clear()
+            edge = _kernels.scan_boundary(sr, si, ct, st_, bins, 0.0, False)
+            assert edge != -1
+            # candidates up to the edge, and the one that failed after it
+            tried = min(edge - lo + 2, bins.size)
+            assert [args[0].shape for args in rows] == [(n,)] * tried
+            lo = edge + 1
+
+    def test_first_violation_leaves_zero_bins_unjudged(self, monkeypatch):
+        # candidates of exactly zero coefficients sum to zero samples
+        sr, si, _ = spectrum_of(0, 600)
+        ct, st_ = _kernels.twiddle_tables(600)
+        sr[1:200] = 0.0
+        si[1:200] = -0.0
+        bins = np.arange(1, 300)
+        want = scan_direct(sr, si, ct, st_, bins, 0.0, False)
+        rows = counting(monkeypatch, _kernels, "_admissible_rows")
+        edge = _kernels.scan_boundary(sr, si, ct, st_, bins, 0.0, False)
+        assert edge == want
+        assert len(rows) == min(edge - 200 + 2, 100)
+        rows.clear()
+        assert _kernels.scan_boundary(sr, si, ct, st_, bins[:199], 0.0,
+                                      False) == -1
+        assert rows == []
 
     def test_exact_fallback_runs_on_exact_zero_slope(self, monkeypatch):
         calls = counting(monkeypatch, _kernels, "_exact_slopes")
