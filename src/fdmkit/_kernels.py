@@ -44,13 +44,14 @@ z_seq. A step's allowance is the sum of its two samples' moves, and a
 slope's the mean of its two steps'. Each also gets _ATAN2 per phase for
 the atan2 kernel, enough for both numpy's AVX-512 kernel and glibc's,
 and _ROUND for the roundings of the steps, the wrap, the mean and the
-comparisons themselves. A failing check is settled at its least slope
-or at its slopes below -eps; a passing one by a single allowance from
-the least |z_f|. Per-sample allowances are computed only when neither
-settles it. Slopes left uncertified are judged on z_seq itself,
-rebuilt at those samples and their neighbours only (``_exact_sums``)
-with _Tail's adds in _Tail's order. So the verdict is, bit for bit,
-that of summing the whole band in scan order.
+comparisons themselves. Two fast tests settle most checks: a fail at
+its least slope alone (``_fails_at``), a pass by a single allowance
+from the least |z_f|. Else every sample gets its own allowance
+(``_certain``), which finds any certain fail; slopes left uncertified
+are judged on z_seq itself, rebuilt at those samples and their
+neighbours only (``_exact_sums``) with _Tail's adds in _Tail's order.
+So the verdict is, bit for bit, that of summing the whole band in scan
+order.
 
 Failing checks mostly fail early, so a check judges its first WINDOW
 samples first and the rest only when those settle no fail, each on a
@@ -301,15 +302,6 @@ def _exact_sums(sr, si, cos_tab, sin_tab, ks, ms):
     return zr, zi
 
 
-def _exact_slopes(coeffs, ks, centres, eps):
-    """Judge the slopes at samples ``centres`` (and the samples either
-    side of each for zeros) on z_seq itself."""
-    ms = np.add.outer(centres, np.arange(-1, 2)).reshape(-1)
-    zr, zi = _exact_sums(*coeffs, ks, ms)
-    return bool(_admissible_rows(zr.reshape(-1, 3), zi.reshape(-1, 3),
-                                 eps).all())
-
-
 def _gamma(k):
     return k * _U / (1.0 - k * _U)
 
@@ -405,16 +397,18 @@ def _allowance(ratio):
 
 
 def _certain(absz, dm, omega, eps, delta):
-    """Certain fails and certain passes of the slopes ``omega``, from
-    |z_f| at their samples and their wrapped steps (the last axes hold
-    L samples, L - 1 steps and L - 2 slopes)."""
+    """None if one of the slopes ``omega`` is a certain fail, else which
+    of them are certain passes, from |z_f| at their L samples and their
+    L - 1 wrapped steps."""
     a = _allowance(delta / absz)
-    step = a[..., :-1] + a[..., 1:] + _ROUND
+    step = a[:-1] + a[1:] + _ROUND
     far = absz > 2.0 * delta
-    clear = (np.abs(dm) < _PI - step - _ROUND) & far[..., :-1] & far[..., 1:]
-    slope = 0.5 * (step[..., :-1] + step[..., 1:]) + _ROUND
-    clear = clear[..., :-1] & clear[..., 1:]
-    return clear & (omega + slope < -eps), clear & (omega - slope > -eps)
+    clear = (np.abs(dm) < _PI - step - _ROUND) & far[:-1] & far[1:]
+    slope = 0.5 * (step[:-1] + step[1:]) + _ROUND
+    clear = clear[:-1] & clear[1:]
+    if (clear & (omega + slope < -eps)).any():
+        return None
+    return clear & (omega - slope > -eps)
 
 
 # Bins a window drops one term at a time before a fresh transform is
@@ -430,32 +424,27 @@ class _Window:
     It is loaded from z_f and then follows the walk down the candidates
     by dropping the terms of the bins the walk leaves, up to ``limit``
     bins at a time (fewer where their terms would pass _CHUNK cells).
-    ``row`` holds the twiddle indices of bins[count].
     """
 
-    def __init__(self, lo, hi, limit, step, n):
+    def __init__(self, lo, hi, limit):
         size = hi - lo
         self.lo = lo
         self.m = np.arange(lo, hi)
         self.limit = min(limit, _CHUNK // size)
-        self.t1 = (step * self.m) % n
         self.z = np.empty(size, dtype=np.complex128)
         self.count = 0
         self.delta = 0.0
-        self.row = np.empty(size, dtype=np.intp)
         self.idx = np.empty((self.limit, size), dtype=np.intp)
-        self.alt = np.empty(size, dtype=np.intp)
         self.terms = np.empty((self.limit, size), dtype=np.complex128)
         self.work = [np.empty(size) for _ in range(3)]
 
     def reaches(self, pos):
         return 0 <= self.count - pos - 1 <= self.limit
 
-    def load(self, z, pos, delta, row):
+    def load(self, z, pos, delta):
         np.copyto(self.z, z[self.lo:self.lo + self.z.size])
         self.count = pos + 1
         self.delta = delta
-        self.row[...] = row
 
     def drop(self, check, pos):
         """Take the terms of bins[pos + 1:count] out.
@@ -468,18 +457,13 @@ class _Window:
         d = self.count - pos - 1
         if d == 0:
             return
-        n = check.tab.size
-        # rows of bins[count - 1], ..., bins[pos + 1]
-        idx = self.idx[:d]
-        prev = self.row
-        for row in idx:
-            np.subtract(prev, self.t1, out=row)
-            _fold(row, -n, self.alt)
-            prev = row
+        # twiddle indices k m mod n, as in _exact_sums, rows k descending
+        idx = np.multiply.outer(check.bins[self.count - 1:pos:-1], self.m,
+                                out=self.idx[:d])
+        idx %= check.tab.size
         terms = np.take(check.tab, idx, out=self.terms[:d])
         terms *= check.c[self.count - 1:pos:-1, None]
         self.z -= terms[0] if d == 1 else terms.sum(axis=0)
-        self.row[...] = prev
         drop = check.mag[pos + 1:self.count].sum() * (1.0 + 2.0**-40)
         err = drop * (_TAU + _gamma(d - 1) * (1 + _TAU)) + d * 2.0**-1070
         self.delta = ((self.delta + err) * (1 + _U)
@@ -504,18 +488,12 @@ class _Window:
         omega = np.add(dm[:-1], dm[1:], out=raw[1:-1])
         omega *= 0.5
         i = int(omega.argmin())
-        if omega[i] < -eps:
-            # a failing check, most likely certain at its least slope
-            if _fails_at(z, dm, omega, i, eps, delta):
-                return None
-            low = np.flatnonzero(omega < -eps)
-            at = low[:, None] + np.arange(3)
-            fail, _ = _certain(np.abs(z[at]), dm[at[:, :2]],
-                               omega[low, None], eps, delta)
-            if fail.any():
-                return None
+        failing = omega[i] < -eps
+        # a failing check, most likely certain at its least slope
+        if failing and _fails_at(z, dm, omega, i, eps, delta):
+            return None
         np.abs(z, out=absz)
-        if not omega[i] < -eps:
+        if not failing:
             # one allowance for every sample, from the least |z_f|
             least = absz.min()
             if least > 2.0 * delta:
@@ -523,8 +501,8 @@ class _Window:
                 if (omega[i] - step - _ROUND > -eps
                         and max(dm.max(), -dm.min()) < _PI - step - _ROUND):
                     return np.empty(0, dtype=np.intp)
-        _, sure = _certain(absz, dm, omega, eps, delta)
-        return self.lo + 1 + np.flatnonzero(~sure)
+        sure = _certain(absz, dm, omega, eps, delta)
+        return None if sure is None else self.lo + 1 + np.flatnonzero(~sure)
 
 
 def _fails_at(z, dm, omega, i, eps, delta):
@@ -547,8 +525,7 @@ class _Check:
     The samples up to WINDOW from ``start`` are judged first, and the
     rest only when those do not settle a fail, each on its own
     ``_Window``. A window that cannot reach the candidate by dropping
-    bins is loaded, with every other, from a fresh z_f; ``band`` holds
-    the masked coefficients of the last candidate transformed.
+    bins is loaded, with every other, from a fresh z_f.
     """
 
     def __init__(self, sr, si, cos_tab, sin_tab, bins, start):
@@ -556,9 +533,7 @@ class _Check:
         theta, slow = _ifft_error(n)
         self.coeffs = sr, si, cos_tab, sin_tab
         self.bins = bins
-        self.step = int(bins[1] - bins[0]) if bins.size > 1 else 1
-        self.count = 0
-        self.band = np.zeros(n, dtype=np.complex128)
+        self.band = np.empty(n, dtype=np.complex128)
         self.z = np.empty(n, dtype=np.complex128)
         self.tab = np.empty(n, dtype=np.complex128)
         self.tab.real = cos_tab
@@ -579,26 +554,17 @@ class _Check:
             self.dfft = 1.001 * (math.sqrt(n) * theta
                                  * np.minimum(self.l1, l2) + tiny)
         end = min(start + WINDOW, n)
-        self.windows = [_Window(start, end, DROPS, self.step, n)]
+        self.windows = [_Window(start, end, DROPS)]
         if end < n:
-            self.windows.append(_Window(end - 2, n, DROPS if slow else 0,
-                                        self.step, n))
+            self.windows.append(_Window(end - 2, n, DROPS if slow else 0))
 
     def _transform(self, pos):
         """z_f of candidate ``pos``; every window is loaded from it."""
-        sr, si = self.coeffs[:2]
-        if pos + 1 > self.count:
-            ks = self.bins[self.count:pos + 1]
-            self.band.real[ks] = sr[ks]
-            self.band.imag[ks] = si[ks]
-        else:
-            self.band[self.bins[pos + 1:self.count]] = 0.0
-        self.count = pos + 1
+        self.band.fill(0.0)
+        self.band[self.bins[:pos + 1]] = self.c[:pos + 1]
         np.fft.ifft(self.band, norm="forward", out=self.z)
-        n = self.z.size
-        k = int(self.bins[0]) + self.step * (pos + 1)
         for w in self.windows:
-            w.load(self.z, pos, self.dfft[pos], (k * w.m) % n)
+            w.load(self.z, pos, self.dfft[pos])
 
     def __call__(self, pos, eps):
         """Is candidate ``bins[pos]`` admissible on the checked samples?"""
@@ -617,9 +583,13 @@ class _Check:
                     return False
                 centres.append(got)
         centres = np.concatenate(centres)
-        return (centres.size == 0
-                or _exact_slopes(self.coeffs, self.bins[:pos + 1], centres,
-                                 eps))
+        if centres.size == 0:
+            return True
+        # uncertified slopes, judged on z_seq at their three samples
+        ms = np.add.outer(centres, np.arange(-1, 2)).reshape(-1)
+        zr, zi = _exact_sums(*self.coeffs, self.bins[:pos + 1], ms)
+        return bool(_admissible_rows(zr.reshape(-1, 3), zi.reshape(-1, 3),
+                                     eps).all())
 
 
 def band_admissible(sr, si, cos_tab, sin_tab, lo, hi, eps):

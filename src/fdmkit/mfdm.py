@@ -271,6 +271,16 @@ def mfdm_decompose(data, schedule: CutoffSchedule) -> MfdmResult:
     # its bands and one level's transforms
     residues = tuple(ch.samples.copy() for ch in data.channels)
     bands = []
+    # A residue x that dft_coefficients accepts has a finite unnormalised
+    # DFT X, since pocketfft scales after its passes (cfftp::pass_all and
+    # fftblue::fft in numpy's pocketfft_hdronly.hpp), and by Parseval
+    # ||x||_2 <= max |X_u|. A band sample is at most (1/n) sum_kept |X_k|
+    # <= sqrt((n - 1) / n) ||x||_2, and so is a residue sample (the bins
+    # the band leaves): at least max |X_u| / (2n) below max |X_u|, far
+    # more than the transforms' rounding near 1e-13. So with max |X_u|
+    # within the float64 max neither _highpass nor x -= band overflows.
+    # Not covered: a finite bin's modulus may reach sqrt(2) times that
+    # max, and pocketfft's radix-8 rotations add a value's two parts.
     for c in schedule.cutoffs_hz:
         keep = freqs >= c
         level = tuple(_highpass(x, keep) for x in residues)

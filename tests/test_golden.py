@@ -6,7 +6,9 @@ cells, the same non-monotone indices and the same merged-tail flag.
 The records up to n=256 are checked a second time with the scan's
 probe window and block shrunk, so that their seams fall inside short
 records too; only the maximal search probes, so that pass moves the
-seams of the maximal rows only. The maximal rows at n >= 512, which
+seams of the maximal rows only. A third pass shrinks the certified
+checks' window and drops as well, so that those records run both
+windows and drop bins from each. The maximal rows at n >= 512, which
 reach the certified full checks, and every first-violation row are
 checked once more in a child process with numpy's AVX-512 kernels
 turned off.
@@ -44,15 +46,30 @@ def test_partitions_match_golden(kind, seed, n):
     assert partitions(kind, seed, n) == want
 
 
-@pytest.mark.parametrize("kind,seed,n",
-                         [case for case in signal_cases() if case[2] <= 256])
-def test_partitions_match_golden_at_small_constants(kind, seed, n,
-                                                    monkeypatch):
-    monkeypatch.setattr(_kernels, "PROBE", 16)
-    monkeypatch.setattr(_kernels, "BLOCK", 5)
+def match_at(monkeypatch, kind, seed, n, **constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(_kernels, name, value)
     want = [r for r in GOLDEN
             if (r["kind"], r["seed"], r["n"]) == (kind, seed, n)]
     assert partitions(kind, seed, n) == want
+
+
+SMALL = [case for case in signal_cases() if case[2] <= 256]
+
+
+@pytest.mark.parametrize("kind,seed,n", SMALL)
+def test_partitions_match_golden_at_small_constants(kind, seed, n,
+                                                    monkeypatch):
+    match_at(monkeypatch, kind, seed, n, PROBE=16, BLOCK=5)
+
+
+@pytest.mark.parametrize("kind,seed,n", SMALL)
+def test_partitions_match_golden_at_small_windows(kind, seed, n,
+                                                  monkeypatch):
+    # full checks on both windows, with drops on each: n=255 (3 5 17)
+    # has a slow route, so it drops bins past the leading window too
+    match_at(monkeypatch, kind, seed, n, PROBE=16, BLOCK=5, WINDOW=40,
+             DROPS=3)
 
 
 # The maximal rows at n >= 512, which reach the certified full checks,

@@ -588,13 +588,29 @@ class TestCheckPaths:
                                       False) == -1
         assert rows == []
 
+    def test_per_sample_allowances_judge_whole_windows(self, monkeypatch):
+        # a window the fast tests leave open is judged at every sample,
+        # on its own 1-D arrays, failing checks included
+        from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
+        calls = counting(monkeypatch, _kernels, "_certain")
+        n = 1000
+        signal = generate(GeneratorSpec(kind="unit_sample", n=n,
+                                        sample_rate_hz=100))
+        decompose(signal, FdmConfig(scan="lth", search="max"))
+        # one leading window, from the probe's last two samples on
+        size = n - _kernels.PROBE + 2
+        assert calls
+        for absz, dm, omega, *_ in calls:
+            assert [a.shape for a in (absz, dm, omega)] == [
+                (size,), (size - 1,), (size - 2,)]
+
     def test_exact_fallback_runs_on_exact_zero_slope(self, monkeypatch):
-        calls = counting(monkeypatch, _kernels, "_exact_slopes")
+        calls = counting(monkeypatch, _kernels, "_exact_sums")
         TestAdmissibility().test_exact_zero_slope_matches_oracle()
         assert calls
 
     def test_exact_fallback_runs_on_seam_spectra(self, monkeypatch):
-        calls = counting(monkeypatch, _kernels, "_exact_slopes")
+        calls = counting(monkeypatch, _kernels, "_exact_sums")
 
         @given(seam_spectra(), st.sampled_from([0.0, 1e-3]), st.booleans())
         @settings(max_examples=300, deadline=None, derandomize=True,

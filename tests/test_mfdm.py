@@ -349,6 +349,37 @@ class TestMfdmDecompose:
                 pytest.raises(ParameterError, match="residue overflows"):
             mfdm_decompose(self.record(), cutoff_schedule(self.fs, 1.5, 1))
 
+    @pytest.mark.parametrize("top", [0.5, 0.999, 1 - 1e-9, 1.0])
+    def test_banks_at_the_top_of_the_range_never_overflow(self, top):
+        # records scaled so that their largest |X_u| is ``top`` of the
+        # float64 max: no band or residue sample can pass the bound in
+        # mfdm_decompose, so a bank ends finite or refused, and never
+        # with a RuntimeWarning
+        big = np.finfo(np.float64).max
+        clean = 0
+        for n in range(4, 301):
+            rng = np.random.default_rng(n)
+            t = np.arange(n)
+            impulse = np.zeros(n)
+            impulse[n // 3] = 1.0
+            schedule = CutoffSchedule(tuple(np.geomspace(0.45, 1.0 / n, 4)),
+                                      1.0)
+            for x in (rng.standard_normal(n), impulse,
+                      np.cos(np.pi * t * t / (2 * n)),
+                      rng.choice([-1.0, 1.0], n)):
+                # |x_m| <= max |X_u|, so x / peak is at most 1
+                x = x / np.abs(np.fft.fft(x)).max() * (top * big)
+                try:
+                    res = mfdm_decompose(Signal(x, 1.0), schedule)
+                except ParameterError as e:
+                    assert "overflows" in str(e)
+                    continue
+                for y in [b for level in res.bands for b in level] \
+                        + list(res.residue):
+                    assert np.isfinite(y).all(), (n, top)
+                clean += 1
+        assert clean > 200
+
     def test_tone_lands_in_its_designated_level(self):
         # cutoffs [32, 16, 8, 4]: an 8 Hz tone belongs to level 2
         x = tone(self.n, int(8 * self.n / self.fs), self.fs)
