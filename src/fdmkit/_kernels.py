@@ -11,9 +11,10 @@ come from atan2, and phase increments are wrapped to (-pi, pi] the same
 way ``np.unwrap`` wraps them.
 
 The first-violation search judges the candidates in scan order, each
-at every sample of one tail (``_Tail``) that adds one bin at a time,
-and stops at the first failure after a pass. Nearly every candidate it
-judges passes, and a pass needs every sample, so it takes no probe.
+at every sample of the sums ``_tail`` yields as it adds one bin at a
+time, and stops at the first failure after a pass. Nearly every
+candidate it judges passes, and a pass needs every sample, so it takes
+no probe.
 
 The maximal search is probe-first. On broadband records almost every
 candidate is rejected, most of them by a phase violation within the
@@ -44,14 +45,13 @@ z_seq. A step's allowance is the sum of its two samples' moves, and a
 slope's the mean of its two steps'. Each also gets _ATAN2 per phase for
 the atan2 kernel, enough for both numpy's AVX-512 kernel and glibc's,
 and _ROUND for the roundings of the steps, the wrap, the mean and the
-comparisons themselves. Two fast tests settle most checks: a fail at
-its least slope alone (``_fails_at``), a pass by a single allowance
-from the least |z_f|. Else every sample gets its own allowance
-(``_certain``), which finds any certain fail; slopes left uncertified
-are judged on z_seq itself, rebuilt at those samples and their
-neighbours only (``_exact_sums``) with _Tail's adds in _Tail's order.
-So the verdict is, bit for bit, that of summing the whole band in scan
-order.
+comparisons themselves. A fail is certified at the least slope alone
+(``_fails_at``). A pass is certified by a single allowance from the
+least |z_f|, else by every sample's own allowance (``_certain``).
+Slopes left uncertified, certain fails elsewhere included, are judged
+on z_seq itself, rebuilt at those samples and their neighbours only
+(``_exact_sums``) with ``_tail``'s adds in ``_tail``'s order. So the
+verdict is, bit for bit, that of summing the whole band in scan order.
 
 Failing checks mostly fail early, so a check judges its first WINDOW
 samples first and the rest only when those settle no fail, each on a
@@ -110,9 +110,9 @@ block's windows are judged as one flat, contiguous run of samples
 rather than through strided 2-D views: the steps across row seams are
 computed with the rest and their slopes dropped before the per-row
 verdict (see ``_admissible_rows``). A block's twiddle indices k m mod n
-come from a table of j step m mod n, built once per scan, plus the
-block's row k0 m mod n, folded back into [0, n) by ``_fold`` as the
-tail's are, with no division per block.
+come from a table of j step m mod n, built once per ``scan_boundary``
+call (once per band), plus the block's row k0 m mod n, folded back into
+[0, n) by ``_fold`` as the tail's are, with no division per block.
 """
 import functools
 import math
@@ -205,12 +205,11 @@ def _admissible_rows(zr, zi, eps, work=None):
     return ~(zero | bad.any(axis=-1))
 
 
-def _fold(idx, turn, alt):
-    """Take twiddle indices one ``turn`` (+n or -n) out of [0, n) back
-    into it, in place and without a division: of idx and idx - turn,
-    the one in range is the smaller as unsigned integers. ``alt`` is
-    scratch shaped like idx."""
-    np.subtract(idx, turn, out=alt)
+def _fold(idx, n, alt):
+    """Take twiddle indices in [0, 2n) back into [0, n), in place and
+    without a division: of idx and idx - n, the one in range is the
+    smaller as unsigned integers. ``alt`` is scratch shaped like idx."""
+    np.subtract(idx, n, out=alt)
     np.minimum(idx.view(np.uint64), alt.view(np.uint64),
                out=idx.view(np.uint64))
 
@@ -234,46 +233,30 @@ def _term(cr, ci, idx, cos_tab, sin_tab, out):
     return re, im
 
 
-class _Tail:
-    """Every sample of a band signal that grows one bin at a time.
-
-    It adds ``bins`` one at a time, in order, onto +0.0: the sequential
-    sums z_seq. ``count`` bins are in.
+def _tail(sr, si, cos_tab, sin_tab, bins, step):
+    """Yield z_seq (zr, zi) at every sample for each candidate of
+    ``bins`` in turn: each bin's term added in order onto +0.0. The
+    arrays are updated in place for the next candidate.
 
     Each bin is one step (+1 or -1) from the last, so bin k's twiddle
-    index k*m mod n is the previous bin's plus step*m, taken back into
-    [0, n) by ``_fold``.
+    index k m mod n is the previous bin's plus (step m) mod n, folded
+    back into [0, n) by ``_fold``.
     """
-
-    def __init__(self, sr, si, cos_tab, sin_tab, bins, step):
-        n = sr.shape[0]
-        m = np.arange(n)
-        self.coeffs = sr, si, cos_tab, sin_tab
-        self.bins = bins
-        self.count = 0
-        self.zr = np.zeros(n)
-        self.zi = np.zeros(n)
-        self.idx = ((int(bins[0]) - step) * m) % n
-        self.alt = np.empty_like(self.idx)
-        self.delta = step * m
-        self.turn = step * n
-        # adding a bin and checking a candidate take turns on the
-        # scratch arrays
-        self.work = [np.empty(n) for _ in range(4)]
-
-    def admissible(self, pos, eps):
-        """Catch up to candidate ``bins[pos]``, at or past the last bin
-        added, and judge it at every sample."""
-        sr, si, cos_tab, sin_tab = self.coeffs
-        idx = self.idx
-        for k in self.bins[self.count:pos + 1].tolist():
-            idx += self.delta
-            _fold(idx, self.turn, self.alt)
-            re, im = _term(sr[k], si[k], idx, cos_tab, sin_tab, self.work)
-            self.zr += re
-            self.zi += im
-        self.count = pos + 1
-        return bool(_admissible_rows(self.zr, self.zi, eps, self.work))
+    n = sr.shape[0]
+    m = np.arange(n)
+    zr = np.zeros(n)
+    zi = np.zeros(n)
+    idx = ((int(bins[0]) - step) * m) % n
+    alt = np.empty_like(idx)
+    delta = (step * m) % n
+    work = [np.empty(n) for _ in range(4)]
+    for k in bins.tolist():
+        idx += delta
+        _fold(idx, n, alt)
+        re, im = _term(sr[k], si[k], idx, cos_tab, sin_tab, work)
+        zr += re
+        zi += im
+        yield zr, zi
 
 
 # Twiddle and summand cells per chunk of the exact per-sample sums.
@@ -283,7 +266,7 @@ _CHUNK = 1 << 18
 def _exact_sums(sr, si, cos_tab, sin_tab, ks, ms):
     """z_seq at samples ``ms`` for the band of bins ``ks``: each bin's
     term added in ``ks`` order onto +0.0, the adds and the order of
-    ``_Tail`` and of the probe, so the same bits."""
+    ``_tail`` and of the probe, so the same bits."""
     n = sr.shape[0]
     zr = np.empty(ms.size)
     zi = np.empty(ms.size)
@@ -397,17 +380,14 @@ def _allowance(ratio):
 
 
 def _certain(absz, dm, omega, eps, delta):
-    """None if one of the slopes ``omega`` is a certain fail, else which
-    of them are certain passes, from |z_f| at their L samples and their
-    L - 1 wrapped steps."""
+    """Which of the slopes ``omega`` are certain passes, from |z_f| at
+    their L samples and their L - 1 wrapped steps."""
     a = _allowance(delta / absz)
     step = a[:-1] + a[1:] + _ROUND
     far = absz > 2.0 * delta
     clear = (np.abs(dm) < _PI - step - _ROUND) & far[:-1] & far[1:]
     slope = 0.5 * (step[:-1] + step[1:]) + _ROUND
     clear = clear[:-1] & clear[1:]
-    if (clear & (omega + slope < -eps)).any():
-        return None
     return clear & (omega - slope > -eps)
 
 
@@ -471,8 +451,9 @@ class _Window:
         self.count = pos + 1
 
     def judge(self, eps, delta):
-        """Judge the window, within delta of z_seq: None on a certain
-        fail, else the samples whose slopes it leaves uncertified."""
+        """Judge the window, within delta of z_seq: None on a fail
+        certain at its least slope, else the samples whose slopes it
+        leaves uncertified."""
         z = self.z
         raw, absz, dm = self.work
         d = absz[:-1]
@@ -502,11 +483,13 @@ class _Window:
                         and max(dm.max(), -dm.min()) < _PI - step - _ROUND):
                     return np.empty(0, dtype=np.intp)
         sure = _certain(absz, dm, omega, eps, delta)
-        return None if sure is None else self.lo + 1 + np.flatnonzero(~sure)
+        return self.lo + 1 + np.flatnonzero(~sure)
 
 
 def _fails_at(z, dm, omega, i, eps, delta):
-    """``_certain``'s fail verdict for the one slope omega[i]."""
+    """Is the one slope omega[i] a certain fail? It is when its three
+    samples have |z_f| > 2 delta, neither of its steps lies within its
+    allowance of +-pi, and it lies below -eps by its allowance."""
     mags = [abs(complex(v)) for v in z[i:i + 3]]
     if not all(r > 2.0 * delta for r in mags):
         return False
@@ -605,8 +588,8 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     closes its last admissible candidate, or -1 if none is.
 
     The first-violation search judges the candidates in order, each at
-    every sample of one growing tail (``_Tail.admissible``), and stops
-    at the first failure after a pass.
+    every sample of the sums ``_tail`` yields, and stops at the first
+    failure after a pass.
 
     The exhaustive search returns the largest admissible candidate.
     Every candidate is first judged on its first PROBE samples, built
@@ -628,9 +611,10 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
         if live.size == 0:
             return -1
         bins = bins[live[0]:]
-        tail = _Tail(sr, si, cos_tab, sin_tab, bins, step)
-        for pos in range(bins.size):
-            if tail.admissible(pos, eps):
+        work = [np.empty(n) for _ in range(3)]
+        sums = _tail(sr, si, cos_tab, sin_tab, bins, step)
+        for pos, (zr, zi) in enumerate(sums):
+            if _admissible_rows(zr, zi, eps, work):
                 best = pos
             elif best != -1:
                 break

@@ -207,12 +207,10 @@ def _scan_partition(spectrum: Spectrum, config: FdmConfig):
             # admissible extension at all the residual band is emitted
             # anyway, so the partition, and with it reconstruction,
             # stays exact. The one candidate [lo, hi] is judged with its
-            # bins summed in ascending order whichever way the bands
-            # were scanned. An upward maximal scan has just judged it,
-            # and a merged tail means it did not end at hi
-            mono = (merged_tail and not (upward and exhaustive)
-                    and _kernels.band_admissible(sr, si, cos_tab, sin_tab,
-                                                 lo, hi, eps))
+            # bins summed in ascending order, whichever way and with
+            # whichever search the bands were scanned
+            mono = merged_tail and _kernels.band_admissible(
+                sr, si, cos_tab, sin_tab, lo, hi, eps)
             cells.append((lo, hi, mono))
             return cells, merged_tail
         if upward:

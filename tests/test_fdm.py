@@ -364,26 +364,52 @@ class TestMaxFibfs:
     # its |z| ~ 1e-15 makes the kernel and the oracle round differently
     @pytest.mark.parametrize("scan", ["lth", "htl"])
     @pytest.mark.parametrize("n", [128, 300])
-    def test_every_cap_matches_the_oracle_prefix(self, n, scan):
-        s = generate(GeneratorSpec("intermittent_tone", n, 100.0))
-        c = dft(s).coefficients
-        oracle = lth_partition_direct if scan == "lth" else htl_partition_direct
-        full = oracle(c, 0.0, exhaustive=False)
-        k_max = (n + 1) // 2 - 1
-        for cap in range(1, len(full) + 1):
-            r = decompose(s, FdmConfig(scan=scan, search="first", max_fibfs=cap))
-            cells = [b.partition_range for b in r.fibfs]
-            assert r.n_fibfs == cap
-            assert cells[:-1] == [(lo, hi) for lo, hi, _ in full[:cap - 1]]
-            if cap == len(full):
-                assert not r.merged_tail
-                assert cells[-1] == full[-1][:2]
-                continue
-            assert r.merged_tail
-            lo, hi = full[cap - 1][:2]
-            assert cells[-1] == ((lo, k_max) if scan == "lth" else (1, hi))
-            mono = cap - 1 not in r.non_monotone
-            assert mono == admissible_direct(band_direct(c, *cells[-1]), 0.0), cap
+    def test_every_cap_matches_the_oracle_prefix(self, n, scan, monkeypatch):
+        match_every_cap(n, scan, "first", monkeypatch)
+
+    # the maximal search judges the merged tail the same way, upward
+    # too, where the scan itself has just found [lo, hi] inadmissible
+    @pytest.mark.parametrize("scan", ["lth", "htl"])
+    @pytest.mark.parametrize("n", [128, 300])
+    def test_every_max_cap_matches_the_oracle_prefix(self, n, scan,
+                                                     monkeypatch):
+        match_every_cap(n, scan, "max", monkeypatch)
+
+
+def match_every_cap(n, scan, search, monkeypatch):
+    """Every cap of an ``intermittent_tone`` decomposition keeps the
+    oracle's leading cells and merges the rest into one band, judged
+    once with its bins summed in ascending order."""
+    from fdmkit import _kernels
+    calls = []
+    real = _kernels.band_admissible
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "band_admissible", spy)
+    s = generate(GeneratorSpec("intermittent_tone", n, 100.0))
+    c = dft(s).coefficients
+    oracle = lth_partition_direct if scan == "lth" else htl_partition_direct
+    full = oracle(c, 0.0, exhaustive=search == "max")
+    k_max = (n + 1) // 2 - 1
+    for cap in range(1, len(full) + 1):
+        calls.clear()
+        r = decompose(s, FdmConfig(scan=scan, search=search, max_fibfs=cap))
+        cells = [b.partition_range for b in r.fibfs]
+        assert r.n_fibfs == cap
+        assert cells[:-1] == [(lo, hi) for lo, hi, _ in full[:cap - 1]]
+        assert len(calls) == int(r.merged_tail), cap
+        if cap == len(full):
+            assert not r.merged_tail
+            assert cells[-1] == full[-1][:2]
+            continue
+        assert r.merged_tail
+        lo, hi = full[cap - 1][:2]
+        assert cells[-1] == ((lo, k_max) if scan == "lth" else (1, hi))
+        mono = cap - 1 not in r.non_monotone
+        assert mono == admissible_direct(band_direct(c, *cells[-1]), 0.0), cap
 
 
 class TestImpulse:

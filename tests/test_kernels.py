@@ -372,11 +372,12 @@ class TestScanSeams:
 
 def sequential_sums(sr, si, ct, st_, bins, count):
     """The scan's sums at every sample for the first ``count`` of
-    ``bins``, built by ``_Tail``: each bin's term added in order."""
+    ``bins``, yielded by ``_tail``: each bin's term added in order."""
     step = int(bins[1] - bins[0]) if bins.size > 1 else 1
-    tail = _kernels._Tail(sr, si, ct, st_, bins, step)
-    tail.admissible(count - 1, 0.0)
-    return tail.zr, tail.zi
+    sums = _kernels._tail(sr, si, ct, st_, bins, step)
+    for _ in range(count):
+        zr, zi = next(sums)
+    return zr, zi
 
 
 def spread_spectrum(seed, n):
@@ -491,6 +492,28 @@ class TestCertifiedChecks:
         assert not np.signbit(zr).any()
         assert not band_admissible(sr, si, ct, st_, 1, 8, 0.0)
 
+    def test_certain_fail_past_the_least_slope_goes_to_exact_sums(self):
+        # the least slope sits at a sample of |z| = 1e-20, too small to
+        # certify; the certain fail at sample 40 is left uncertified too,
+        # for the exact sums to settle
+        steps = np.full(63, 0.1)
+        steps[19] = -1.0
+        steps[39] = -0.3
+        mags = np.ones(64)
+        mags[20] = 1e-20
+        z = mags * np.exp(1j * np.concatenate(([0.0], np.cumsum(steps))))
+        w = _kernels._Window(0, 64, 0)
+        w.z[:] = z
+        got = w.judge(0.0, 1e-16)
+        assert got is not None
+        assert {19, 20, 39, 40} <= set(got.tolist())
+        # the pass mask of a window whose one violation is a certain fail
+        steps[19] = 0.1
+        omega = 0.5 * (steps[:-1] + steps[1:])
+        sure = _kernels._certain(np.ones(64), steps, omega, 0.0, 1e-16)
+        assert sure.dtype == bool and sure.shape == (62,)
+        assert np.flatnonzero(~sure).tolist() == [38, 39]
+
     @pytest.mark.parametrize("n", [53, 61, 97, 106, 64])
     def test_slow_routes_track_the_sequential_reference(self, n,
                                                         monkeypatch):
@@ -531,7 +554,7 @@ class TestCheckPaths:
             self, monkeypatch):
         from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
         checks = counting(monkeypatch, _kernels._Check, "__call__")
-        tails = counting(monkeypatch, _kernels._Tail, "__init__")
+        tails = counting(monkeypatch, _kernels, "_tail")
         signal = generate(GeneratorSpec(kind="linear_chirp", n=16384,
                                         sample_rate_hz=100))
         result = decompose(signal, FdmConfig(scan="htl", search="max"))
@@ -541,7 +564,7 @@ class TestCheckPaths:
 
     def test_first_violation_keeps_the_tail(self, monkeypatch):
         checks = counting(monkeypatch, _kernels._Check, "__call__")
-        tails = counting(monkeypatch, _kernels._Tail, "__init__")
+        tails = counting(monkeypatch, _kernels, "_tail")
         sr, si, _ = spectrum_of(0, 600)
         ct, st_ = _kernels.twiddle_tables(600)
         _kernels.scan_boundary(sr, si, ct, st_, np.arange(1, 300), 0.0, False)
