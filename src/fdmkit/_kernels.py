@@ -26,10 +26,25 @@ m of row j is ((z[m] + w_1[m]) + w_2[m]) + ... + w_j[m], the very
 additions, in the very order, of z_seq. A zero sample or a phase slope
 below -eps inside a window rejects its candidate for good.
 
+Before any probe, the top candidate (every bin of the run, in scan
+order) is judged at every sample: by the certified check described
+below, with one more window, judged first, for the probe's samples
+(``_Check.whole``). Under max an admissible top is the answer, and on
+single-band records (chirps, FM tones, model waves) it is, so they
+build no probe. A top found inadmissible is left out of the
+survivors. Its exact sums may take at most PROBE // 3 centres, three
+samples each, so K x PROBE terms, the probe's own cost; past that (a
+unit sample, whose whole-band |z_f| sits under 2 delta almost
+everywhere) its verdict is left open and the probe and the survivors'
+checks settle it as before. The bits hold: the top check judges z_seq
+at every slope, the verdict the probe (samples 0..PROBE-1) and a
+survivor check (PROBE-2..n-1) reach between them.
+
 A candidate whose window passes is a survivor; its full check judges
 the samples from the window's last two on. The search collects every
 survivor and checks them from the highest down, stopping at the first
-pass, with certified checks (``_Check``). A check judges
+pass, with certified checks (``_Check``), built once per band and shared
+with the top check. A check judges
 z_f = ifft(masked coefficients, norm="forward"), one O(n log n)
 transform whatever the number of bins, and trusts z_f's verdict only
 where a proven bound delta >= |z_seq - z_f| settles it:
@@ -549,8 +564,10 @@ class _Check:
         for w in self.windows:
             w.load(self.z, pos, self.dfft[pos])
 
-    def __call__(self, pos, eps):
-        """Is candidate ``bins[pos]`` admissible on the checked samples?"""
+    def __call__(self, pos, eps, limit=None):
+        """Is candidate ``bins[pos]`` admissible on the checked samples?
+        None, the verdict left open, once the slopes left uncertified
+        number more than ``limit``."""
         if not self.l1[pos] > 0.0:
             # every term is a signed zero, and so is every sum
             return False
@@ -565,6 +582,8 @@ class _Check:
                 if got is None:
                     return False
                 centres.append(got)
+                if limit is not None and sum(c.size for c in centres) > limit:
+                    return None
         centres = np.concatenate(centres)
         if centres.size == 0:
             return True
@@ -574,12 +593,30 @@ class _Check:
         return bool(_admissible_rows(zr.reshape(-1, 3), zi.reshape(-1, 3),
                                      eps).all())
 
+    def whole(self, pos, eps, limit):
+        """Is candidate ``bins[pos]`` admissible at every sample, those
+        before ``start`` included? None once more than ``limit`` slopes
+        are left uncertified. The samples up to ``start`` + 2 are judged
+        first, on a window of their own; the others keep the z_f this
+        loads for the checks that follow."""
+        head = _Window(0, self.windows[0].lo + 2, 0)
+        self.windows.insert(0, head)
+        got = self(pos, eps, limit)
+        self.windows.remove(head)
+        return got
+
+
+def whole_admissible(sr, si, cos_tab, sin_tab, bins, eps):
+    """Is the band of every bin of ``bins``, summed in that order,
+    admissible at every sample?"""
+    return _Check(sr, si, cos_tab, sin_tab, bins, 0)(bins.size - 1, eps)
+
 
 def band_admissible(sr, si, cos_tab, sin_tab, lo, hi, eps):
     """Is the band of bins lo..hi, summed in ascending order, admissible
     at every sample? The one candidate a merged tail leaves to judge."""
-    bins = np.arange(lo, hi + 1)
-    return _Check(sr, si, cos_tab, sin_tab, bins, 0)(bins.size - 1, eps)
+    return whole_admissible(sr, si, cos_tab, sin_tab, np.arange(lo, hi + 1),
+                            eps)
 
 
 def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
@@ -592,13 +629,17 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     failure after a pass.
 
     The exhaustive search returns the largest admissible candidate.
-    Every candidate is first judged on its first PROBE samples, built
-    BLOCK candidates at a time; a violation there is final, and a
-    record of at most PROBE samples needs nothing more. The survivors
-    then get certified full checks (``_Check``) from the highest down,
-    up to the first pass: a lower survivor cannot matter once a higher
-    one is admissible. The answer is the one that checking every
-    survivor on the sequential sums would give.
+    On a record longer than PROBE, the top candidate is checked first
+    on every sample (``_Check.whole``); a pass is the answer, a fail
+    drops it, and one that would take more than PROBE // 3 exact-sum
+    centres is left to the probe. Every candidate is then judged on its
+    first PROBE samples, built BLOCK candidates at a time; a violation
+    there is final, and a record of at most PROBE samples needs nothing
+    more. The survivors then get certified full checks, on the same
+    ``_Check``, from the highest down, up to the first pass: a lower
+    survivor cannot matter once a higher one is admissible. The answer
+    is the one that checking every survivor on the sequential sums
+    would give.
     """
     n = sr.shape[0]
     step = int(bins[1] - bins[0]) if bins.size > 1 else 1
@@ -620,6 +661,15 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
                 break
         return int(bins[best]) if best != -1 else -1
     p = min(PROBE, n)
+    top = bins.size - 1
+    whole = None
+    if p < n:
+        # the top candidate on every sample first, its exact sums held
+        # to the probe's own cost (see the module docstring)
+        check = _Check(sr, si, cos_tab, sin_tab, bins, p - 2)
+        whole = check.whole(top, eps, PROBE // 3)
+        if whole:
+            return int(bins[-1])
     m = np.arange(p)
     # twiddle index of row j, sample m is (k0 m + j step m) mod n: a
     # per-block row plus this table, folded back into [0, n)
@@ -648,8 +698,10 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
         rows_r[0] = rows_r[b]
         rows_i[0] = rows_i[b]
         survivors += (start + np.flatnonzero(passed)).tolist()
+    if whole is False and survivors and survivors[-1] == top:
+        # the top is known to fail; no second check
+        survivors.pop()
     if survivors and p < n:
-        check = _Check(sr, si, cos_tab, sin_tab, bins, p - 2)
         best = next((pos for pos in reversed(survivors) if check(pos, eps)),
                     -1)
     elif survivors:

@@ -620,12 +620,60 @@ class TestCheckPaths:
         signal = generate(GeneratorSpec(kind="unit_sample", n=n,
                                         sample_rate_hz=100))
         decompose(signal, FdmConfig(scan="lth", search="max"))
-        # one leading window, from the probe's last two samples on
+        # one leading window, from the probe's last two samples on; a
+        # band's top check also judges the probe's own samples first
         size = n - _kernels.PROBE + 2
-        assert calls
+        lengths = set()
         for absz, dm, omega, *_ in calls:
+            length = absz.shape[0]
+            assert length in (_kernels.PROBE, size)
             assert [a.shape for a in (absz, dm, omega)] == [
-                (size,), (size - 1,), (size - 2,)]
+                (length,), (length - 1,), (length - 2,)]
+            lengths.add(length)
+        assert size in lengths
+
+    @pytest.mark.parametrize("kind, n, scan", [
+        ("linear_chirp", 16384, "htl"), ("fm_sinusoid", 4099, "lth")])
+    def test_single_band_records_build_no_probe_block(self, kind, n, scan,
+                                                      monkeypatch):
+        # the top check passes on every sample, and that settles the band
+        from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
+        rows = counting(monkeypatch, _kernels, "_admissible_rows")
+        signal = generate(GeneratorSpec(kind=kind, n=n, sample_rate_hz=100))
+        result = decompose(signal, FdmConfig(scan=scan, search="max"))
+        assert result.n_fibfs == 1
+        assert [args[0].shape for args in rows if args[0].ndim == 2] == []
+
+    def test_top_check_caps_its_exact_sums(self, monkeypatch):
+        # the whole-band |z_f| of a unit sample sits under 2 delta almost
+        # everywhere: the top check leaves its verdict open rather than
+        # rebuild the sums at thousands of samples
+        from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
+        inside, verdicts, centres = [], [], []
+        real_whole = _kernels._Check.whole
+        real_sums = _kernels._exact_sums
+
+        def whole(self, pos, eps, limit):
+            inside.append(pos)
+            verdicts.append(real_whole(self, pos, eps, limit))
+            inside.pop()
+            return verdicts[-1]
+
+        def sums(sr, si, ct, st_, ks, ms):
+            if inside:
+                centres.append(ms.size // 3)
+            return real_sums(sr, si, ct, st_, ks, ms)
+
+        monkeypatch.setattr(_kernels._Check, "whole", whole)
+        monkeypatch.setattr(_kernels, "_exact_sums", sums)
+        signal = generate(GeneratorSpec(kind="unit_sample", n=8192,
+                                        sample_rate_hz=100))
+        result = decompose(signal, FdmConfig(scan="lth", search="max"))
+        assert [b.partition_range for b in result.fibfs] == [
+            (1, 1), (2, 2), (3, 4095)]
+        assert result.non_monotone == () and not result.merged_tail
+        assert None in verdicts
+        assert max(centres, default=0) <= _kernels.PROBE // 3
 
     def test_exact_fallback_runs_on_exact_zero_slope(self, monkeypatch):
         calls = counting(monkeypatch, _kernels, "_exact_sums")
