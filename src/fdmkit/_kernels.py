@@ -606,17 +606,11 @@ class _Check:
         return got
 
 
-def whole_admissible(sr, si, cos_tab, sin_tab, bins, eps):
-    """Is the band of every bin of ``bins``, summed in that order,
-    admissible at every sample?"""
-    return _Check(sr, si, cos_tab, sin_tab, bins, 0)(bins.size - 1, eps)
-
-
 def band_admissible(sr, si, cos_tab, sin_tab, lo, hi, eps):
     """Is the band of bins lo..hi, summed in ascending order, admissible
     at every sample? The one candidate a merged tail leaves to judge."""
-    return whole_admissible(sr, si, cos_tab, sin_tab, np.arange(lo, hi + 1),
-                            eps)
+    bins = np.arange(lo, hi + 1)
+    return _Check(sr, si, cos_tab, sin_tab, bins, 0)(bins.size - 1, eps)
 
 
 def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):

@@ -199,17 +199,10 @@ def _scan_partition(spectrum: Spectrum, config: FdmConfig):
     lo, hi = 1, spectrum.k_max
     while lo <= hi:
         bins = np.arange(lo, hi + 1) if upward else np.arange(hi, lo - 1, -1)
-        capped = cap is not None and len(cells) == cap - 1
-        if capped and exhaustive:
-            # the cap's last band is [lo, hi] whatever its edge, so under
-            # max the one question left is whether its top is admissible
-            # in scan order, and no probe asks it
-            edge = (int(bins[-1]) if _kernels.whole_admissible(
-                sr, si, cos_tab, sin_tab, bins, eps) else -1)
-        else:
-            edge = _kernels.scan_boundary(sr, si, cos_tab, sin_tab, bins, eps,
-                                          exhaustive)
-        merged_tail = capped and edge != int(bins[-1])
+        edge = _kernels.scan_boundary(sr, si, cos_tab, sin_tab, bins, eps,
+                                      exhaustive)
+        merged_tail = (cap is not None and len(cells) == cap - 1
+                       and edge != int(bins[-1]))
         if merged_tail or edge == -1:
             # a cap forces everything left into this band; with no
             # admissible extension at all the residual band is emitted

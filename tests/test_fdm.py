@@ -412,55 +412,6 @@ def match_every_cap(n, scan, search, monkeypatch):
         assert mono == admissible_direct(band_direct(c, *cells[-1]), 0.0), cap
 
 
-@pytest.mark.parametrize("scan", ["lth", "htl"])
-@pytest.mark.parametrize("kind, n", [
-    ("white_gaussian", 64), ("white_gaussian", 300),
-    ("white_gaussian", 1024), ("intermittent_tone", 1024)])
-def test_capped_max_band_takes_no_probe(kind, n, scan, monkeypatch):
-    """Under max, the band a cap closes is judged whole in scan order,
-    with no probe, and gets the flags the probe's edge gave it."""
-    from fdmkit import _kernels
-    scanned, rows = [], []
-    real_scan = _kernels.scan_boundary
-    real_rows = _kernels._admissible_rows
-
-    def scan_spy(*args):
-        scanned.append(args[4])
-        return real_scan(*args)
-
-    def rows_spy(zr, zi, eps, work=None):
-        rows.append(zr.shape)
-        return real_rows(zr, zi, eps, work)
-
-    monkeypatch.setattr(_kernels, "scan_boundary", scan_spy)
-    monkeypatch.setattr(_kernels, "_admissible_rows", rows_spy)
-    s = generate(GeneratorSpec(kind, n, 100.0, seed=0))
-    c = dft(s).coefficients
-    sr, si = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
-    ct, st_ = _kernels.twiddle_tables(n)
-    for cap in (1, 2, 3):
-        scanned.clear()
-        rows.clear()
-        r = decompose(s, FdmConfig(scan=scan, search="max", max_fibfs=cap))
-        if r.n_fibfs < cap:
-            # the bands ran out before the cap
-            assert len(scanned) == r.n_fibfs and not r.merged_tail
-            continue
-        assert len(scanned) == cap - 1
-        if cap == 1:
-            # no probe block at all; only the check's exact-sum rows
-            assert all(shape[-1] == 3 for shape in rows)
-        lo, hi = r.fibfs[-1].partition_range
-        bins = np.arange(lo, hi + 1)
-        if scan == "htl":
-            bins = bins[::-1]
-        edge = real_scan(sr, si, ct, st_, bins, 0.0, True)
-        assert r.merged_tail == (edge != bins[-1])
-        mono = cap - 1 not in r.non_monotone
-        assert mono == (not r.merged_tail or admissible_direct(
-            band_direct(c, lo, hi), 0.0))
-
-
 class TestImpulse:
     def test_tolerance_keeps_impulse_in_one_band(self):
         x = np.zeros(400)
