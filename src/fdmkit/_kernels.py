@@ -32,13 +32,13 @@ below, with one more window, judged first, for the probe's samples
 (``_Check.whole``). Under max an admissible top is the answer, and on
 single-band records (chirps, FM tones, model waves) it is, so they
 build no probe. A top found inadmissible is left out of the
-survivors. Its exact sums may take at most PROBE // 3 centres, three
-samples each, so K x PROBE terms, the probe's own cost; past that (a
-unit sample, whose whole-band |z_f| sits under 2 delta almost
-everywhere) its verdict is left open and the probe and the survivors'
-checks settle it as before. The bits hold: the top check judges z_seq
-at every slope, the verdict the probe (samples 0..PROBE-1) and a
-survivor check (PROBE-2..n-1) reach between them.
+survivors. The top check takes certificates only: a window they leave
+open (a unit sample's, whose whole-band |z_f| sits under 2 delta almost
+everywhere) leaves its verdict open, and the probe and the survivors'
+checks settle the band as before, for less than exact sums over that
+window would cost. The bits hold: a settled top check judges z_seq at
+every slope, the verdict the probe (samples 0..PROBE-1) and a survivor
+check (PROBE-2..n-1) reach between them.
 
 A candidate whose window passes is a survivor; its full check judges
 the samples from the window's last two on. The search collects every
@@ -61,12 +61,14 @@ slope's the mean of its two steps'. Each also gets _ATAN2 per phase for
 the atan2 kernel, enough for both numpy's AVX-512 kernel and glibc's,
 and _ROUND for the roundings of the steps, the wrap, the mean and the
 comparisons themselves. A fail is certified at the least slope alone
-(``_fails_at``). A pass is certified by a single allowance from the
-least |z_f|, else by every sample's own allowance (``_certain``).
-Slopes left uncertified, certain fails elsewhere included, are judged
-on z_seq itself, rebuilt at those samples and their neighbours only
-(``_exact_sums``) with ``_tail``'s adds in ``_tail``'s order. So the
-verdict is, bit for bit, that of summing the whole band in scan order.
+(``_fails_at``), and a pass by a single allowance from the least
+|z_f|; a window either settles or is left open (``_Window.judge``).
+A check returns False on any certain fail. Otherwise each open window
+in turn is judged on z_seq itself, rebuilt at every one of its samples
+(``_exact_sums``) with ``_tail``'s adds in ``_tail``'s order, up to the
+first that fails. The windows overlap by two samples, so between them
+their interior slopes are every slope the check judges, and the verdict
+is, bit for bit, that of summing the whole band in scan order.
 
 Failing checks mostly fail early, so a check judges its first WINDOW
 samples first and the rest only when those settle no fail, each on a
@@ -112,8 +114,8 @@ and ||c||_2 their 2-norm:
   a chirp, a transform at an 11-smooth N2 >= 2n - 1, a product with a
   transformed chirp of modulus <= 1, a transform back and a product
   with the chirp, whose stage bounds chain to about
-  (N2 / sqrt(n)) 3 theta(N2). Every length is covered, so no check
-  falls back to exact sums at every sample.
+  (N2 / sqrt(n)) 3 theta(N2). Every length is covered, so no length
+  leaves every window open to exact sums.
 - delta = 1.001 (S (tau + gamma_{K-1}(1 + tau)) + sqrt(n) theta
   min(S, ||c||_2) + n**2 2**-1070). The factor covers delta's own
   roundings, and the last term the absolute error of products that
@@ -389,21 +391,9 @@ def _ifft_error(n):
 
 
 def _allowance(ratio):
-    """Bound on the phase move of a sample with delta / |z_f| = ratio,
-    plus both samples' atan2 errors."""
-    return np.arcsin(np.minimum(ratio, 1.0)) * (1.0 + 2.0**-40) + 2 * _ATAN2
-
-
-def _certain(absz, dm, omega, eps, delta):
-    """Which of the slopes ``omega`` are certain passes, from |z_f| at
-    their L samples and their L - 1 wrapped steps."""
-    a = _allowance(delta / absz)
-    step = a[:-1] + a[1:] + _ROUND
-    far = absz > 2.0 * delta
-    clear = (np.abs(dm) < _PI - step - _ROUND) & far[:-1] & far[1:]
-    slope = 0.5 * (step[:-1] + step[1:]) + _ROUND
-    clear = clear[:-1] & clear[1:]
-    return clear & (omega - slope > -eps)
+    """Bound on the phase move of a sample with delta / |z_f| = ratio
+    (at most 1/2), plus both samples' atan2 errors."""
+    return math.asin(ratio) * (1.0 + 2.0**-40) + 2 * _ATAN2
 
 
 # Bins a window drops one term at a time before a fresh transform is
@@ -466,9 +456,9 @@ class _Window:
         self.count = pos + 1
 
     def judge(self, eps, delta):
-        """Judge the window, within delta of z_seq: None on a fail
-        certain at its least slope, else the samples whose slopes it
-        leaves uncertified."""
+        """Judge the window, within delta of z_seq: False on a fail
+        certain at its least slope, True on a pass certain at every
+        slope, else None, the window left open."""
         z = self.z
         raw, absz, dm = self.work
         d = absz[:-1]
@@ -484,21 +474,17 @@ class _Window:
         omega = np.add(dm[:-1], dm[1:], out=raw[1:-1])
         omega *= 0.5
         i = int(omega.argmin())
-        failing = omega[i] < -eps
-        # a failing check, most likely certain at its least slope
-        if failing and _fails_at(z, dm, omega, i, eps, delta):
-            return None
-        np.abs(z, out=absz)
-        if not failing:
-            # one allowance for every sample, from the least |z_f|
-            least = absz.min()
-            if least > 2.0 * delta:
-                step = 2.0 * _allowance(delta / least) + _ROUND
-                if (omega[i] - step - _ROUND > -eps
-                        and max(dm.max(), -dm.min()) < _PI - step - _ROUND):
-                    return np.empty(0, dtype=np.intp)
-        sure = _certain(absz, dm, omega, eps, delta)
-        return self.lo + 1 + np.flatnonzero(~sure)
+        if omega[i] < -eps:
+            # a failing check, most likely certain at its least slope
+            return False if _fails_at(z, dm, omega, i, eps, delta) else None
+        # one allowance for every sample, from the least |z_f|
+        least = np.abs(z, out=absz).min()
+        if least > 2.0 * delta:
+            step = 2.0 * _allowance(delta / least) + _ROUND
+            if (omega[i] - step - _ROUND > -eps
+                    and max(dm.max(), -dm.min()) < _PI - step - _ROUND):
+                return True
+        return None
 
 
 def _fails_at(z, dm, omega, i, eps, delta):
@@ -508,7 +494,7 @@ def _fails_at(z, dm, omega, i, eps, delta):
     mags = [abs(complex(v)) for v in z[i:i + 3]]
     if not all(r > 2.0 * delta for r in mags):
         return False
-    a = [math.asin(delta / r) * (1.0 + 2.0**-40) + 2 * _ATAN2 for r in mags]
+    a = [_allowance(delta / r) for r in mags]
     step0 = a[0] + a[1] + _ROUND
     step1 = a[1] + a[2] + _ROUND
     return (abs(dm[i]) < _PI - step0 - _ROUND
@@ -523,7 +509,8 @@ class _Check:
     The samples up to WINDOW from ``start`` are judged first, and the
     rest only when those do not settle a fail, each on its own
     ``_Window``. A window that cannot reach the candidate by dropping
-    bins is loaded, with every other, from a fresh z_f.
+    bins is loaded, with every other, from a fresh z_f. The windows the
+    certificates leave open are then summed exactly, one at a time.
     """
 
     def __init__(self, sr, si, cos_tab, sin_tab, bins, start):
@@ -564,14 +551,14 @@ class _Check:
         for w in self.windows:
             w.load(self.z, pos, self.dfft[pos])
 
-    def __call__(self, pos, eps, limit=None):
+    def __call__(self, pos, eps, exact=True):
         """Is candidate ``bins[pos]`` admissible on the checked samples?
-        None, the verdict left open, once the slopes left uncertified
-        number more than ``limit``."""
+        Without ``exact``, None, the verdict left open, when a window is
+        left open."""
         if not self.l1[pos] > 0.0:
             # every term is a signed zero, and so is every sum
             return False
-        centres = []
+        left = []
         with np.errstate(all="ignore"):
             for w in self.windows:
                 if w.reaches(pos):
@@ -579,29 +566,28 @@ class _Check:
                 else:
                     self._transform(pos)
                 got = w.judge(eps, self.dseq[pos] + w.delta)
-                if got is None:
+                if got is False:
                     return False
-                centres.append(got)
-                if limit is not None and sum(c.size for c in centres) > limit:
-                    return None
-        centres = np.concatenate(centres)
-        if centres.size == 0:
-            return True
-        # uncertified slopes, judged on z_seq at their three samples
-        ms = np.add.outer(centres, np.arange(-1, 2)).reshape(-1)
-        zr, zi = _exact_sums(*self.coeffs, self.bins[:pos + 1], ms)
-        return bool(_admissible_rows(zr.reshape(-1, 3), zi.reshape(-1, 3),
-                                     eps).all())
+                if got is None:
+                    left.append(w)
+        if left and not exact:
+            return None
+        # open windows, judged on z_seq at every one of their samples
+        for w in left:
+            zr, zi = _exact_sums(*self.coeffs, self.bins[:pos + 1], w.m)
+            if not _admissible_rows(zr, zi, eps):
+                return False
+        return True
 
-    def whole(self, pos, eps, limit):
+    def whole(self, pos, eps):
         """Is candidate ``bins[pos]`` admissible at every sample, those
-        before ``start`` included? None once more than ``limit`` slopes
-        are left uncertified. The samples up to ``start`` + 2 are judged
-        first, on a window of their own; the others keep the z_f this
-        loads for the checks that follow."""
+        before ``start`` included? None when a window is left open. The
+        samples up to ``start`` + 2 are judged first, on a window of
+        their own; the others keep the z_f this loads for the checks
+        that follow."""
         head = _Window(0, self.windows[0].lo + 2, 0)
         self.windows.insert(0, head)
-        got = self(pos, eps, limit)
+        got = self(pos, eps, exact=False)
         self.windows.remove(head)
         return got
 
@@ -624,12 +610,12 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
 
     The exhaustive search returns the largest admissible candidate.
     On a record longer than PROBE, the top candidate is checked first
-    on every sample (``_Check.whole``); a pass is the answer, a fail
-    drops it, and one that would take more than PROBE // 3 exact-sum
-    centres is left to the probe. Every candidate is then judged on its
-    first PROBE samples, built BLOCK candidates at a time; a violation
-    there is final, and a record of at most PROBE samples needs nothing
-    more. The survivors then get certified full checks, on the same
+    on every sample (``_Check.whole``), on certificates alone; a pass
+    is the answer, a fail drops it, and a window left open leaves it to
+    the probe. Every candidate is then judged on its first PROBE
+    samples, built BLOCK candidates at a time; a violation there is
+    final, and a record of at most PROBE samples needs nothing more.
+    The survivors then get certified full checks, on the same
     ``_Check``, from the highest down, up to the first pass: a lower
     survivor cannot matter once a higher one is admissible. The answer
     is the one that checking every survivor on the sequential sums
@@ -658,10 +644,10 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     top = bins.size - 1
     whole = None
     if p < n:
-        # the top candidate on every sample first, its exact sums held
-        # to the probe's own cost (see the module docstring)
+        # the top candidate on every sample first, with no exact sums
+        # (see the module docstring)
         check = _Check(sr, si, cos_tab, sin_tab, bins, p - 2)
-        whole = check.whole(top, eps, PROBE // 3)
+        whole = check.whole(top, eps)
         if whole:
             return int(bins[-1])
     m = np.arange(p)

@@ -3,10 +3,14 @@
 The corpus freezes what ``decompose`` returns for a fixed grid of
 inputs: every generator kind (white noise under several seeds), lengths
 on both sides of the scan's probe length, both scan directions, both
-search modes and two monotonicity tolerances. For each configuration it
-records the partition cells, the indices of non-monotone bands and the
-merged-tail flag. ``test_golden.py`` demands the same values bit for
-bit, so any kernel change that moves a band edge fails there.
+search modes and two monotonicity tolerances. A few kinds also run at
+longer lengths, which reach the certified checks' rest window (1500),
+pocketfft's generic pass (4002 = 2 3 23 29) and Bluestein's route
+(4099, a prime); there the first-violation search runs at 1500 only.
+For each configuration it records the partition cells, the indices of
+non-monotone bands and the merged-tail flag. ``test_golden.py`` demands
+the same values bit for bit, so any kernel change that moves a band
+edge fails there.
 
 Run it from the repository root:
 
@@ -39,11 +43,19 @@ SIGNALS = (
     ("model_wave", None),
     ("unit_sample", None),
 ) + tuple(("white_gaussian", seed) for seed in range(6))
+# (kind, seed, n) past the grid; a unit sample leaves certified windows
+# open, for the exact sums to settle
+LONG = tuple((kind, None, n)
+             for kind in ("tone_mix", "intermittent_tone", "unit_sample")
+             for n in (1500, 4002, 4099)) + (("white_gaussian", 0, 1500),)
+# the longest record the first-violation search runs on
+FIRST_UP_TO = 1500
 
 
 def signal_cases():
     """Every (kind, seed, n) the corpus covers, in fixture order."""
-    return [(kind, seed, n) for kind, seed in SIGNALS for n in LENGTHS]
+    return [(kind, seed, n) for kind, seed in SIGNALS
+            for n in LENGTHS] + list(LONG)
 
 
 def partitions(kind, seed, n):
@@ -53,6 +65,8 @@ def partitions(kind, seed, n):
     rows = []
     for scan in SCANS:
         for search in SEARCHES:
+            if search == "first" and n > FIRST_UP_TO:
+                continue
             for tol in TOLERANCES:
                 r = decompose(signal, FdmConfig(scan=scan, search=search,
                                                 monotonicity_tolerance=tol))

@@ -3,7 +3,8 @@
 The fixture was recorded by ``make_golden.py`` from the kernels before
 the probe-first scan; every configuration must still produce the same
 cells, the same non-monotone indices and the same merged-tail flag.
-The records up to n=256 are checked a second time with the scan's
+The rows past n=1024 came later, from kernels that rebuilt the exact
+sums around each uncertified slope alone. The records up to n=256 are checked a second time with the scan's
 probe window and block shrunk, so that their seams fall inside short
 records too; only the maximal search probes, so that pass moves the
 seams of the maximal rows only. A third pass shrinks the certified
@@ -21,14 +22,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from fdmkit import _kernels
 from make_golden import FIXTURE, partitions, signal_cases
-
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy < 2
-    from numpy.core._multiarray_umath import __cpu_features__
 
 GOLDEN = json.loads(FIXTURE.read_text())
 
@@ -36,7 +33,7 @@ GOLDEN = json.loads(FIXTURE.read_text())
 def test_fixture_covers_the_grid():
     keys = [(r["kind"], r["seed"], r["n"]) for r in GOLDEN]
     assert list(dict.fromkeys(keys)) == signal_cases()
-    assert len(GOLDEN) == 416
+    assert len(GOLDEN) == 472
 
 
 @pytest.mark.parametrize("kind,seed,n", signal_cases())
@@ -52,6 +49,23 @@ def match_at(monkeypatch, kind, seed, n, **constants):
     want = [r for r in GOLDEN
             if (r["kind"], r["seed"], r["n"]) == (kind, seed, n)]
     assert partitions(kind, seed, n) == want
+
+
+def test_a_long_row_settles_an_open_window_exactly(monkeypatch):
+    # a unit sample leaves a survivor's window open to its certificates,
+    # and the exact sums judge that window at every one of its samples
+    sums = []
+    real = _kernels._exact_sums
+
+    def spy(sr, si, cos_tab, sin_tab, ks, ms):
+        sums.append(ms)
+        return real(sr, si, cos_tab, sin_tab, ks, ms)
+
+    monkeypatch.setattr(_kernels, "_exact_sums", spy)
+    match_at(monkeypatch, "unit_sample", None, 4002)
+    assert sums
+    for ms in sums:
+        assert ms.tolist() == list(range(ms[0], ms[0] + ms.size))
 
 
 SMALL = [case for case in signal_cases() if case[2] <= 256]
@@ -79,10 +93,7 @@ WITHOUT_AVX512 = """
 import json, sys
 from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
 from make_golden import FIXTURE, SAMPLE_RATE_HZ
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:
-    from numpy.core._multiarray_umath import __cpu_features__
+from numpy._core._multiarray_umath import __cpu_features__
 assert not __cpu_features__["X86_V4"], "the AVX-512 kernels are still on"
 search, least = sys.argv[1:] or ("max", "512")
 signals, wrong = {}, []

@@ -494,8 +494,8 @@ class TestCertifiedChecks:
 
     def test_certain_fail_past_the_least_slope_goes_to_exact_sums(self):
         # the least slope sits at a sample of |z| = 1e-20, too small to
-        # certify; the certain fail at sample 40 is left uncertified too,
-        # for the exact sums to settle
+        # certify, so the window is left open, the certain fail at
+        # sample 40 included, for the exact sums to settle
         steps = np.full(63, 0.1)
         steps[19] = -1.0
         steps[39] = -0.3
@@ -504,15 +504,7 @@ class TestCertifiedChecks:
         z = mags * np.exp(1j * np.concatenate(([0.0], np.cumsum(steps))))
         w = _kernels._Window(0, 64, 0)
         w.z[:] = z
-        got = w.judge(0.0, 1e-16)
-        assert got is not None
-        assert {19, 20, 39, 40} <= set(got.tolist())
-        # the pass mask of a window whose one violation is a certain fail
-        steps[19] = 0.1
-        omega = 0.5 * (steps[:-1] + steps[1:])
-        sure = _kernels._certain(np.ones(64), steps, omega, 0.0, 1e-16)
-        assert sure.dtype == bool and sure.shape == (62,)
-        assert np.flatnonzero(~sure).tolist() == [38, 39]
+        assert w.judge(0.0, 1e-16) is None
 
     @pytest.mark.parametrize("n", [53, 61, 97, 106, 64])
     def test_slow_routes_track_the_sequential_reference(self, n,
@@ -612,25 +604,18 @@ class TestCheckPaths:
         assert rows == []
 
     def test_per_sample_allowances_judge_whole_windows(self, monkeypatch):
-        # a window the fast tests leave open is judged at every sample,
-        # on its own 1-D arrays, failing checks included
+        # a window the certificates leave open is summed exactly at
+        # every one of its samples, failing checks included
         from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
-        calls = counting(monkeypatch, _kernels, "_certain")
+        calls = counting(monkeypatch, _kernels, "_exact_sums")
         n = 1000
         signal = generate(GeneratorSpec(kind="unit_sample", n=n,
                                         sample_rate_hz=100))
         decompose(signal, FdmConfig(scan="lth", search="max"))
-        # one leading window, from the probe's last two samples on; a
-        # band's top check also judges the probe's own samples first
-        size = n - _kernels.PROBE + 2
-        lengths = set()
-        for absz, dm, omega, *_ in calls:
-            length = absz.shape[0]
-            assert length in (_kernels.PROBE, size)
-            assert [a.shape for a in (absz, dm, omega)] == [
-                (length,), (length - 1,), (length - 2,)]
-            lengths.add(length)
-        assert size in lengths
+        # one leading window, from the probe's last two samples on
+        assert calls
+        for *_, ms in calls:
+            assert ms.tolist() == list(range(_kernels.PROBE - 2, n))
 
     @pytest.mark.parametrize("kind, n, scan", [
         ("linear_chirp", 16384, "htl"), ("fm_sinusoid", 4099, "lth")])
@@ -649,23 +634,23 @@ class TestCheckPaths:
         # everywhere: the top check leaves its verdict open rather than
         # rebuild the sums at thousands of samples
         from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
-        inside, verdicts, centres = [], [], []
+        inside, verdicts, sums = [], [], []
         real_whole = _kernels._Check.whole
         real_sums = _kernels._exact_sums
 
-        def whole(self, pos, eps, limit):
+        def whole(self, pos, *args):
             inside.append(pos)
-            verdicts.append(real_whole(self, pos, eps, limit))
+            verdicts.append(real_whole(self, pos, *args))
             inside.pop()
             return verdicts[-1]
 
-        def sums(sr, si, ct, st_, ks, ms):
+        def spy(sr, si, ct, st_, ks, ms):
             if inside:
-                centres.append(ms.size // 3)
+                sums.append(ms.size)
             return real_sums(sr, si, ct, st_, ks, ms)
 
         monkeypatch.setattr(_kernels._Check, "whole", whole)
-        monkeypatch.setattr(_kernels, "_exact_sums", sums)
+        monkeypatch.setattr(_kernels, "_exact_sums", spy)
         signal = generate(GeneratorSpec(kind="unit_sample", n=8192,
                                         sample_rate_hz=100))
         result = decompose(signal, FdmConfig(scan="lth", search="max"))
@@ -673,7 +658,22 @@ class TestCheckPaths:
             (1, 1), (2, 2), (3, 4095)]
         assert result.non_monotone == () and not result.merged_tail
         assert None in verdicts
-        assert max(centres, default=0) <= _kernels.PROBE // 3
+        assert sums == []
+
+    def test_capped_tail_sums_one_window(self, monkeypatch):
+        # the merged tail of a capped unit sample: its leading window is
+        # left open and fails on its exact sums, which settles the check
+        from fdmkit import GeneratorSpec, generate
+        from fdmkit.spectral import dft_coefficients
+        n = 8192
+        c = dft_coefficients(generate(GeneratorSpec(
+            kind="unit_sample", n=n, sample_rate_hz=100)).samples)
+        sr, si = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
+        ct, st_ = _kernels.twiddle_tables(n)
+        calls = counting(monkeypatch, _kernels, "_exact_sums")
+        assert not band_admissible(sr, si, ct, st_, 1, 4095, 0.0)
+        assert len(calls) == 1
+        assert calls[0][-1].tolist() == list(range(_kernels.WINDOW))
 
     def test_exact_fallback_runs_on_exact_zero_slope(self, monkeypatch):
         calls = counting(monkeypatch, _kernels, "_exact_sums")
