@@ -19,6 +19,7 @@ import array
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -49,25 +50,95 @@ _REL_TOL = 1e-6
 def ingest_csv(path: str, sample_rate_hz: float | None = None):
     """Read a record from CSV.
 
-    The first row must be a header. A first column named ``t`` supplies
-    sample times, which must be uniform to within a 1e-6 relative
-    tolerance; the sample rate is then 1 / dt and a --fs flag, if also
-    given, must agree to the same tolerance. Without a ``t`` column the
-    sample rate must come from the caller. Every other column is one
-    channel. Error messages cite 1-based file rows, header included.
+    The file is read as UTF-8. The first row must be a header. A first
+    column named ``t`` supplies sample times, which must be uniform to
+    within a 1e-6 relative tolerance; the sample rate is then 1 / dt
+    and a --fs flag, if also given, must agree to the same tolerance.
+    Without a ``t`` column the sample rate must come from the caller.
+    Every other column is one channel. Error messages cite 1-based file
+    rows, header included.
+
+    numpy's C parser reads the data rows. A file it refuses, or one
+    whose values fail a check, is read again row by row, which accepts
+    every spelling Python's float does and numbers the rows for the
+    message; both routes parse each cell to the same double.
     """
-    with open(path, newline="") as fh:
-        rows = enumerate(csv.reader(fh), start=1)
-        for header_row, header in rows:
-            if not _blank(header):
+    header, values = _parse_fast(path)
+    if values is None or _fault(path, header, values):
+        header, values, rownums = _parse_rows(path)
+        fault = _fault(path, header, values)
+        if fault:
+            i, message = fault
+            raise IngestionError(
+                message if i is None else f"row {rownums[i]}{message}")
+
+    start_time = 0.0
+    ncol = len(header)
+    if header[0].lower() == "t":
+        t = values[:, 0]
+        fs = _agree(sample_rate_hz, 1.0 / (t[1] - t[0]), "the t column")
+        start_time = float(t[0])
+        channels = [values[:, k] for k in range(1, ncol)]
+        if not channels:
+            raise IngestionError(f"{path}: only a t column, no data columns")
+    else:
+        if sample_rate_hz is None:
+            raise ParameterError(
+                "--fs is required when the CSV has no t column"
+            )
+        fs = sample_rate_hz
+        channels = [values[:, k] for k in range(ncol)]
+
+    signals = tuple(Signal(c, fs, start_time) for c in channels)
+    return signals[0] if len(signals) == 1 else MultichannelSignal(signals)
+
+
+def _open_csv(path: str):
+    # bytes that are not UTF-8 are read as lone surrogates, so that the
+    # row holding them can be named
+    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def _parse_fast(path: str):
+    """The header and the (rows, columns) values of a CSV table, or the
+    header and None where numpy's parse of the data rows might not be
+    the row loop's."""
+    with _open_csv(path) as fh:
+        header = _header(path, _rows(fh))
+        lines = _within_field_limit(fh)
+        # numpy warns on a file without data rows; that file is left to
+        # the row loop's message
+        head = []
+        for line in lines:
+            head.append(line)
+            if not line.isspace():
                 break
         else:
-            raise IngestionError(f"{path}: file holds no rows")
-        header = [c.strip() for c in header]
-        if _unparsable(header) is None:
-            raise IngestionError(
-                f"row {header_row}: looks like data; a header row is required"
-            )
+            return header, None
+        try:
+            values = np.loadtxt(itertools.chain(head, lines), delimiter=",",
+                                comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            return header, None
+    return header, values if values.shape[1] == len(header) else None
+
+
+def _within_field_limit(lines):
+    """``lines``, until one is longer than the csv module's field limit:
+    numpy has no such limit, so the row loop must read that file."""
+    limit = csv.field_size_limit()
+    for line in lines:
+        if len(line) > limit:
+            raise ValueError("line longer than the csv field limit")
+        yield line
+
+
+def _parse_rows(path: str):
+    """The header, values and 1-based file row of each data row of a CSV
+    table, parsed row by row with Python's float."""
+    with _open_csv(path) as fh:
+        rows = _rows(fh)
+        header = _header(path, rows)
         ncol = len(header)
 
         # one pass: every data row goes straight into a flat float buffer,
@@ -92,52 +163,73 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
             error = _row_error(rownum, row, header)
             if rownums:
                 raise error
-    if len(rownums) < 2:
-        raise IngestionError(f"{path}: need at least 2 data rows")
-    values = np.frombuffer(flat, dtype=np.float64).reshape(-1, ncol)
+    return header, np.frombuffer(flat, dtype=np.float64).reshape(-1, ncol), rownums
 
+
+def _rows(fh):
+    """Each CSV row of ``fh`` with its 1-based row number; a row the csv
+    module cannot read is refused by number."""
+    reader = csv.reader(fh)
+    for rownum in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise IngestionError(f"row {rownum}: {e}") from None
+        yield rownum, row
+
+
+def _header(path: str, rows) -> list:
+    """The stripped cells of the first non-blank row of ``rows``."""
+    for header_row, header in rows:
+        if not _blank(header):
+            break
+    else:
+        raise IngestionError(f"{path}: file holds no rows")
+    if not _utf8(header):
+        raise IngestionError(f"row {header_row}: not valid UTF-8")
+    header = [c.strip() for c in header]
+    if _unparsable(header) is None:
+        raise IngestionError(
+            f"row {header_row}: looks like data; a header row is required"
+        )
+    return header
+
+
+def _fault(path: str, header: list, values: np.ndarray):
+    """The first check a parsed table fails, as (the index of the data
+    row to name, or None for the whole file; the message), or None if
+    the table passes them all."""
+    if len(values) < 2:
+        return None, f"{path}: need at least 2 data rows"
     for k, name in enumerate(header):
         bad = np.flatnonzero(~np.isfinite(values[:, k]))
         if bad.size:
-            rownum = rownums[bad[0]]
-            raise IngestionError(
-                f"row {rownum}, column {name!r}: non-finite value"
-            )
-
-    start_time = 0.0
+            return int(bad[0]), f", column {name!r}: non-finite value"
     if header[0].lower() == "t":
-        t = values[:, 0]
-        dt = np.diff(t)
+        dt = np.diff(values[:, 0])
         if dt[0] <= 0:
-            raise IngestionError(
-                f"row {rownums[1]}: time must increase, step is {dt[0]}"
-            )
+            return 1, f": time must increase, step is {dt[0]}"
         off = np.flatnonzero(np.abs(dt - dt[0]) > _REL_TOL * abs(dt[0]))
         if off.size:
-            rownum = rownums[off[0] + 1]
-            raise IngestionError(
-                f"row {rownum}: time step {float(dt[off[0]])!r} deviates "
-                f"from {float(dt[0])!r} by more than {_REL_TOL:g} relative"
-            )
-        fs = _agree(sample_rate_hz, 1.0 / dt[0], "the t column")
-        start_time = float(t[0])
-        channels = [values[:, k] for k in range(1, ncol)]
-        if not channels:
-            raise IngestionError(f"{path}: only a t column, no data columns")
-    else:
-        if sample_rate_hz is None:
-            raise ParameterError(
-                "--fs is required when the CSV has no t column"
-            )
-        fs = sample_rate_hz
-        channels = [values[:, k] for k in range(ncol)]
-
-    signals = tuple(Signal(c, fs, start_time) for c in channels)
-    return signals[0] if len(signals) == 1 else MultichannelSignal(signals)
+            return int(off[0]) + 1, (
+                f": time step {float(dt[off[0]])!r} deviates "
+                f"from {float(dt[0])!r} by more than {_REL_TOL:g} relative")
+    return None
 
 
 def _blank(row) -> bool:
     return not any(cell.strip() for cell in row)
+
+
+def _utf8(cells) -> bool:
+    """Whether ``cells`` were decoded from valid UTF-8."""
+    try:
+        "".join(cells).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _unparsable(cells):
@@ -152,6 +244,8 @@ def _unparsable(cells):
 
 def _row_error(rownum: int, row: list, header: list) -> IngestionError:
     """Why a non-blank data row does not parse."""
+    if not _utf8(row):
+        return IngestionError(f"row {rownum}: not valid UTF-8")
     bad = _unparsable(row) if len(row) == len(header) else None
     if bad is not None:
         return IngestionError(
@@ -220,40 +314,63 @@ def _load_signal(args) -> Signal:
 # output
 # ---------------------------------------------------------------------------
 
-# cells formatted per orjson call: a chunk's text stays near 1 MB, and
-# the per-call overhead is lost in the formatting
+# cells per chunk: each chunk is one orjson call, one comma scan and one
+# write, so the per-chunk calls are lost in the formatting, while the
+# chunk's text (about 18 bytes a cell for full-precision doubles, near
+# 1.2 MB) and its scratch arrays stay small beside the table
 _CHUNK_CELLS = 1 << 16
 
 
-def _csv_rows(block: np.ndarray) -> str:
-    """CSV lines of a C-contiguous float64 block, each cell repr(v).
+def _csv_rows(block: np.ndarray):
+    """CSV lines of a C-contiguous float64 block, each cell repr(v), as
+    bytes-like ASCII text.
 
-    orjson prints the shortest round-trip digits, as repr does, and in
-    the same fixed notation for 1e-4 <= |v| < 1e16 and zero. Outside
-    that range its notation differs (``1e16``, ``0.00001``) and it
-    prints nan and inf as null, so rows holding such a cell are printed
-    with repr instead.
+    One orjson call prints the flattened block as ``[v,v,...,v]``; in
+    that buffer every ncol-th comma then becomes a newline, and so does
+    the closing bracket. orjson prints the shortest round-trip digits,
+    as repr does, and in the same fixed notation for 1e-4 <= |v| < 1e16
+    and zero. Outside that range its notation differs (``1e16``,
+    ``0.00001``) and it prints nan and inf as null, so a row holding
+    such a cell is spliced in from repr instead.
     """
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+    ncol = block.shape[1]
+    buf = bytearray(orjson.dumps(block.reshape(-1),
+                                 option=orjson.OPT_SERIALIZE_NUMPY))
+    chars = np.frombuffer(buf, dtype=np.uint8)
+    # each row ends at its ncol-th comma, or at the closing bracket
+    ends = np.append(np.flatnonzero(chars == ord(","))[ncol - 1::ncol],
+                     len(buf) - 1)
+    chars[ends] = ord("\n")
     mag = np.abs(block)
     odd = np.flatnonzero((((mag < 1e-4) & (mag != 0)) | ~(mag < 1e16)).any(axis=1))
+    text = memoryview(buf)
     if not odd.size:
-        return text.replace(b"],[", b"\n").decode() + "\n"
-    lines = text.decode().split("],[")
-    for i in odd.tolist():
-        lines[i] = ",".join(map(repr, block[i].tolist()))
-    return "\n".join(lines) + "\n"
+        return text[1:]
+    starts = np.append(1, ends[:-1] + 1)
+    pieces, prev = [], 1
+    for start, end, row in zip(starts[odd].tolist(), ends[odd].tolist(),
+                               block[odd].tolist()):
+        pieces += [text[prev:start], ",".join(map(repr, row)).encode()]
+        prev = end
+    pieces.append(text[prev:])
+    return b"".join(pieces)
+
+
+def _repr_cells(values: np.ndarray) -> list:
+    """repr(v) of each float of a 1-D array, through the table writer."""
+    line = _csv_rows(np.ascontiguousarray(values, dtype=np.float64)[None, :])
+    return bytes(line[:-1]).decode().split(",")
 
 
 def _atomic_write(path: str, chunks):
-    """Write the strings of ``chunks``, in order, to ``path`` atomically."""
+    """Write the bytes-like ``chunks``, in order, to ``path`` atomically."""
     # a temp file of this call's own next to the target, so concurrent
     # runs into one --out directory never share a temp file; os.open
     # with 0o666 gives it the same umask-derived mode as open()
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -276,7 +393,7 @@ def _write_table(out_dir: str, stem: str, header: list, columns: list,
         step = max(1, _CHUNK_CELLS // len(header))
 
         def chunks():
-            yield ",".join(header) + "\n"
+            yield (",".join(header) + "\n").encode()
             for i in range(0, nrows, step):
                 yield _csv_rows(np.ascontiguousarray(
                     np.column_stack([c[i:i + step] for c in columns]),
@@ -296,7 +413,7 @@ def _write_table(out_dir: str, stem: str, header: list, columns: list,
 
 
 def _write_json(path: str, doc: dict):
-    _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
+    _atomic_write(path, [(json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()])
 
 
 def _emit(args, tables, summary: dict, message: str) -> int:
@@ -421,7 +538,7 @@ def cmd_tfe(args) -> int:
                [points.times_s, points.freqs_hz, points.amplitudes,
                 points.fibf_index.astype(np.float64)])
         grid = rasterize(points, t_axis, f_axis, mode=args.mode)
-        yield ("tfe_grid", ["f_hz"] + list(map(repr, t_axis.tolist())),
+        yield ("tfe_grid", ["f_hz", *_repr_cells(t_axis)],
                [f_axis, grid.cells])
 
     summary = _decomposition_summary(result, "tfe")

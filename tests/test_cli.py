@@ -1,17 +1,26 @@
+import array
+import csv
 import json
 import os
 import re
+import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdmkit.cli as cli
 import fdmkit.mfdm
 from fdmkit import (
     ContractError,
     GeneratorSpec,
+    IngestionError,
     MultichannelSignal,
+    ParameterError,
+    Signal,
     cutoff_schedule,
     generate,
     mfdm_decompose,
@@ -32,6 +41,138 @@ def read_table(path):
 
 def col(header, data, name):
     return data[:, header.index(name)]
+
+
+# ``reference_ingest`` and its helpers are the row loop every CSV was
+# first read with, kept as it was: ingest_csv must give the same arrays,
+# bit for bit, or the same error on every file.
+_REL_TOL = 1e-6
+
+
+def reference_ingest(path: str, sample_rate_hz: float | None = None):
+    """Read a record from CSV, row by row with Python's float.
+
+    The first row must be a header. A first column named ``t`` supplies
+    sample times, which must be uniform to within a 1e-6 relative
+    tolerance; the sample rate is then 1 / dt and a --fs flag, if also
+    given, must agree to the same tolerance. Without a ``t`` column the
+    sample rate must come from the caller. Every other column is one
+    channel. Error messages cite 1-based file rows, header included.
+    """
+    with open(path, newline="") as fh:
+        rows = enumerate(csv.reader(fh), start=1)
+        for header_row, header in rows:
+            if not _ref_blank(header):
+                break
+        else:
+            raise IngestionError(f"{path}: file holds no rows")
+        header = [c.strip() for c in header]
+        if _ref_unparsable(header) is None:
+            raise IngestionError(
+                f"row {header_row}: looks like data; a header row is required"
+            )
+        ncol = len(header)
+
+        # one pass: every data row goes straight into a flat float buffer,
+        # and only its file row number is kept beside it
+        flat = array.array("d")
+        rownums = array.array("q")
+        error = None
+        for rownum, row in rows:
+            if error is None and len(row) == ncol:
+                try:
+                    flat.extend(map(float, row))
+                    rownums.append(rownum)
+                    continue
+                except ValueError:
+                    del flat[len(rownums) * ncol:]
+            if _ref_blank(row):
+                continue
+            # a bad row is reported only once a second data row exists;
+            # a file with fewer is refused for that first
+            if error is not None:
+                raise error
+            error = _ref_row_error(rownum, row, header)
+            if rownums:
+                raise error
+    if len(rownums) < 2:
+        raise IngestionError(f"{path}: need at least 2 data rows")
+    values = np.frombuffer(flat, dtype=np.float64).reshape(-1, ncol)
+
+    for k, name in enumerate(header):
+        bad = np.flatnonzero(~np.isfinite(values[:, k]))
+        if bad.size:
+            rownum = rownums[bad[0]]
+            raise IngestionError(
+                f"row {rownum}, column {name!r}: non-finite value"
+            )
+
+    start_time = 0.0
+    if header[0].lower() == "t":
+        t = values[:, 0]
+        dt = np.diff(t)
+        if dt[0] <= 0:
+            raise IngestionError(
+                f"row {rownums[1]}: time must increase, step is {dt[0]}"
+            )
+        off = np.flatnonzero(np.abs(dt - dt[0]) > _REL_TOL * abs(dt[0]))
+        if off.size:
+            rownum = rownums[off[0] + 1]
+            raise IngestionError(
+                f"row {rownum}: time step {float(dt[off[0]])!r} deviates "
+                f"from {float(dt[0])!r} by more than {_REL_TOL:g} relative"
+            )
+        fs = _ref_agree(sample_rate_hz, 1.0 / dt[0], "the t column")
+        start_time = float(t[0])
+        channels = [values[:, k] for k in range(1, ncol)]
+        if not channels:
+            raise IngestionError(f"{path}: only a t column, no data columns")
+    else:
+        if sample_rate_hz is None:
+            raise ParameterError(
+                "--fs is required when the CSV has no t column"
+            )
+        fs = sample_rate_hz
+        channels = [values[:, k] for k in range(ncol)]
+
+    signals = tuple(Signal(c, fs, start_time) for c in channels)
+    return signals[0] if len(signals) == 1 else MultichannelSignal(signals)
+
+
+def _ref_blank(row) -> bool:
+    return not any(cell.strip() for cell in row)
+
+
+def _ref_unparsable(cells):
+    """Index of the first cell that is not a number, or None."""
+    for i, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return i
+    return None
+
+
+def _ref_row_error(rownum: int, row: list, header: list) -> IngestionError:
+    """Why a non-blank data row does not parse."""
+    bad = _ref_unparsable(row) if len(row) == len(header) else None
+    if bad is not None:
+        return IngestionError(
+            f"row {rownum}, column {header[bad]!r}: "
+            f"could not parse {row[bad].strip()!r} as a number"
+        )
+    return IngestionError(
+        f"row {rownum}: expected {len(header)} columns, found {len(row)}"
+    )
+
+
+def _ref_agree(flag_fs, fs: float, source: str) -> float:
+    """The record's own rate ``fs``; --fs, if given, must agree with it."""
+    if flag_fs is not None and not abs(flag_fs - fs) <= _REL_TOL * fs:
+        raise ParameterError(
+            f"--fs {flag_fs} disagrees with {source}, which gives {fs} Hz"
+        )
+    return fs
 
 
 class TestIngestCsv:
@@ -178,6 +319,182 @@ class TestIngestCsv:
             assert table.n_channels == len(want)
             for got, w in zip(table.channels, want):
                 assert np.array_equal(got.samples, w)
+
+
+def ingest_outcome(read, path, fs=None):
+    """What ``read`` makes of a CSV: each channel's sample bytes, rate and
+    start time, or the type and text of the error it raises."""
+    try:
+        data = read(path, fs)
+    except (IngestionError, ParameterError) as e:
+        return type(e).__name__, str(e)
+    channels = data.channels if isinstance(data, MultichannelSignal) else (data,)
+    return [(c.samples.tobytes(), repr(float(c.sample_rate_hz)),
+             repr(float(c.start_time_s))) for c in channels]
+
+
+# spellings Python's float accepts or refuses, some of which numpy's
+# parser refuses too (1_000, "2", the full-width digit)
+CELL_SPELLINGS = [
+    " 1.5 ", "+1", ".5", "5.", "1E+05", "-Infinity", "NaN", "1e400",
+    "1e-400", "4.9e-324", "1_000", '"2"', "１", "#3", " 7 ",
+    "\t8\t", "0x10", "", "1e", "- 1", "1\x00",
+]
+
+# (id, file text, --fs)
+LAYOUTS = [
+    ("crlf", "t,x\r\n0,1\r\n0.5,2\r\n1.0,3\r\n", None),
+    ("cr", "t,x\r0,1\r0.5,2\r1.0,3\r", None),
+    ("blank", "t,x\n0,1\n\n0.5,2\n\n1.0,3\n\n", None),
+    ("blank-crlf", "t,x\r\n0,1\r\n\r\n0.5,2\r\n1.0,3\r\n", None),
+    ("whitespace-only", "t,x\n0,1\n   \n0.5,2\n\t\n1.0,3\n", None),
+    ("comma-only", "t,x\n0,1\n,\n0.5,2\n , \n1.0,3\n", None),
+    ("hash-row", "t,x\n0,1\n# note\n0.5,2\n1.0,3\n", None),
+    ("hash-header", "# note\nt,x\n0,1\n0.5,2\n", None),
+    ("blanks-before-header", "\n \n,\nt,x\n0,1\n0.5,2\n", None),
+    ("header-only", "t,x\n", None),
+    ("header-and-blanks", "t,x\n\n \n,\n", None),
+    ("one-row", "t,x\n0,1\n", None),
+    ("no-final-newline", "t,x\n0,1\n0.5,2", None),
+    ("too-wide", "t,x\n0,1,2\n0.5,2,3\n", None),
+    ("too-narrow", "t,x,y\n0,1\n0.5,2\n", None),
+    ("trailing-comma", "t,x\n0,1,\n0.5,2,\n", None),
+    ("ragged-late", "t,x\n0,1\n0.5,2\n1.0,3,4\n", None),
+    ("quoted-header", '"t","x\ny"\n0,1\n0.5,2\n', None),
+    ("quoted-cell-newline", 't,x\n0,"1\n"\n0.5,2\n', None),
+    ("one-column", "x\n1\n2\n3\n", 10.0),
+    ("no-clock", "a,b\n1,2\n3,4\n", None),
+    ("time-only", "t\n0\n0.5\n", None),
+    ("time-decreasing", "t,x\n0.5,1\n0,2\n", None),
+    ("step-after-blanks", "t,x\n\n0,1\n,\n0.5,2\n\n0.75,3\n", None),
+    ("non-finite-after-blanks", "t,x\n\n0,1\n\n0.5,inf\n", None),
+    ("fs-disagrees", "t,x\n0,1\n0.5,2\n", 3.0),
+    ("numeric-header", "0,1\n0.5,2\n", None),
+    ("long-file-late-refusal",
+     "t,x\n" + "".join(f"{i / 4!r},{i}\n" for i in range(300)) + "75.0,1_000\n",
+     None),
+]
+
+
+class TestIngestRoutes:
+    """ingest_csv reads with numpy where it can and row by row where it
+    must; the reference row loop settles what either route returns."""
+
+    def write(self, tmp_path, text):
+        p = tmp_path / "in.csv"
+        p.write_bytes(text.encode())
+        return str(p)
+
+    def assert_as_reference(self, path, fs=None):
+        assert ingest_outcome(ingest_csv, path, fs) == ingest_outcome(
+            reference_ingest, path, fs)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("cell", CELL_SPELLINGS)
+    def test_cell_spelling(self, tmp_path, cell, column):
+        rows = [["0", "1"], ["0.5", "2"], ["1.0", "3"]]
+        rows[1][column] = cell
+        for header, fs in (("t,x", None), ("a,b", 2.0)):
+            text = header + "\n" + "".join(",".join(r) + "\n" for r in rows)
+            self.assert_as_reference(self.write(tmp_path, text), fs)
+
+    @pytest.mark.parametrize("text, fs", [c[1:] for c in LAYOUTS],
+                             ids=[c[0] for c in LAYOUTS])
+    def test_file_layout(self, tmp_path, text, fs):
+        self.assert_as_reference(self.write(tmp_path, text), fs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=2, max_size=2), min_size=2, max_size=40),
+           st.sampled_from(["{!r}", "{:.17g}", "{:.17e}", " {!r} ", "{:+.17g}"]),
+           st.sampled_from(["\n", "\r\n"]),
+           st.sets(st.integers(0, 40), max_size=4))
+    def test_random_tables(self, rows, spelling, newline, blanks):
+        lines = ["a,b"] + [",".join(spelling.format(v) for v in row)
+                           for row in rows]
+        for i in sorted(blanks, reverse=True):
+            lines.insert(min(i, len(lines)), "")
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "in.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(newline.join(lines) + newline)
+            self.assert_as_reference(path, 4.0)
+
+    def test_plain_file_takes_the_numpy_route(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return loadtxt(*args, **kwargs)
+
+        def row_loop(path):
+            raise AssertionError("the row loop read a plain file")
+
+        monkeypatch.setattr(cli.np, "loadtxt", spy)
+        monkeypatch.setattr(cli, "_parse_rows", row_loop)
+        s = ingest_csv(self.write(tmp_path, "t,x\n0,1\n0.5,2\n1.0,3\n"))
+        assert np.array_equal(s.samples, [1.0, 2.0, 3.0])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text", [
+        "t,x\n0,1_000\n0.5,2\n",
+        't,x\n0,"2"\n0.5,2\n',
+        "t,x\n0,１\n0.5,2\n",
+        "t,x\n0,1\n  \n0.5,2\n",
+        "t,x\n0,1\n,\n0.5,2\n",
+    ], ids=["underscore", "quoted", "full-width", "whitespace-only", "comma-only"])
+    def test_numpy_refusals_take_the_row_loop(self, tmp_path, monkeypatch, text):
+        calls = []
+        parse_rows = cli._parse_rows
+
+        def spy(path):
+            calls.append(path)
+            return parse_rows(path)
+
+        monkeypatch.setattr(cli, "_parse_rows", spy)
+        path = self.write(tmp_path, text)
+        assert ingest_csv(path).n == 2
+        assert calls == [path]
+        self.assert_as_reference(path)
+
+    @pytest.mark.parametrize("text", ["t,x\n", "t,x\n\n\r\n\n", "t,x\n \n\t\n"])
+    def test_header_without_data_raises_no_warning(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestionError,
+                               match=f"^{re.escape(path)}: need at least 2 data rows$"):
+                ingest_csv(path)
+
+    @pytest.mark.parametrize("data, row", [
+        (b"t,x\n0,1\n0.5,\xff\n1.0,3\n", 3),
+        (b"t,x\n0,1\n0.5,2\n1.0,3\n\xc3(,4\n", 5),
+        (b"t,\xe9\n0,1\n0.5,2\n", 1),
+    ], ids=["cell", "last-row", "header"])
+    def test_invalid_utf8_refused_by_row(self, tmp_path, capsys, data, row):
+        p = tmp_path / "in.csv"
+        p.write_bytes(data)
+        with pytest.raises(IngestionError, match=f"^row {row}: not valid UTF-8$"):
+            ingest_csv(str(p))
+        assert main(["generate", "--input", str(p), "--out",
+                     str(tmp_path / "o"), "--no-timestamp"]) == 2
+        assert f"row {row}: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_oversized_field_refused_by_row(self, tmp_path, capsys, row):
+        # numpy would parse the long field, as 2.0; the csv module refuses it
+        long = "0" * csv.field_size_limit() + "2"
+        rows = ["t,x", "0,1", "0.5,2", "1.0,3"]
+        rows[row - 1] = f"t,{long}" if row == 1 else f"0.5,{long}"
+        path = self.write(tmp_path, "\n".join(rows) + "\n")
+        message = (f"row {row}: field larger than field limit "
+                   f"({csv.field_size_limit()})")
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            ingest_csv(path)
+        assert main(["generate", "--input", path, "--out",
+                     str(tmp_path / "o"), "--no-timestamp"]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestGenerateCommand:
@@ -675,7 +992,7 @@ class TestAtomicWrites:
         target = tmp_path / "summary.json"
         other = tmp_path / "summary.json.tmp"
         other.write_text("other run")
-        cli._atomic_write(str(target), "mine\n")
+        cli._atomic_write(str(target), [b"mine\n"])
         assert target.read_text() == "mine\n"
         assert other.read_text() == "other run"
 
@@ -684,7 +1001,7 @@ class TestAtomicWrites:
         with open(plain, "w") as fh:
             fh.write("x\n")
         target = tmp_path / "atomic.csv"
-        cli._atomic_write(str(target), "x\n")
+        cli._atomic_write(str(target), [b"x\n"])
         assert os.stat(target).st_mode == os.stat(plain).st_mode
 
     def test_temp_file_removed_on_failure(self, tmp_path, monkeypatch):
@@ -693,5 +1010,5 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(cli.os, "replace", broken_replace)
         with pytest.raises(OSError, match="disk gone"):
-            cli._atomic_write(str(tmp_path / "t.csv"), "x\n")
+            cli._atomic_write(str(tmp_path / "t.csv"), [b"x\n"])
         assert os.listdir(tmp_path) == []
