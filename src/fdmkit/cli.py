@@ -106,16 +106,16 @@ def _parse_fast(path: str):
     with _open_csv(path) as fh:
         header = _header(path, _rows(fh))
         lines = _within_field_limit(fh)
-        # numpy warns on a file without data rows; that file is left to
-        # the row loop's message
-        head = []
-        for line in lines:
-            head.append(line)
-            if not line.isspace():
-                break
-        else:
-            return header, None
         try:
+            # numpy warns on a file without data rows; that file is left
+            # to the row loop's message
+            head = []
+            for line in lines:
+                head.append(line)
+                if not line.isspace():
+                    break
+            else:
+                return header, None
             values = np.loadtxt(itertools.chain(head, lines), delimiter=",",
                                 comments=None, dtype=np.float64, ndmin=2)
         except ValueError:
@@ -124,12 +124,14 @@ def _parse_fast(path: str):
 
 
 def _within_field_limit(lines):
-    """``lines``, until one is longer than the csv module's field limit:
-    numpy has no such limit, so the row loop must read that file."""
+    """``lines``, until one holds a field longer than the csv module's
+    field limit: numpy has no such limit, so the row loop must read that
+    file. Only a line longer than the limit is split to look."""
     limit = csv.field_size_limit()
     for line in lines:
-        if len(line) > limit:
-            raise ValueError("line longer than the csv field limit")
+        if len(line) > limit and max(
+                map(len, line.rstrip("\r\n").split(","))) > limit:
+            raise ValueError("field longer than the csv field limit")
         yield line
 
 
@@ -358,6 +360,8 @@ def _csv_rows(block: np.ndarray):
 
 def _repr_cells(values: np.ndarray) -> list:
     """repr(v) of each float of a 1-D array, through the table writer."""
+    if not values.size:
+        return []
     line = _csv_rows(np.ascontiguousarray(values, dtype=np.float64)[None, :])
     return bytes(line[:-1]).decode().split(",")
 

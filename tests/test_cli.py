@@ -341,8 +341,19 @@ CELL_SPELLINGS = [
     "\t8\t", "0x10", "", "1e", "- 1", "1\x00",
 ]
 
+# cells of 60,000 characters: three make a line longer than the csv
+# module's field limit, though no one field is
+_PAD = "0" * 60000
+WIDE_ROWS = "t,x,y\n" + "".join(
+    f"{_PAD}{i / 2!r},{_PAD}{i},{_PAD}1.5\n" for i in range(3))
+# a cell of exactly the limit, which the csv module accepts
+AT_FIELD_LIMIT = ("t,x\n0,1\n0.5," + "0" * (csv.field_size_limit() - 1)
+                  + "2\n1.0,3\n")
+
 # (id, file text, --fs)
 LAYOUTS = [
+    ("wide-rows", WIDE_ROWS, None),
+    ("field-at-limit", AT_FIELD_LIMIT, None),
     ("crlf", "t,x\r\n0,1\r\n0.5,2\r\n1.0,3\r\n", None),
     ("cr", "t,x\r0,1\r0.5,2\r1.0,3\r", None),
     ("blank", "t,x\n0,1\n\n0.5,2\n\n1.0,3\n\n", None),
@@ -420,7 +431,10 @@ class TestIngestRoutes:
                 fh.write(newline.join(lines) + newline)
             self.assert_as_reference(path, 4.0)
 
-    def test_plain_file_takes_the_numpy_route(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("text", [
+        "t,x\n0,1\n0.5,2\n1.0,3\n", WIDE_ROWS, AT_FIELD_LIMIT,
+    ], ids=["plain", "wide-rows", "field-at-limit"])
+    def test_plain_file_takes_the_numpy_route(self, tmp_path, monkeypatch, text):
         calls = []
         loadtxt = np.loadtxt
 
@@ -431,10 +445,11 @@ class TestIngestRoutes:
         def row_loop(path):
             raise AssertionError("the row loop read a plain file")
 
+        path = self.write(tmp_path, text)
+        want = ingest_outcome(reference_ingest, path)
         monkeypatch.setattr(cli.np, "loadtxt", spy)
         monkeypatch.setattr(cli, "_parse_rows", row_loop)
-        s = ingest_csv(self.write(tmp_path, "t,x\n0,1\n0.5,2\n1.0,3\n"))
-        assert np.array_equal(s.samples, [1.0, 2.0, 3.0])
+        assert ingest_outcome(ingest_csv, path) == want
         assert len(calls) == 1
 
     @pytest.mark.parametrize("text", [
@@ -481,7 +496,7 @@ class TestIngestRoutes:
                      str(tmp_path / "o"), "--no-timestamp"]) == 2
         assert f"row {row}: not valid UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", [1, 3])
+    @pytest.mark.parametrize("row", [1, 2, 3])
     def test_oversized_field_refused_by_row(self, tmp_path, capsys, row):
         # numpy would parse the long field, as 2.0; the csv module refuses it
         long = "0" * csv.field_size_limit() + "2"

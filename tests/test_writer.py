@@ -188,6 +188,7 @@ def test_json_format_unchanged(tmp_path):
     np.arange(16384) / 100.0,
     3.0 + np.arange(500) / 7e5,  # a clock whose labels need many digits
     np.arange(64) * 1e-6,  # repr's exponent notation on every label but 0
-], ids=["edges", "grid-axis", "offset-clock", "tiny-steps"])
+    np.array([]),
+], ids=["edges", "grid-axis", "offset-clock", "tiny-steps", "empty"])
 def test_grid_labels_are_repr(values):
     assert cli._repr_cells(values) == [repr(v) for v in values.tolist()]
