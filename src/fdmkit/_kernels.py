@@ -64,11 +64,13 @@ comparisons themselves. A fail is certified at the least slope alone
 (``_fails_at``), and a pass by a single allowance from the least
 |z_f|; a window either settles or is left open (``_Window.judge``).
 A check returns False on any certain fail. Otherwise each open window
-in turn is judged on z_seq itself, rebuilt at every one of its samples
-(``_exact_sums``) with ``_tail``'s adds in ``_tail``'s order, up to the
-first that fails. The windows overlap by two samples, so between them
-their interior slopes are every slope the check judges, and the verdict
-is, bit for bit, that of summing the whole band in scan order.
+in turn is judged on z_seq itself at every one of its samples, up to
+the first that fails: ``_exact_sums`` runs ``_tail``, the engine of
+the first-violation walk, over the window's samples alone and keeps
+its last sums, the walk's bits at those samples. The windows overlap
+by two samples, so between them their interior slopes are every slope
+the check judges, and the verdict is, bit for bit, that of summing the
+whole band in scan order.
 
 Failing checks mostly fail early, so a check judges its first WINDOW
 samples first and the rest only when those settle no fail, each on a
@@ -250,23 +252,24 @@ def _term(cr, ci, idx, cos_tab, sin_tab, out):
     return re, im
 
 
-def _tail(sr, si, cos_tab, sin_tab, bins, step):
-    """Yield z_seq (zr, zi) at every sample for each candidate of
+def _tail(sr, si, cos_tab, sin_tab, bins, m):
+    """Yield z_seq (zr, zi) at the samples ``m`` for each candidate of
     ``bins`` in turn: each bin's term added in order onto +0.0. The
     arrays are updated in place for the next candidate.
 
-    Each bin is one step (+1 or -1) from the last, so bin k's twiddle
-    index k m mod n is the previous bin's plus (step m) mod n, folded
-    back into [0, n) by ``_fold``.
+    Each bin is one step (+1 or -1, read off ``bins``) from the last,
+    so bin k's twiddle index k m mod n is the previous bin's plus
+    (step m) mod n, folded back into [0, n) by ``_fold``. A sample's
+    sums do not depend on which other samples ``m`` holds.
     """
     n = sr.shape[0]
-    m = np.arange(n)
-    zr = np.zeros(n)
-    zi = np.zeros(n)
+    step = int(bins[1] - bins[0]) if bins.size > 1 else 1
+    zr = np.zeros(m.size)
+    zi = np.zeros(m.size)
     idx = ((int(bins[0]) - step) * m) % n
     alt = np.empty_like(idx)
     delta = (step * m) % n
-    work = [np.empty(n) for _ in range(4)]
+    work = [np.empty(m.size) for _ in range(4)]
     for k in bins.tolist():
         idx += delta
         _fold(idx, n, alt)
@@ -276,29 +279,11 @@ def _tail(sr, si, cos_tab, sin_tab, bins, step):
         yield zr, zi
 
 
-# Twiddle and summand cells per chunk of the exact per-sample sums.
-_CHUNK = 1 << 18
-
-
 def _exact_sums(sr, si, cos_tab, sin_tab, ks, ms):
-    """z_seq at samples ``ms`` for the band of bins ``ks``: each bin's
-    term added in ``ks`` order onto +0.0, the adds and the order of
-    ``_tail`` and of the probe, so the same bits."""
-    n = sr.shape[0]
-    zr = np.empty(ms.size)
-    zi = np.empty(ms.size)
-    cr, ci = sr[ks, None], si[ks, None]
-    width = max(1, _CHUNK // (ks.size + 1))
-    for at in range(0, ms.size, width):
-        m = ms[at:at + width]
-        idx = np.multiply.outer(ks, m) % n
-        # row 0 is the +0.0 the sums start from
-        re = np.zeros((ks.size + 1, m.size))
-        im = np.zeros((ks.size + 1, m.size))
-        _term(cr, ci, idx, cos_tab, sin_tab,
-              (np.empty(idx.shape), np.empty(idx.shape), re[1:], im[1:]))
-        zr[at:at + width] = np.cumsum(re, axis=0, out=re)[-1]
-        zi[at:at + width] = np.cumsum(im, axis=0, out=im)[-1]
+    """z_seq at samples ``ms`` for the band of bins ``ks``: the last
+    sums ``_tail`` yields over those samples."""
+    for zr, zi in _tail(sr, si, cos_tab, sin_tab, ks, ms):
+        pass
     return zr, zi
 
 
@@ -400,6 +385,8 @@ def _allowance(ratio):
 # cheaper. Past the leading window, a radix transform costs less than
 # one dropped bin, and Bluestein's about as much as this many.
 DROPS = 16
+# Cells of the terms ``_Window.drop`` takes out in one block.
+_CHUNK = 1 << 18
 
 
 class _Window:
@@ -442,7 +429,7 @@ class _Window:
         d = self.count - pos - 1
         if d == 0:
             return
-        # twiddle indices k m mod n, as in _exact_sums, rows k descending
+        # twiddle indices k m mod n, rows k descending
         idx = np.multiply.outer(check.bins[self.count - 1:pos:-1], self.m,
                                 out=self.idx[:d])
         idx %= check.tab.size
@@ -622,7 +609,6 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     would give.
     """
     n = sr.shape[0]
-    step = int(bins[1] - bins[0]) if bins.size > 1 else 1
     # position in bins of the highest candidate known admissible
     best = -1
     if not exhaustive:
@@ -633,7 +619,7 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
             return -1
         bins = bins[live[0]:]
         work = [np.empty(n) for _ in range(3)]
-        sums = _tail(sr, si, cos_tab, sin_tab, bins, step)
+        sums = _tail(sr, si, cos_tab, sin_tab, bins, np.arange(n))
         for pos, (zr, zi) in enumerate(sums):
             if _admissible_rows(zr, zi, eps, work):
                 best = pos
@@ -651,6 +637,7 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
         if whole:
             return int(bins[-1])
     m = np.arange(p)
+    step = int(bins[1] - bins[0]) if bins.size > 1 else 1
     # twiddle index of row j, sample m is (k0 m + j step m) mod n: a
     # per-block row plus this table, folded back into [0, n)
     table = (step * np.arange(BLOCK)[:, None] * m) % n

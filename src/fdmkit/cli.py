@@ -94,9 +94,11 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
 
 
 def _open_csv(path: str):
-    # bytes that are not UTF-8 are read as lone surrogates, so that the
-    # row holding them can be named
-    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+    # a leading byte-order mark is read away; bytes that are not UTF-8
+    # are read as lone surrogates, so that the row holding them can be
+    # named
+    return open(path, newline="", encoding="utf-8-sig",
+                errors="surrogateescape")
 
 
 def _parse_fast(path: str):

@@ -43,11 +43,9 @@ class SearchMode(Enum):
     "maximum value". FIRST_VIOLATION stops at the first inadmissible
     extension after at least one admissible candidate has been seen,
     so its bands can be smaller and more numerous. Neither is faster on
-    every record. On 2 x86 CPUs with numpy 2.4, FIRST_VIOLATION makes
-    123 bands of white noise (n=4096, lth) in about 0.35 s to
-    MAXIMAL_EXHAUSTIVE's 32 in 0.6 s, and 603 bands of a linear chirp
-    (n=16384, htl) in about 4 s to MAXIMAL_EXHAUSTIVE's one in about
-    6 ms.
+    every record. FIRST_VIOLATION makes 123 bands of white noise
+    (n=4096, lth) to MAXIMAL_EXHAUSTIVE's 32, and 603 bands of a linear
+    chirp (n=16384, htl) to MAXIMAL_EXHAUSTIVE's one.
     """
 
     MAXIMAL_EXHAUSTIVE = "max"

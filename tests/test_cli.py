@@ -473,6 +473,28 @@ class TestIngestRoutes:
         assert calls == [path]
         self.assert_as_reference(path)
 
+    @pytest.mark.parametrize("text, row_loop", [
+        ("t,x\n0,1\n0.5,2\n1.0,3\n", False),
+        ("t,x\n0,1_000\n0.5,2\n1.0,3\n", True),
+    ], ids=["numpy", "row-loop"])
+    def test_byte_order_mark_is_read_away(self, tmp_path, monkeypatch, text,
+                                          row_loop):
+        # spreadsheet programs' "CSV UTF-8" export starts with U+FEFF
+        want = ingest_outcome(ingest_csv, self.write(tmp_path, text))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        calls = []
+        parse_rows = cli._parse_rows
+
+        def spy(path):
+            calls.append(path)
+            return parse_rows(path)
+
+        monkeypatch.setattr(cli, "_parse_rows", spy)
+        # one channel at 2 Hz: the t column is the time axis again
+        assert ingest_outcome(ingest_csv, str(marked)) == want
+        assert len(calls) == row_loop
+
     @pytest.mark.parametrize("text", ["t,x\n", "t,x\n\n\r\n\n", "t,x\n \n\t\n"])
     def test_header_without_data_raises_no_warning(self, tmp_path, text):
         path = self.write(tmp_path, text)

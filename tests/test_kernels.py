@@ -373,8 +373,7 @@ class TestScanSeams:
 def sequential_sums(sr, si, ct, st_, bins, count):
     """The scan's sums at every sample for the first ``count`` of
     ``bins``, yielded by ``_tail``: each bin's term added in order."""
-    step = int(bins[1] - bins[0]) if bins.size > 1 else 1
-    sums = _kernels._tail(sr, si, ct, st_, bins, step)
+    sums = _kernels._tail(sr, si, ct, st_, bins, np.arange(sr.shape[0]))
     for _ in range(count):
         zr, zi = next(sums)
     return zr, zi
@@ -470,13 +469,18 @@ class TestCertifiedChecks:
         c.imag[1:lead] = rng.choice([0.0, -0.0], lead - 1)
         sr, si = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
         ct, st_ = _kernels.twiddle_tables(n)
-        ms = np.arange(n)
+        # every sample, the samples a probe leaves to a full check, and
+        # a run from the middle of the record
+        sample_sets = [np.arange(n), np.arange(_kernels.PROBE - 2, n),
+                       np.arange(n // 3, 2 * n // 3)]
         for bins in (np.arange(1, k_max + 1), np.arange(k_max, 0, -1)):
             for count in (1, lead - 1, lead + 3, bins.size):
                 want = sequential_sums(sr, si, ct, st_, bins, count)
-                got = _kernels._exact_sums(sr, si, ct, st_, bins[:count], ms)
-                for g, w in zip(got, want):
-                    assert g.tobytes() == w.tobytes(), count
+                for ms in sample_sets:
+                    got = _kernels._exact_sums(sr, si, ct, st_, bins[:count],
+                                               ms)
+                    for g, w in zip(got, want):
+                        assert g.tobytes() == w[ms].tobytes(), (count, ms[:1])
 
     def test_all_signed_zero_band_has_zero_sums(self):
         # every term a signed zero: the tail's sums are +0.0 throughout
