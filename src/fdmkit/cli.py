@@ -35,7 +35,8 @@ from .fdm import FdmConfig, decompose
 from .mfdm import CutoffSchedule, _record_schedule, mfdm_decompose
 from .siggen import GeneratorSpec, generate
 from .spectral import MAX_VALUES, MultichannelSignal, Signal
-from .tfe import fhs, instantaneous_energy, marginal_spectrum, rasterize
+from .tfe import (_nearest_index, fhs, instantaneous_energy,
+                  marginal_spectrum, rasterize)
 
 log = logging.getLogger("fdmkit.cli")
 
@@ -334,27 +335,25 @@ def _csv_rows(block: np.ndarray):
     the closing bracket. orjson prints the shortest round-trip digits,
     as repr does, and in the same fixed notation for 1e-4 <= |v| < 1e16
     and zero. Outside that range its notation differs (``1e16``,
-    ``0.00001``) and it prints nan and inf as null, so a row holding
-    such a cell is spliced in from repr instead.
+    ``0.00001``) and it prints nan and inf as null, so such a cell is
+    spliced in from repr instead.
     """
-    ncol = block.shape[1]
-    buf = bytearray(orjson.dumps(block.reshape(-1),
-                                 option=orjson.OPT_SERIALIZE_NUMPY))
+    flat = block.reshape(-1)
+    mag = np.abs(flat)
+    odd = np.flatnonzero(((mag < 1e-4) & (mag != 0)) | ~(mag < 1e16))
+    buf = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
+    buf[-1] = ord(",")  # so that every cell, the last too, ends at a comma
     chars = np.frombuffer(buf, dtype=np.uint8)
-    # each row ends at its ncol-th comma, or at the closing bracket
-    ends = np.append(np.flatnonzero(chars == ord(","))[ncol - 1::ncol],
-                     len(buf) - 1)
-    chars[ends] = ord("\n")
-    mag = np.abs(block)
-    odd = np.flatnonzero((((mag < 1e-4) & (mag != 0)) | ~(mag < 1e16)).any(axis=1))
+    ends = np.flatnonzero(chars == ord(","))
+    chars[ends[block.shape[1] - 1::block.shape[1]]] = ord("\n")
     text = memoryview(buf)
     if not odd.size:
         return text[1:]
-    starts = np.append(1, ends[:-1] + 1)
+    starts = np.where(odd > 0, ends[odd - 1] + 1, 1)
     pieces, prev = [], 1
-    for start, end, row in zip(starts[odd].tolist(), ends[odd].tolist(),
-                               block[odd].tolist()):
-        pieces += [text[prev:start], ",".join(map(repr, row)).encode()]
+    for start, end, v in zip(starts.tolist(), ends[odd].tolist(),
+                             flat[odd].tolist()):
+        pieces += [text[prev:start], repr(v).encode()]
         prev = end
     pieces.append(text[prev:])
     return b"".join(pieces)
@@ -521,6 +520,41 @@ def cmd_mfdm(args) -> int:
     }, f"mfdm: {result.n_levels} levels x {result.n_channels} channels")
 
 
+class _GridRows:
+    """The rows of ``rasterize(points, t_axis, f_axis, mode).cells``,
+    rasterized one slice of frequency rows at a time.
+
+    The points are stably sorted once by nearest frequency row, so a
+    slice rasterizes only its own points, and each cell still adds them
+    in their original order: every slice has the bits of the same rows
+    of the whole grid. A table writer that takes a chunk of rows at a
+    time thus never holds the whole grid; ``np.asarray`` builds it.
+    """
+
+    def __init__(self, points, t_axis, f_axis, mode: str):
+        rows = _nearest_index(f_axis, points.freqs_hz)
+        self._order = np.argsort(rows, kind="stable")
+        # the points of rows lo..hi-1 are order[starts[lo]:starts[hi]]
+        counts = np.bincount(rows, minlength=f_axis.size)
+        self._starts = np.append(0, np.cumsum(counts))
+        self._args = points, t_axis, f_axis, mode
+
+    def __len__(self) -> int:
+        return self._starts.size - 1
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        points, t_axis, f_axis, mode = self._args
+        lo, hi, _ = rows.indices(len(self))
+        take = self._order[self._starts[lo]:self._starts[hi]]
+        block = dataclasses.replace(
+            points, times_s=points.times_s[take], freqs_hz=points.freqs_hz[take],
+            amplitudes=points.amplitudes[take], fibf_index=points.fibf_index[take])
+        return rasterize(block, t_axis, f_axis[lo:hi], mode=mode).cells
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:]
+
+
 def cmd_tfe(args) -> int:
     df = args.freq_bin
     signal = _load_signal(args)
@@ -537,15 +571,13 @@ def cmd_tfe(args) -> int:
     t_axis = signal.times()
     f_axis = np.arange(int(n_f)) * df
 
-    def tables():
-        # the grid is rasterized only after the points table is written,
-        # so it never shares the peak with that table's write buffers
-        yield ("tfe_points", ["t", "f", "a", "fibf"],
-               [points.times_s, points.freqs_hz, points.amplitudes,
-                points.fibf_index.astype(np.float64)])
-        grid = rasterize(points, t_axis, f_axis, mode=args.mode)
-        yield ("tfe_grid", ["f_hz", *_repr_cells(t_axis)],
-               [f_axis, grid.cells])
+    tables = [
+        ("tfe_points", ["t", "f", "a", "fibf"],
+         [points.times_s, points.freqs_hz, points.amplitudes,
+          points.fibf_index.astype(np.float64)]),
+        ("tfe_grid", ["f_hz", *_repr_cells(t_axis)],
+         [f_axis, _GridRows(points, t_axis, f_axis, args.mode)]),
+    ]
 
     summary = _decomposition_summary(result, "tfe")
     summary.update({
@@ -554,7 +586,7 @@ def cmd_tfe(args) -> int:
         "n_points": points.n_points,
         "clamped_negative": points.clamped_negative,
     })
-    return _emit(args, tables(), summary,
+    return _emit(args, tables, summary,
                  f"tfe: {points.n_points} points on a "
                  f"{f_axis.size}x{t_axis.size} grid")
 

@@ -12,6 +12,7 @@ join a band: they are real standalone terms in the reconstruction
     x[n] = dc + sum_i y_i[n] + nyquist * (-1)^n
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -111,7 +112,7 @@ class Afibf:
 
     def energy(self) -> float:
         """Total energy sum(y^2) of the band signal."""
-        return float(np.dot(self.fibf, self.fibf))
+        return _sum_squares(self.fibf)
 
 
 @dataclass
@@ -288,8 +289,8 @@ def decompose(signal: Signal, config: FdmConfig | None = None) -> DecompositionR
     # measured on x / max|x| so that neither norm overflows to inf or
     # underflows to 0 at extreme amplitude scales
     scale = np.max(np.abs(x))
-    err = float(np.linalg.norm(recon / scale - x / scale)
-                / np.linalg.norm(x / scale))
+    err = (math.sqrt(_sum_squares(recon / scale - x / scale))
+           / math.sqrt(_sum_squares(x / scale)))
 
     return DecompositionResult(
         dc=dc,
@@ -303,6 +304,12 @@ def decompose(signal: Signal, config: FdmConfig | None = None) -> DecompositionR
         non_monotone=tuple(non_monotone),
         merged_tail=merged_tail,
     )
+
+
+def _sum_squares(v: np.ndarray) -> float:
+    """sum(v^2) by numpy's pairwise sum, whose bits, unlike a BLAS dot's,
+    do not depend on the BLAS thread count."""
+    return float(np.add.reduce(v * v))
 
 
 def _synthesize(dc, nyquist, fibfs, n):

@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -870,6 +871,20 @@ class TestTfeCommand:
                          "--out", str(tmp_path / "t")]) == 2
             assert f"--freq-bin must be > 0 and finite, got {df}" in \
                 capsys.readouterr().err
+
+    def test_grid_is_never_held_whole(self, tmp_path):
+        # 201 x 16,384 float64 cells are 25.1 MiB; the writer takes a few
+        # rows of them at a time
+        chirp = 'gen:{"kind":"linear_chirp","n":16384,"sample_rate_hz":100}'
+        tracemalloc.start()
+        try:
+            assert main(["tfe", "--input", chirp, "--scan", "htl",
+                         "--freq-bin", "0.25", "--out", str(tmp_path),
+                         "--no-timestamp"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 201 * 16384 * 8 / 2
 
     # a 64 Hz band at 1e-9 Hz per row is 6.4e10 rows by 256 samples
     @pytest.mark.parametrize("df", ["1e-9", "1e-300"])

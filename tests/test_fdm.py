@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +25,7 @@ from fdmkit import (
     unwrap_phase,
 )
 from fdmkit.fdm import _trim_bin_range
+from numpy._core._multiarray_umath import __cpu_features__
 from oracles import (
     admissible_direct,
     band_direct,
@@ -494,3 +500,30 @@ class TestPropertyReconstruction:
         rec = reconstruct(r)
         assert np.max(np.abs(rec - s.samples)) <= TOL * max(
             1.0, np.max(np.abs(s.samples)))
+
+
+SUMS_OF_SQUARES = """
+import numpy as np
+from fdmkit import FdmConfig, Signal, decompose
+x = np.random.default_rng(0).standard_normal(16384)
+r = decompose(Signal(x, 1.0), FdmConfig(max_fibfs=1))
+print(r.reconstruction_error.hex(), *(b.energy().hex() for b in r.fibfs))
+"""
+
+
+def test_sums_of_squares_do_not_depend_on_blas_threads_or_simd():
+    """The reconstruction error and band energies are numpy's pairwise
+    sums: a threaded BLAS dot splits its sum by thread count, and on
+    this record gives a merged band energy one ulp apart."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    envs = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+    if __cpu_features__.get("X86_V4"):
+        envs.append({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+    outputs = set()
+    for extra in envs:
+        env = dict(os.environ, PYTHONPATH=src, **extra)
+        done = subprocess.run([sys.executable, "-c", SUMS_OF_SQUARES], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs

@@ -46,3 +46,6 @@ def test_every_counter_is_produced(tracing, tmp_path):
     assert all(v > 0 for v in counts.values())
     assert counts["cli.ingest_bytes"] == csv.stat().st_size
     assert counts["mfdm.filter_passes"] == 2 * 2
+    # the grid is rasterized a block of rows at a time; its blocks add
+    # up to the 9 x 64 grid
+    assert counts["tfe.grid_cells"] == 9 * 64

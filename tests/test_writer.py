@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdmkit.cli as cli
+from fdmkit import TfePoints, rasterize
 
 # cells per formatting chunk in the writer; test_chunk_size_is_pinned
 # keeps this in step with cli._CHUNK_CELLS
@@ -172,6 +173,53 @@ def test_block_of_columns_matches_separate_columns(tmp_path):
     for fmt in ("csv", "json"):
         assert (written_bytes(tmp_path, header, [f, cells], fmt)
                 == written_bytes(tmp_path, header, split, fmt))
+
+
+def grid_case():
+    """A 29 x 8,191 grid, 8 rows to a writer chunk, and points that
+    land many to a cell, past both ends of both axes, and on no row of
+    the second chunk; the amplitudes span 16 decades, so a cell's sum
+    depends on the order its points are added in."""
+    rng = np.random.default_rng(8)
+    t_axis = np.arange(8191) / 2.0
+    f_axis = np.arange(29) * 0.75
+    n = 40_000
+    times = t_axis[rng.integers(0, 64, n)] + rng.uniform(-0.2, 0.2, n)
+    times[::101] = -3.0
+    times[1::101] = t_axis[-1] + 5.0
+    rows = rng.choice(np.r_[0:8, 16:29], n)
+    freqs = f_axis[rows] + rng.uniform(-0.3, 0.3, n)
+    freqs[2::101] = -5.0
+    freqs[3::101] = 1e3
+    points = TfePoints(
+        times_s=times, freqs_hz=freqs,
+        amplitudes=rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n),
+        fibf_index=np.zeros(n, dtype=np.int64), sample_rate_hz=2.0)
+    return points, t_axis, f_axis
+
+
+@pytest.mark.parametrize("mode", ["energy", "amplitude"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_grid_matches_the_whole_grid(tmp_path, monkeypatch, mode, fmt):
+    points, t_axis, f_axis = grid_case()
+    header = ["f_hz"] + [f"t{j}" for j in range(t_axis.size)]
+    whole = rasterize(points, t_axis, f_axis, mode).cells
+    blocks = []
+
+    def spy(points, time_axis, freq_axis, mode):
+        blocks.append((freq_axis.size, points.n_points))
+        return rasterize(points, time_axis, freq_axis, mode)
+
+    monkeypatch.setattr(cli, "rasterize", spy)
+    streamed = cli._GridRows(points, t_axis, f_axis, mode)
+    assert (written_bytes(tmp_path, header, [f_axis, streamed], fmt)
+            == written_bytes(tmp_path, header, [f_axis, whole], fmt))
+    if fmt == "csv":
+        assert [size for size, _ in blocks] == [8, 8, 8, 5]
+        assert blocks[1][1] == 0
+        assert sum(count for _, count in blocks) == points.n_points
+    else:
+        assert blocks == [(29, points.n_points)]
 
 
 def test_json_format_unchanged(tmp_path):
