@@ -319,10 +319,11 @@ def _load_signal(args) -> Signal:
 # output
 # ---------------------------------------------------------------------------
 
-# cells per chunk: each chunk is one orjson call, one comma scan and one
-# write, so the per-chunk calls are lost in the formatting, while the
-# chunk's text (about 18 bytes a cell for full-precision doubles, near
-# 1.2 MB) and its scratch arrays stay small beside the table
+# cells per chunk, in CSV and JSON alike: each chunk is one orjson call,
+# one comma scan and one write, so the per-chunk calls are lost in the
+# formatting, while the chunk's text (about 18 bytes a cell for
+# full-precision doubles, 25 in JSON: 1.2-1.6 MB) and its scratch arrays
+# stay small beside the table
 _CHUNK_CELLS = 1 << 16
 
 
@@ -391,30 +392,41 @@ def _write_table(out_dir: str, stem: str, header: list, columns: list,
 
     Each entry of ``columns`` is a 1-D array (one column) or a 2-D
     array (its columns, in order); all have the same number of rows.
-    CSV is formatted and written one chunk of rows at a time.
+    Both formats are written one chunk of rows at a time, formatted by
+    ``_csv_rows``; JSON frames them to the bytes ``_write_json`` gives
+    the whole document (nan and inf spelled NaN and Infinity).
     """
+    nrows = len(columns[0])
+    step = max(1, _CHUNK_CELLS // len(header))
+    blocks = (_csv_rows(np.ascontiguousarray(
+        np.column_stack([c[i:i + step] for c in columns]), dtype=np.float64))
+        for i in range(0, nrows, step))
     if fmt == "csv":
-        nrows = len(columns[0])
-        step = max(1, _CHUNK_CELLS // len(header))
-
-        def chunks():
-            yield (",".join(header) + "\n").encode()
-            for i in range(0, nrows, step):
-                yield _csv_rows(np.ascontiguousarray(
-                    np.column_stack([c[i:i + step] for c in columns]),
-                    dtype=np.float64))
-
-        name = stem + ".csv"
-        _atomic_write(os.path.join(out_dir, name), chunks())
+        chunks = itertools.chain([(",".join(header) + "\n").encode()], blocks)
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "columns": header,
-            "rows": np.column_stack(columns).astype(np.float64, copy=False).tolist(),
-        }
-        name = stem + ".json"
-        _write_json(os.path.join(out_dir, name), doc)
+        # the rows take the place of the null line of a one-row
+        # document; a quoted header name never prints as that line
+        doc = {"schema_version": SCHEMA_VERSION, "columns": header,
+               "rows": [None] if nrows else []}
+        head, _, tail = (json.dumps(doc, sort_keys=True, indent=2)
+                         + "\n").encode().partition(b"\n    null")
+        chunks = itertools.chain([head], _json_rows(blocks), [tail])
+    name = f"{stem}.{fmt}"
+    _atomic_write(os.path.join(out_dir, name), chunks)
     return name
+
+
+def _json_rows(blocks):
+    """The rows of a JSON table, indented as in ``_write_json``'s
+    document, from the CSV text of each block of rows."""
+    sep = b"\n    [\n      "
+    for text in blocks:
+        # row ends wait as ";", a byte no cell holds, while commas expand
+        rows = bytes(text[:-1]).replace(b"\n", b";").replace(b",", b",\n      ")
+        rows = rows.replace(b";", b"\n    ],\n    [\n      ")
+        yield (sep + rows.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
+               + b"\n    ]")
+        sep = b",\n    [\n      "
 
 
 def _write_json(path: str, doc: dict):
@@ -528,7 +540,7 @@ class _GridRows:
     slice rasterizes only its own points, and each cell still adds them
     in their original order: every slice has the bits of the same rows
     of the whole grid. A table writer that takes a chunk of rows at a
-    time thus never holds the whole grid; ``np.asarray`` builds it.
+    time thus never holds the whole grid.
     """
 
     def __init__(self, points, t_axis, f_axis, mode: str):
@@ -550,9 +562,6 @@ class _GridRows:
             points, times_s=points.times_s[take], freqs_hz=points.freqs_hz[take],
             amplitudes=points.amplitudes[take], fibf_index=points.fibf_index[take])
         return rasterize(block, t_axis, f_axis[lo:hi], mode=mode).cells
-
-    def __array__(self, dtype=None, copy=None):
-        return self[:]
 
 
 def cmd_tfe(args) -> int:

@@ -872,15 +872,16 @@ class TestTfeCommand:
             assert f"--freq-bin must be > 0 and finite, got {df}" in \
                 capsys.readouterr().err
 
-    def test_grid_is_never_held_whole(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_is_never_held_whole(self, tmp_path, fmt):
         # 201 x 16,384 float64 cells are 25.1 MiB; the writer takes a few
-        # rows of them at a time
+        # rows of them at a time, in either format
         chirp = 'gen:{"kind":"linear_chirp","n":16384,"sample_rate_hz":100}'
         tracemalloc.start()
         try:
             assert main(["tfe", "--input", chirp, "--scan", "htl",
-                         "--freq-bin", "0.25", "--out", str(tmp_path),
-                         "--no-timestamp"]) == 0
+                         "--freq-bin", "0.25", "--format", fmt,
+                         "--out", str(tmp_path), "--no-timestamp"]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -47,6 +47,17 @@ CASES = {
         "summary.json":
             "7ac3988a73ccb2954eede098548503a1d2648466a3bb309e73f22f1174e40df8",
     }),
+    "mfdm_json": (["mfdm", "--input", CHANNELS, "--levels", "4",
+                   "--format", "json"], {
+        "mfdm_ch1.json":
+            "f118ec2ed2f0a53203df6494b5ccf0aa6bcfb1714889da3c0cbace218b2931bd",
+        "mfdm_ch2.json":
+            "fec1c39ecd16ddc76ada9b6362001f91ddbabc5000b7c6fa9b54f88b1a267ed7",
+        "mfdm_ch3.json":
+            "16b1b2233f7b3844d474e132f69acf2e5465137e2244e1c50c0270c856601d68",
+        "summary.json":
+            "7ac3988a73ccb2954eede098548503a1d2648466a3bb309e73f22f1174e40df8",
+    }),
     "tfe": (["tfe", "--input", CHIRP, "--freq-bin", "0.75"], {
         "tfe_points.csv":
             "2a6663a236acd0df71188c7845c6d6bd90de596377361b19cda172a73270baf0",

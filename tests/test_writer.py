@@ -21,6 +21,7 @@ from fdmkit import TfePoints, rasterize
 # cells per formatting chunk in the writer; test_chunk_size_is_pinned
 # keeps this in step with cli._CHUNK_CELLS
 CHUNK_CELLS = 1 << 16
+FORMATS = ("csv", "json")
 
 TINY = np.nextafter(0.0, 1.0)
 EDGES = [
@@ -70,9 +71,10 @@ def reference_bytes(out_dir, text) -> bytes:
         return fh.read()
 
 
-def assert_same_as_reference(out_dir, header, columns):
-    want = reference_bytes(out_dir, reference_csv(header, columns))
-    assert written_bytes(out_dir, header, columns) == want
+def assert_same_as_reference(out_dir, header, columns, fmt):
+    reference = reference_csv if fmt == "csv" else reference_json
+    want = reference_bytes(out_dir, reference(header, columns))
+    assert written_bytes(out_dir, header, columns, fmt) == want
 
 
 def table(rng, nrows, ncols):
@@ -108,7 +110,8 @@ def test_tall_table_with_tiny_values(tmp_path):
         c[rng.random(c.size) < 0.001] = -0.0
     columns[0] = np.arange(65536) / 128.0
     header = ["t", "x"] + [f"band{i}" for i in range(1, 7)] + ["residue"]
-    assert_same_as_reference(tmp_path, header, columns)
+    for fmt in FORMATS:
+        assert_same_as_reference(tmp_path, header, columns, fmt)
 
 
 def test_wide_table(tmp_path):
@@ -121,19 +124,22 @@ def test_wide_table(tmp_path):
                      rng.exponential(size=(51, 16384)), 0.0)
     header = ["f_hz"] + [repr(float(v)) for v in t]
     columns = [f] + [cells[:, j] for j in range(t.size)]
-    assert_same_as_reference(tmp_path, header, columns)
+    for fmt in FORMATS:
+        assert_same_as_reference(tmp_path, header, columns, fmt)
 
 
 def test_one_row(tmp_path):
     rng = np.random.default_rng(3)
-    assert_same_as_reference(tmp_path, list("abcdefg"),
-                             [c[:1] for c in table(rng, 1, 7)])
+    for fmt in FORMATS:
+        assert_same_as_reference(tmp_path, list("abcdefg"),
+                                 [c[:1] for c in table(rng, 1, 7)], fmt)
 
 
 def test_one_column(tmp_path):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 20, 1000)
-    assert_same_as_reference(tmp_path, ["x"], [x])
+    for fmt in FORMATS:
+        assert_same_as_reference(tmp_path, ["x"], [x], fmt)
 
 
 @pytest.mark.parametrize("ncols", [1, 3, 7])
@@ -145,7 +151,9 @@ def test_rows_around_a_chunk_boundary(tmp_path, ncols, shift, chunks):
     rng = np.random.default_rng(ncols * 10 + shift + chunks)
     columns = table(rng, nrows, ncols)
     columns[-1][::97] *= 1e-9  # exponent rows on both sides of the boundary
-    assert_same_as_reference(tmp_path, [f"c{k}" for k in range(ncols)], columns)
+    for fmt in FORMATS:
+        assert_same_as_reference(tmp_path, [f"c{k}" for k in range(ncols)],
+                                 columns, fmt)
 
 
 def test_chunk_size_is_pinned():
@@ -155,11 +163,14 @@ def test_chunk_size_is_pinned():
 def test_non_ascii_header(tmp_path):
     header = ["t", "Δx", "größe", "通道"]
     columns = table(np.random.default_rng(5), 10, 4)
-    assert_same_as_reference(tmp_path, header, columns)
+    for fmt in FORMATS:
+        assert_same_as_reference(tmp_path, header, columns, fmt)
 
 
 def test_empty_table(tmp_path):
-    assert_same_as_reference(tmp_path, ["t", "x"], [np.zeros(0), np.zeros(0)])
+    for fmt in FORMATS:
+        assert_same_as_reference(tmp_path, ["t", "x"],
+                                 [np.zeros(0), np.zeros(0)], fmt)
 
 
 def test_block_of_columns_matches_separate_columns(tmp_path):
@@ -214,12 +225,9 @@ def test_streamed_grid_matches_the_whole_grid(tmp_path, monkeypatch, mode, fmt):
     streamed = cli._GridRows(points, t_axis, f_axis, mode)
     assert (written_bytes(tmp_path, header, [f_axis, streamed], fmt)
             == written_bytes(tmp_path, header, [f_axis, whole], fmt))
-    if fmt == "csv":
-        assert [size for size, _ in blocks] == [8, 8, 8, 5]
-        assert blocks[1][1] == 0
-        assert sum(count for _, count in blocks) == points.n_points
-    else:
-        assert blocks == [(29, points.n_points)]
+    assert [size for size, _ in blocks] == [8, 8, 8, 5]
+    assert blocks[1][1] == 0
+    assert sum(count for _, count in blocks) == points.n_points
 
 
 def test_json_format_unchanged(tmp_path):
