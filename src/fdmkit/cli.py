@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -59,10 +60,14 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
     Every other column is one channel. Error messages cite 1-based file
     rows, header included.
 
-    numpy's C parser reads the data rows. A file it refuses, or one
-    whose values fail a check, is read again row by row, which accepts
-    every spelling Python's float does and numbers the rows for the
-    message; both routes parse each cell to the same double.
+    orjson reads the data rows as JSON arrays, one block of whole lines
+    per call. A file it might read otherwise than Python's float (a
+    cell such as ``+1``, ``.5``, ``-0``, ``1_000`` or ``"2"``, a blank
+    row between data rows, a row of the wrong width, a field longer than
+    the csv module's limit), or one whose values fail a check, is read
+    again row by row, which accepts every spelling Python's float does
+    and numbers the rows for the message; both routes parse each cell to
+    the same double.
     """
     header, values = _parse_fast(path)
     if values is None or _fault(path, header, values):
@@ -102,40 +107,73 @@ def _open_csv(path: str):
                 errors="surrogateescape")
 
 
+# data rows are read this many characters at a time, about 4,096 cells
+# of full-precision doubles, and each read's whole lines are one orjson
+# call; reads of _CHUNK_CELLS cells left peak RSS about 2 MB higher
+_READ_CHARS = 20 * 4096
+# what the data rows orjson reads may hold: digits, number signs,
+# separators and the blanks both readers skip
+_NUMBER_BYTES = b"0123456789.eE+-, \t\r\n"
+# the JSON integer -0, which orjson reads as 0, where float gives -0.0
+_JSON_NEG_ZERO = re.compile(rb"-0(?![0-9.eE])")
+
+
 def _parse_fast(path: str):
     """The header and the (rows, columns) values of a CSV table, or the
-    header and None where numpy's parse of the data rows might not be
+    header and None where orjson's reading of the data rows might not be
     the row loop's."""
     with _open_csv(path) as fh:
         header = _header(path, _rows(fh))
-        lines = _within_field_limit(fh)
+        # a block left to the row loop raises ValueError, and so do its
+        # ASCII encoding and orjson
         try:
-            # numpy warns on a file without data rows; that file is left
-            # to the row loop's message
-            head = []
-            for line in lines:
-                head.append(line)
-                if not line.isspace():
-                    break
-            else:
-                return header, None
-            values = np.loadtxt(itertools.chain(head, lines), delimiter=",",
-                                comments=None, dtype=np.float64, ndmin=2)
+            flat = np.fromiter(itertools.chain.from_iterable(
+                _json_blocks(fh, len(header))), np.float64)
         except ValueError:
             return header, None
-    return header, values if values.shape[1] == len(header) else None
+    return header, flat.reshape(-1, len(header))
 
 
-def _within_field_limit(lines):
-    """``lines``, until one holds a field longer than the csv module's
-    field limit: numpy has no such limit, so the row loop must read that
-    file. Only a line longer than the limit is split to look."""
-    limit = csv.field_size_limit()
-    for line in lines:
-        if len(line) > limit and max(
-                map(len, line.rstrip("\r\n").split(","))) > limit:
-            raise ValueError("field longer than the csv field limit")
-        yield line
+def _json_blocks(fh, ncol: int):
+    """The numbers of the data rows left in ``fh``, one orjson list per
+    block of whole lines."""
+    pending = []  # the start of a row that the last read cut off
+    while text := fh.read(_READ_CHARS):
+        cut = text.rfind("\n")
+        if cut < 0:
+            # a CR before the read's end is a lone one, and the row loop's:
+            # a file of CR row ends is not held whole
+            if "\r" in text[:-1]:
+                raise ValueError("left to the row loop")
+            pending.append(text)
+            continue
+        pending.append(text[:cut])
+        yield _json_numbers("".join(pending), ncol)
+        pending = [text[cut + 1:]]
+    yield _json_numbers("".join(pending), ncol)
+
+
+def _json_numbers(text: str, ncol: int) -> list:
+    """The cells of whole CSV lines of ``ncol`` cells, read as one JSON
+    array; ValueError where that reading might not be the row loop's."""
+    # blank rows at the end are no data, on either route
+    data = text.encode("ascii").rstrip(b"\r\n")
+    if not data:
+        return []
+    a = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((a == 44) | (a == 10))
+    ends = np.append(a[seps] == 10, True)  # whether a field ends its row
+    # the row loop's alone: quotes, words, lone CRs (a row end to the csv
+    # module), -0, a row of the wrong width and a field over the csv
+    # module's limit (its CR counted, which errs towards the row loop)
+    if (data.translate(None, _NUMBER_BYTES) or _JSON_NEG_ZERO.search(data)
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+            or ends.size % ncol
+            or (ends.reshape(-1, ncol) != (np.arange(ncol) == ncol - 1)).any()
+            or np.diff(seps, prepend=-1, append=a.size).max()
+            > csv.field_size_limit() + 1):
+        raise ValueError("left to the row loop")
+    return orjson.loads(b"[" + data.replace(b"\n", b",") + b"]")
 
 
 def _parse_rows(path: str):
@@ -213,10 +251,13 @@ def _fault(path: str, header: list, values: np.ndarray):
         if bad.size:
             return int(bad[0]), f", column {name!r}: non-finite value"
     if header[0].lower() == "t":
-        dt = np.diff(values[:, 0])
+        # times near the largest double make steps that overflow; these
+        # checks judge them without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt = np.diff(values[:, 0])
+            off = np.flatnonzero(np.abs(dt - dt[0]) > _REL_TOL * abs(dt[0]))
         if dt[0] <= 0:
             return 1, f": time must increase, step is {dt[0]}"
-        off = np.flatnonzero(np.abs(dt - dt[0]) > _REL_TOL * abs(dt[0]))
         if off.size:
             return int(off[0]) + 1, (
                 f": time step {float(dt[off[0]])!r} deviates "

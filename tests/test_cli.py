@@ -334,22 +334,55 @@ def ingest_outcome(read, path, fs=None):
              repr(float(c.start_time_s))) for c in channels]
 
 
-# spellings Python's float accepts or refuses, some of which numpy's
-# parser refuses too (1_000, "2", the full-width digit)
+# spellings Python's float accepts or refuses; JSON refuses some of
+# them too (+1, .5, 5., 1_000, "2", the full-width digit), and orjson
+# reads some otherwise than float does (-0 is the integer 0 to it) or
+# by a path of their own (integers past 2**53 and 2**64, subnormals)
 CELL_SPELLINGS = [
     " 1.5 ", "+1", ".5", "5.", "1E+05", "-Infinity", "NaN", "1e400",
     "1e-400", "4.9e-324", "1_000", '"2"', "１", "#3", " 7 ",
     "\t8\t", "0x10", "", "1e", "- 1", "1\x00",
+    "-0", "-0.0", "0", "9007199254740993", "18446744073709551615",
+    "18446744073709551616", "-9223372036854775809",
+    "123456789012345678901234567890", "true", "null",
+    "2.4703282292062328e-324", "1.7976931348623158e308",
 ]
 
-# cells of 60,000 characters: three make a line longer than the csv
-# module's field limit, though no one field is
-_PAD = "0" * 60000
-WIDE_ROWS = "t,x,y\n" + "".join(
-    f"{_PAD}{i / 2!r},{_PAD}{i},{_PAD}1.5\n" for i in range(3))
-# a cell of exactly the limit, which the csv module accepts
-AT_FIELD_LIMIT = ("t,x\n0,1\n0.5," + "0" * (csv.field_size_limit() - 1)
-                  + "2\n1.0,3\n")
+
+def wide_rows(pad):
+    """Cells of 60,000 characters: three make a line longer than the csv
+    module's field limit, though no one field is."""
+    pad *= 60000
+    return "t,x,y\n" + "".join(
+        f"{pad}{i / 2!r},{pad}{i},{pad}1.5\n" for i in range(3))
+
+
+def at_field_limit(pad):
+    """A cell of exactly the limit, which the csv module accepts."""
+    return ("t,x\n0,1\n0.5," + pad * (csv.field_size_limit() - 1)
+            + "2\n1.0,3\n")
+
+
+# padded with zeros, which JSON refuses before a digit
+WIDE_ROWS = wide_rows("0")
+AT_FIELD_LIMIT = at_field_limit("0")
+
+# the reader takes the data rows this many characters at a time
+_READ = cli._READ_CHARS
+
+
+def across_reads(at, newline="\n", late=None):
+    """A ``t,x`` CSV of three reads of 17-character rows, the first
+    padded with leading blanks so that a row ends ``at`` characters into
+    the data rows; ``late(row)`` replaces a row of the third read."""
+    rows = [f"{i / 4:12.2f},{i % 7:3d}" for i in range(3 * _READ // 17)]
+    if late:
+        rows[2 * _READ // 17] = late(rows[2 * _READ // 17])
+    lines = [row + newline for row in rows]
+    ends = np.cumsum([len(line) for line in lines])
+    lines[0] = " " * int(at - ends[ends <= at][-1]) + lines[0]
+    return "t,x" + newline + "".join(lines)
+
 
 # (id, file text, --fs)
 LAYOUTS = [
@@ -385,11 +418,28 @@ LAYOUTS = [
     ("long-file-late-refusal",
      "t,x\n" + "".join(f"{i / 4!r},{i}\n" for i in range(300)) + "75.0,1_000\n",
      None),
+    ("wide-rows-blank-padded", wide_rows(" "), None),
+    ("field-at-limit-blank-padded", at_field_limit(" "), None),
+    ("read-cuts-a-row", across_reads(_READ - 5), None),
+    ("read-cuts-crlf", across_reads(_READ + 1, "\r\n"), None),
+    ("read-ends-at-crlf", across_reads(_READ, "\r\n"), None),
+    ("ragged-in-a-later-read",
+     across_reads(_READ - 5, late=lambda row: row + ",1"), None),
+    ("negative-zero-in-a-later-read",
+     across_reads(_READ - 5, late=lambda row: row.split(",")[0] + ",-0"), None),
+    ("row-longer-than-two-reads", "t,x,y\n" + "".join(
+        f"{t},{' ' * _READ}{t},{' ' * _READ}2\n" for t in (0.5, 1.0, 1.5)),
+     None),
+    # the first row's CR is the last character of the second read
+    ("crlf-cut-in-a-long-row", "t,x,y\r\n" + "".join(
+        f"{t},{' ' * _READ}{t},{' ' * (_READ - 10)}2\r\n"
+        for t in (0.5, 1.0, 1.5)), None),
+    ("cr-across-reads", across_reads(_READ - 5, "\r"), None),
 ]
 
 
 class TestIngestRoutes:
-    """ingest_csv reads with numpy where it can and row by row where it
+    """ingest_csv reads with orjson where it can and row by row where it
     must; the reference row loop settles what either route returns."""
 
     def write(self, tmp_path, text):
@@ -398,8 +448,12 @@ class TestIngestRoutes:
         return str(p)
 
     def assert_as_reference(self, path, fs=None):
-        assert ingest_outcome(ingest_csv, path, fs) == ingest_outcome(
-            reference_ingest, path, fs)
+        got = ingest_outcome(ingest_csv, path, fs)
+        # the reference's time check warns where steps near the largest
+        # double overflow; the warning is no part of its outcome
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = ingest_outcome(reference_ingest, path, fs)
+        assert got == want
 
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("cell", CELL_SPELLINGS)
@@ -432,26 +486,35 @@ class TestIngestRoutes:
                 fh.write(newline.join(lines) + newline)
             self.assert_as_reference(path, 4.0)
 
-    @pytest.mark.parametrize("text", [
-        "t,x\n0,1\n0.5,2\n1.0,3\n", WIDE_ROWS, AT_FIELD_LIMIT,
-    ], ids=["plain", "wide-rows", "field-at-limit"])
-    def test_plain_file_takes_the_numpy_route(self, tmp_path, monkeypatch, text):
-        calls = []
-        loadtxt = np.loadtxt
+    @pytest.mark.parametrize("text, min_blocks", [
+        ("t,x\n0,1\n0.5,2\n1.0,3\n", 1),
+        (wide_rows(" "), 1),
+        (at_field_limit(" "), 1),
+        ("t,x\n" + "".join(f"{i / 4!r},{i % 7}\n" for i in range(70000)), 2),
+    ], ids=["plain", "wide-rows", "field-at-limit", "multi-block"])
+    def test_plain_file_takes_the_numpy_route(self, tmp_path, monkeypatch, text,
+                                              min_blocks):
+        # the orjson route, so named before it replaced numpy's parser
+        cells = []
+        json_numbers = cli._json_numbers
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return loadtxt(*args, **kwargs)
+        def spy(*args):
+            numbers = json_numbers(*args)
+            cells.append(len(numbers))
+            return numbers
 
         def row_loop(path):
             raise AssertionError("the row loop read a plain file")
 
         path = self.write(tmp_path, text)
         want = ingest_outcome(reference_ingest, path)
-        monkeypatch.setattr(cli.np, "loadtxt", spy)
+        monkeypatch.setattr(cli, "_json_numbers", spy)
         monkeypatch.setattr(cli, "_parse_rows", row_loop)
         assert ingest_outcome(ingest_csv, path) == want
-        assert len(calls) == 1
+        # every cell of the file went through orjson
+        header, *rows = text.rstrip("\n").split("\n")
+        assert sum(cells) == len(rows) * (header.count(",") + 1)
+        assert len(cells) >= min_blocks
 
     @pytest.mark.parametrize("text", [
         "t,x\n0,1_000\n0.5,2\n",
@@ -459,8 +522,14 @@ class TestIngestRoutes:
         "t,x\n0,１\n0.5,2\n",
         "t,x\n0,1\n  \n0.5,2\n",
         "t,x\n0,1\n,\n0.5,2\n",
-    ], ids=["underscore", "quoted", "full-width", "whitespace-only", "comma-only"])
+        "t,x\n0,-0\n0.5,2\n",
+        "t,x\n0,+1\n0.5,2\n",
+        "t,x\n0,5.\n0.5,2\n",
+        "t,x\n0,1\n\n0.5,2\n",
+    ], ids=["underscore", "quoted", "full-width", "whitespace-only", "comma-only",
+            "negative-zero", "plus-sign", "trailing-point", "blank"])
     def test_numpy_refusals_take_the_row_loop(self, tmp_path, monkeypatch, text):
+        # what the orjson route refuses, so named before it replaced numpy's
         calls = []
         parse_rows = cli._parse_rows
 
