@@ -82,7 +82,8 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
     ncol = len(header)
     if header[0].lower() == "t":
         t = values[:, 0]
-        fs = _agree(sample_rate_hz, 1.0 / (t[1] - t[0]), "the t column")
+        # a Python float: a step too small to invert gives inf, no warning
+        fs = _agree(sample_rate_hz, 1.0 / float(t[1] - t[0]), "the t column")
         start_time = float(t[0])
         channels = [values[:, k] for k in range(1, ncol)]
         if not channels:
@@ -258,6 +259,8 @@ def _fault(path: str, header: list, values: np.ndarray):
             off = np.flatnonzero(np.abs(dt - dt[0]) > _REL_TOL * abs(dt[0]))
         if dt[0] <= 0:
             return 1, f": time must increase, step is {dt[0]}"
+        if not np.isfinite(dt[0]):
+            return 1, ": time step overflows float64"
         if off.size:
             return int(off[0]) + 1, (
                 f": time step {float(dt[off[0]])!r} deviates "
@@ -367,6 +370,12 @@ def _load_signal(args) -> Signal:
 # stay small beside the table
 _CHUNK_CELLS = 1 << 16
 
+# a run of at least this many +0.0 cells in one row is copied from
+# _ZEROS, not formatted: on the sparse tfe grid nearly every cell lies
+# in such a run, while a table narrower than this takes no mask at all
+_ZERO_RUN = 64
+_ZEROS = memoryview(b"0.0," * _CHUNK_CELLS)
+
 
 def _csv_rows(block: np.ndarray):
     """CSV lines of a C-contiguous float64 block, each cell repr(v), as
@@ -379,26 +388,79 @@ def _csv_rows(block: np.ndarray):
     and zero. Outside that range its notation differs (``1e16``,
     ``0.00001``) and it prints nan and inf as null, so such a cell is
     spliced in from repr instead.
+
+    In a block of at least _ZERO_RUN columns, each run of at least
+    _ZERO_RUN +0.0 cells within one row (-0.0 cuts a run) goes to
+    orjson as its last cell only, and that cell's text is spliced over
+    with the run's ``0.0,...,0.0`` from _ZEROS.
     """
     flat = block.reshape(-1)
-    mag = np.abs(flat)
-    odd = np.flatnonzero(((mag < 1e-4) & (mag != 0)) | ~(mag < 1e16))
-    buf = bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY))
+    ncol = block.shape[1]
+    cells, width = flat, None
+    if ncol >= _ZERO_RUN:
+        keep, width = _zero_runs(flat, ncol)
+        cells = flat[keep]
+    mag = np.abs(cells)
+    spliced = ((mag < 1e-4) & (mag != 0)) | ~(mag < 1e16)
+    if width is not None:
+        spliced |= width > 1
+    spliced = np.flatnonzero(spliced)
+    buf = bytearray(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY))
     buf[-1] = ord(",")  # so that every cell, the last too, ends at a comma
     chars = np.frombuffer(buf, dtype=np.uint8)
     ends = np.flatnonzero(chars == ord(","))
-    chars[ends[block.shape[1] - 1::block.shape[1]]] = ord("\n")
+    if width is None:
+        chars[ends[ncol - 1::ncol]] = ord("\n")
+    else:
+        # every row's last cell is kept, the last of a run that ends it too
+        row_ends = np.arange(ncol - 1, flat.size, ncol)
+        chars[ends[np.searchsorted(keep, row_ends)]] = ord("\n")
     text = memoryview(buf)
-    if not odd.size:
+    if not spliced.size:
         return text[1:]
-    starts = np.where(odd > 0, ends[odd - 1] + 1, 1)
+    starts = np.where(spliced > 0, ends[spliced - 1] + 1, 1)
+    widths = itertools.repeat(1) if width is None else width[spliced].tolist()
     pieces, prev = [], 1
-    for start, end, v in zip(starts.tolist(), ends[odd].tolist(),
-                             flat[odd].tolist()):
-        pieces += [text[prev:start], repr(v).encode()]
+    for start, end, v, w in zip(starts.tolist(), ends[spliced].tolist(),
+                                cells[spliced].tolist(), widths):
+        if w == 1:
+            cell = repr(v).encode()
+        else:  # the last cell of a run of w zeros
+            cell = (_ZEROS[:4 * w - 1] if w <= _CHUNK_CELLS
+                    else b"0.0," * (w - 1) + b"0.0")
+        pieces += [text[prev:start], cell]
         prev = end
     pieces.append(text[prev:])
     return b"".join(pieces)
+
+
+def _zero_runs(flat: np.ndarray, ncol: int):
+    """The flat indices of the cells of a block of ``ncol`` columns
+    that ``_csv_rows`` formats, and how many cells each stands for.
+
+    Each run of at least _ZERO_RUN +0.0 cells within one row is kept as
+    its last cell, which stands for the whole run; every other cell
+    stands for itself.
+    """
+    # +0.0 is the one double whose bits are all zero; a False cell
+    # before and after each row cuts every run at the row's ends
+    z = np.zeros((flat.size // ncol, ncol + 2), dtype=bool)
+    z[:, 1:-1] = (flat.view(np.int64) == 0).reshape(-1, ncol)
+    z = z.reshape(-1)
+    edges = np.flatnonzero(z[1:] != z[:-1])
+    edges -= edges // (ncol + 2) * 2  # to flat indices of the block
+    first, stop = edges[0::2], edges[1::2]
+    long = stop - first >= _ZERO_RUN
+    first, stop = first[long], stop[long]
+    # the kept cells are [0, first[0]), [stop[0] - 1, first[1]), ...,
+    # [stop[-1] - 1, flat.size): each run's last cell opens a segment
+    lo = np.append(0, stop - 1)
+    size = np.append(first, flat.size) - lo
+    at = np.cumsum(size)
+    keep = np.arange(at[-1]) + np.repeat(lo - at + size, size)
+    width = np.ones(keep.size, dtype=np.int64)
+    width[at[:-1]] = stop - first
+    return keep, width
 
 
 def _repr_cells(values: np.ndarray) -> list:

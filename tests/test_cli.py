@@ -116,6 +116,8 @@ def reference_ingest(path: str, sample_rate_hz: float | None = None):
             raise IngestionError(
                 f"row {rownums[1]}: time must increase, step is {dt[0]}"
             )
+        if not np.isfinite(dt[0]):
+            raise IngestionError(f"row {rownums[1]}: time step overflows float64")
         off = np.flatnonzero(np.abs(dt - dt[0]) > _REL_TOL * abs(dt[0]))
         if off.size:
             rownum = rownums[off[0] + 1]
@@ -286,6 +288,20 @@ class TestIngestCsv:
         self.refused(tmp_path, "t,x\n\n0,1\n,\n0.5,2\n\n0.75,3\n",
                      f"row 7: time step 0.25 deviates from 0.5 by more "
                      f"than {cli._REL_TOL:g} relative")
+
+    def test_overflowing_step_names_its_row(self, tmp_path):
+        # the step from -1.7e308 to 1.7e308 is inf: refused as it is,
+        # with no overflow warning from the sample rate's division
+        self.refused(tmp_path, "t,x\n-1.7e308,1\n1.7e308,2\n",
+                     "row 3: time step overflows float64")
+        self.refused(tmp_path, "t,x\n\n1.7e308,1\n\n-1.7e308,2\n0,3\n",
+                     "row 5: time must increase, step is -inf")
+
+    def test_step_too_small_to_invert(self, tmp_path):
+        p = self.write(tmp_path, "t,x\n0,1\n5e-324,2\n1e-323,3\n")
+        with pytest.raises(cli.ParameterError,
+                           match="^sample rate must be finite, got inf$"):
+            ingest_csv(p)
 
     def test_short_last_row(self, tmp_path):
         self.refused(tmp_path, "t,x\n0,1\n0.1,2\n\n0.2\n",

@@ -21,6 +21,9 @@ from fdmkit import TfePoints, rasterize
 # cells per formatting chunk in the writer; test_chunk_size_is_pinned
 # keeps this in step with cli._CHUNK_CELLS
 CHUNK_CELLS = 1 << 16
+# the fewest +0.0 cells in one row that the writer copies as one run;
+# test_zero_run_is_pinned keeps this in step with cli._ZERO_RUN
+ZERO_RUN = 64
 FORMATS = ("csv", "json")
 
 TINY = np.nextafter(0.0, 1.0)
@@ -33,6 +36,8 @@ EDGES = [
     -np.nextafter(1e16, 0.0), -1e16, -np.nextafter(1e16, np.inf),
     np.finfo(np.float64).max, np.inf, -np.inf, np.nan, 0.1, -2.5,
 ]
+# cells whose repr orjson does not print: spliced in beside zero runs
+ODD = [1e-7, np.nan, np.inf, -np.inf, 1e16, -1e-7]
 
 
 def reference_csv(header, columns) -> str:
@@ -158,6 +163,105 @@ def test_rows_around_a_chunk_boundary(tmp_path, ncols, shift, chunks):
 
 def test_chunk_size_is_pinned():
     assert cli._CHUNK_CELLS == CHUNK_CELLS
+
+
+def test_zero_run_is_pinned():
+    assert cli._ZERO_RUN == ZERO_RUN
+
+
+def zero_run_rows(ncols, length):
+    """Eight rows of ``ncols`` columns holding runs of ``length`` +0.0
+    cells: one opening a row, one ending a row, one inside a row, one
+    across a row seam and one cut by a -0.0, each between odd cells
+    where it has a neighbour; then a row of zeros only."""
+    rng = np.random.default_rng(ncols * 1000 + length)
+    flat = rng.standard_normal(8 * ncols)
+    starts = [0, 2 * ncols - length, 2 * ncols + (ncols - length) // 2,
+              4 * ncols - length // 2, 5 * ncols + 1]
+    odd = iter(ODD * len(starts))
+    for start in starts:
+        for k in (start - 1, start + length):
+            if 0 <= k < flat.size:
+                flat[k] = next(odd)
+    for start in starts:
+        flat[start:start + length] = 0.0
+    flat[5 * ncols + 1 + length // 2] = -0.0
+    flat[6 * ncols:7 * ncols] = 0.0
+    return flat.reshape(8, ncols)
+
+
+@pytest.mark.parametrize("ncols", [ZERO_RUN - 1, ZERO_RUN, ZERO_RUN + 1, 300])
+@pytest.mark.parametrize("length", [ZERO_RUN - 1, ZERO_RUN, ZERO_RUN + 1])
+def test_zero_runs(tmp_path, ncols, length):
+    block = zero_run_rows(ncols, length)
+    header = [f"c{k}" for k in range(ncols)]
+    for fmt in FORMATS:
+        assert_same_as_reference(tmp_path, header, list(block.T), fmt)
+
+
+def test_zero_run_wider_than_a_chunk(tmp_path):
+    # one row a chunk, holding a run longer than the writer's zero text
+    row = np.zeros(CHUNK_CELLS + 2 * ZERO_RUN)
+    row[[0, 100]] = [1e-7, 2.5]
+    header = [f"c{k}" for k in range(row.size)]
+    for fmt in FORMATS:
+        assert_same_as_reference(tmp_path, header, list(row[:, None]), fmt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(ZERO_RUN, 3 * ZERO_RUN), st.integers(1, 6),
+       st.lists(st.tuples(st.one_of(st.just(0.0), st.just(-0.0), st.floats()),
+                          st.integers(1, 4 * ZERO_RUN)), min_size=1))
+def test_sparse_blocks(ncols, nrows, runs):
+    # runs of repeated values, many of them +0.0, laid over the rows
+    values = np.repeat([v for v, _ in runs], [n for _, n in runs])
+    block = np.zeros(nrows * ncols)
+    block[:values.size] = values[:block.size]
+    block = block.reshape(nrows, ncols)
+    header = [f"c{k}" for k in range(ncols)]
+    with tempfile.TemporaryDirectory() as out:
+        for fmt in FORMATS:
+            assert_same_as_reference(out, header, list(block.T), fmt)
+
+
+def cells_to_orjson(monkeypatch) -> list:
+    """The number of cells of each orjson.dumps call made from here on."""
+    counts = []
+    dumps = cli.orjson.dumps
+
+    def spy(obj, *args, **kwargs):
+        counts.append(len(obj))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.orjson, "dumps", spy)
+    return counts
+
+
+def test_zero_runs_skip_orjson(tmp_path, monkeypatch):
+    # a 3 x 16,385 grid with one 300-cell span of energies per row: only
+    # the label, the span and one cell per zero run reach orjson
+    rng = np.random.default_rng(9)
+    cells = np.zeros((3, 16384))
+    for r, lo in enumerate([0, 7000, 16084]):
+        cells[r, lo:lo + 300] = rng.exponential(size=300)
+    f = np.arange(3) * 0.5 + 0.5
+    header = ["f_hz"] + [f"t{j}" for j in range(16384)]
+    sent = cells_to_orjson(monkeypatch)
+    for fmt in FORMATS:
+        sent.clear()
+        assert_same_as_reference(tmp_path, header, [f, *cells.T], fmt)
+        # each row's label and span, and one cell for each of the four
+        # zero runs, where formatting every cell sends 49,155
+        assert sum(sent) <= 3 * 301 + 4
+
+
+@pytest.mark.parametrize("length, sent", [(ZERO_RUN - 1, ZERO_RUN + 1),
+                                          (ZERO_RUN, 3)])
+def test_shortest_zero_run_skips_orjson(monkeypatch, length, sent):
+    row = np.r_[1.5, np.zeros(length), 2.5][None, :]
+    counts = cells_to_orjson(monkeypatch)
+    assert bytes(cli._csv_rows(row)) == b"1.5," + b"0.0," * length + b"2.5\n"
+    assert counts == [sent]
 
 
 def test_non_ascii_header(tmp_path):
