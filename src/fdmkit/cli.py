@@ -370,11 +370,10 @@ def _load_signal(args) -> Signal:
 # stay small beside the table
 _CHUNK_CELLS = 1 << 16
 
-# a run of at least this many +0.0 cells in one row is copied from
-# _ZEROS, not formatted: on the sparse tfe grid nearly every cell lies
-# in such a run, while a table narrower than this takes no mask at all
+# a run of at least this many +0.0 cells in one row is written as
+# repeated text, not formatted: on the sparse tfe grid nearly every cell
+# lies in such a run, while a table narrower than this takes no mask
 _ZERO_RUN = 64
-_ZEROS = memoryview(b"0.0," * _CHUNK_CELLS)
 
 
 def _csv_rows(block: np.ndarray):
@@ -392,7 +391,7 @@ def _csv_rows(block: np.ndarray):
     In a block of at least _ZERO_RUN columns, each run of at least
     _ZERO_RUN +0.0 cells within one row (-0.0 cuts a run) goes to
     orjson as its last cell only, and that cell's text is spliced over
-    with the run's ``0.0,...,0.0`` from _ZEROS.
+    with the run's ``0.0,...,0.0``, built by repeating ``b"0.0,"``.
     """
     flat = block.reshape(-1)
     ncol = block.shape[1]
@@ -426,8 +425,7 @@ def _csv_rows(block: np.ndarray):
         if w == 1:
             cell = repr(v).encode()
         else:  # the last cell of a run of w zeros
-            cell = (_ZEROS[:4 * w - 1] if w <= _CHUNK_CELLS
-                    else b"0.0," * (w - 1) + b"0.0")
+            cell = memoryview(b"0.0," * w)[:-1]
         pieces += [text[prev:start], cell]
         prev = end
     pieces.append(text[prev:])

@@ -200,7 +200,7 @@ def test_zero_runs(tmp_path, ncols, length):
 
 
 def test_zero_run_wider_than_a_chunk(tmp_path):
-    # one row a chunk, holding a run longer than the writer's zero text
+    # one row a chunk, holding a run of more than CHUNK_CELLS zeros
     row = np.zeros(CHUNK_CELLS + 2 * ZERO_RUN)
     row[[0, 100]] = [1e-7, 2.5]
     header = [f"c{k}" for k in range(row.size)]
