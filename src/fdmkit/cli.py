@@ -27,6 +27,7 @@ import os
 import re
 import sys
 from datetime import datetime, timezone
+from io import StringIO
 
 import numpy as np
 import orjson
@@ -60,23 +61,21 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
     Every other column is one channel. Error messages cite 1-based file
     rows, header included.
 
-    orjson reads the data rows as JSON arrays, one block of whole lines
-    per call. A file it might read otherwise than Python's float (a
-    cell such as ``+1``, ``.5``, ``-0``, ``1_000`` or ``"2"``, a blank
-    row between data rows, a row of the wrong width, a field longer than
-    the csv module's limit), or one whose values fail a check, is read
-    again row by row, which accepts every spelling Python's float does
-    and numbers the rows for the message; both routes parse each cell to
+    The file is read once. orjson reads the data rows, one block of
+    whole lines per call, as JSON arrays. From the first block it might
+    read otherwise than Python's float (a cell such as ``+1``, ``.5``,
+    ``-0``, ``1_000`` or ``"2"``, a blank row between data rows, a row
+    of the wrong width, a field longer than the csv module's limit), the
+    row loop reads the rest with float, which accepts every spelling.
+    Each reader numbers the rows it reads, and both parse each cell to
     the same double.
     """
-    header, values = _parse_fast(path)
-    if values is None or _fault(path, header, values):
-        header, values, rownums = _parse_rows(path)
-        fault = _fault(path, header, values)
-        if fault:
-            i, message = fault
-            raise IngestionError(
-                message if i is None else f"row {rownums[i]}{message}")
+    header, values, rownums = _read_table(path)
+    fault = _fault(path, header, values)
+    if fault:
+        i, message = fault
+        raise IngestionError(
+            message if i is None else f"row {rownums[i]}{message}")
 
     start_time = 0.0
     ncol = len(header)
@@ -100,121 +99,117 @@ def ingest_csv(path: str, sample_rate_hz: float | None = None):
     return signals[0] if len(signals) == 1 else MultichannelSignal(signals)
 
 
-def _open_csv(path: str):
-    # a leading byte-order mark is read away; bytes that are not UTF-8
-    # are read as lone surrogates, so that the row holding them can be
-    # named
-    return open(path, newline="", encoding="utf-8-sig",
-                errors="surrogateescape")
-
-
 # data rows are read this many characters at a time, about 4,096 cells
-# of full-precision doubles, and each read's whole lines are one orjson
-# call; reads of _CHUNK_CELLS cells left peak RSS about 2 MB higher
+# of full-precision doubles, each read completed to a line end; reads of
+# _CHUNK_CELLS cells left peak RSS about 2 MB higher
 _READ_CHARS = 20 * 4096
 # what the data rows orjson reads may hold: digits, number signs,
 # separators and the blanks both readers skip
-_NUMBER_BYTES = b"0123456789.eE+-, \t\r\n"
+_NUMBER_BYTES = b"0123456789.eE+-, \t\n"
 # the JSON integer -0, which orjson reads as 0, where float gives -0.0
 _JSON_NEG_ZERO = re.compile(rb"-0(?![0-9.eE])")
 
 
-def _parse_fast(path: str):
-    """The header and the (rows, columns) values of a CSV table, or the
-    header and None where orjson's reading of the data rows might not be
-    the row loop's."""
-    with _open_csv(path) as fh:
-        header = _header(path, _rows(fh))
-        # a block left to the row loop raises ValueError, and so do its
-        # ASCII encoding and orjson
-        try:
-            flat = np.fromiter(itertools.chain.from_iterable(
-                _json_blocks(fh, len(header))), np.float64)
-        except ValueError:
-            return header, None
-    return header, flat.reshape(-1, len(header))
+def _read_table(path: str):
+    """The header, the (rows, columns) values and the 1-based file row
+    of each data row of a CSV table, read in one pass."""
+    # a leading byte-order mark is read away; bytes that are not UTF-8
+    # are read as lone surrogates, so that the row holding them can be
+    # named
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
+        header_row, header = _header(path, _rows(fh))
+        ncol = len(header)
+        refused = ""
+
+        def blocks():
+            # under newline="" a CR, an LF and a CRLF each end a line, so
+            # every block is whole lines
+            nonlocal refused
+            while text := fh.read(_READ_CHARS):
+                last = len(text) < _READ_CHARS
+                text += fh.readline()
+                try:
+                    numbers = _json_numbers(text, ncol, last)
+                except ValueError:
+                    refused = text
+                    return
+                yield numbers
+
+        values = np.fromiter(itertools.chain.from_iterable(blocks()),
+                             np.float64).reshape(-1, ncol)
+        # orjson's blocks hold no blank row, so its rows are consecutive
+        rownums = range(header_row + 1, header_row + 1 + len(values))
+        if refused:
+            rows = _rows(itertools.chain(StringIO(refused, newline=""), fh),
+                         rownums.stop)
+            more, more_rows = _row_loop(rows, header, len(values))
+            values = np.concatenate([values, more])
+            rownums = array.array("q", itertools.chain(rownums, more_rows))
+    return header, values, rownums
 
 
-def _json_blocks(fh, ncol: int):
-    """The numbers of the data rows left in ``fh``, one orjson list per
-    block of whole lines."""
-    pending = []  # the start of a row that the last read cut off
-    while text := fh.read(_READ_CHARS):
-        cut = text.rfind("\n")
-        if cut < 0:
-            # a CR before the read's end is a lone one, and the row loop's:
-            # a file of CR row ends is not held whole
-            if "\r" in text[:-1]:
-                raise ValueError("left to the row loop")
-            pending.append(text)
-            continue
-        pending.append(text[:cut])
-        yield _json_numbers("".join(pending), ncol)
-        pending = [text[cut + 1:]]
-    yield _json_numbers("".join(pending), ncol)
-
-
-def _json_numbers(text: str, ncol: int) -> list:
+def _json_numbers(text: str, ncol: int, last: bool) -> list:
     """The cells of whole CSV lines of ``ncol`` cells, read as one JSON
     array; ValueError where that reading might not be the row loop's."""
-    # blank rows at the end are no data, on either route
-    data = text.encode("ascii").rstrip(b"\r\n")
+    data = text.encode("ascii")
+    if b"\r" in data:
+        # CRLF and lone CR row ends, as the csv module reads them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # blank rows at the end of the file, the ``last`` block's, are no
+    # data on either route; any other blank row is the row loop's
+    data = data.rstrip(b"\n") if last else data.removesuffix(b"\n")
     if not data:
         return []
     a = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero((a == 44) | (a == 10))
     ends = np.append(a[seps] == 10, True)  # whether a field ends its row
-    # the row loop's alone: quotes, words, lone CRs (a row end to the csv
-    # module), -0, a row of the wrong width and a field over the csv
-    # module's limit (its CR counted, which errs towards the row loop)
+    # the row loop's alone: quotes, words, -0, a row of the wrong width
+    # (a blank row among them) and a field over the csv module's limit
     if (data.translate(None, _NUMBER_BYTES) or _JSON_NEG_ZERO.search(data)
-            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
             or ends.size % ncol
             or (ends.reshape(-1, ncol) != (np.arange(ncol) == ncol - 1)).any()
             or np.diff(seps, prepend=-1, append=a.size).max()
             > csv.field_size_limit() + 1):
         raise ValueError("left to the row loop")
-    return orjson.loads(b"[" + data.replace(b"\n", b",") + b"]")
+    numbers = orjson.loads(b"[" + data.replace(b"\n", b",") + b"]")
+    if len(numbers) != ends.size:  # one blank row alone reads as []
+        raise ValueError("left to the row loop")
+    return numbers
 
 
-def _parse_rows(path: str):
-    """The header, values and 1-based file row of each data row of a CSV
-    table, parsed row by row with Python's float."""
-    with _open_csv(path) as fh:
-        rows = _rows(fh)
-        header = _header(path, rows)
-        ncol = len(header)
-
-        # one pass: every data row goes straight into a flat float buffer,
-        # and only its file row number is kept beside it
-        flat = array.array("d")
-        rownums = array.array("q")
-        error = None
-        for rownum, row in rows:
-            if error is None and len(row) == ncol:
-                try:
-                    flat.extend(map(float, row))
-                    rownums.append(rownum)
-                    continue
-                except ValueError:
-                    del flat[len(rownums) * ncol:]
-            if _blank(row):
+def _row_loop(rows, header: list, done: int):
+    """The values and file rows of the data rows of ``rows``, parsed one
+    by one with Python's float, after ``done`` data rows."""
+    ncol = len(header)
+    flat = array.array("d")
+    rownums = array.array("q")
+    error = None
+    for rownum, row in rows:
+        if error is None and len(row) == ncol:
+            try:
+                flat.extend(map(float, row))
+                rownums.append(rownum)
                 continue
-            # a bad row is reported only once a second data row exists;
-            # a file with fewer is refused for that first
-            if error is not None:
-                raise error
-            error = _row_error(rownum, row, header)
-            if rownums:
-                raise error
-    return header, np.frombuffer(flat, dtype=np.float64).reshape(-1, ncol), rownums
+            except ValueError:
+                del flat[len(rownums) * ncol:]
+        if _blank(row):
+            continue
+        # a bad row is reported only once a second data row exists;
+        # a file with fewer is refused for that first
+        if error is not None:
+            raise error
+        error = _row_error(rownum, row, header)
+        if done or rownums:
+            raise error
+    return np.frombuffer(flat, dtype=np.float64).reshape(-1, ncol), rownums
 
 
-def _rows(fh):
-    """Each CSV row of ``fh`` with its 1-based row number; a row the csv
-    module cannot read is refused by number."""
-    reader = csv.reader(fh)
-    for rownum in itertools.count(1):
+def _rows(lines, start: int = 1):
+    """Each CSV row of ``lines`` with its file row, counted from
+    ``start``; a row the csv module cannot read is refused by number."""
+    reader = csv.reader(lines)
+    for rownum in itertools.count(start):
         try:
             row = next(reader)
         except StopIteration:
@@ -224,8 +219,8 @@ def _rows(fh):
         yield rownum, row
 
 
-def _header(path: str, rows) -> list:
-    """The stripped cells of the first non-blank row of ``rows``."""
+def _header(path: str, rows):
+    """The file row and stripped cells of the first non-blank row."""
     for header_row, header in rows:
         if not _blank(header):
             break
@@ -238,7 +233,7 @@ def _header(path: str, rows) -> list:
         raise IngestionError(
             f"row {header_row}: looks like data; a header row is required"
         )
-    return header
+    return header_row, header
 
 
 def _fault(path: str, header: list, values: np.ndarray):

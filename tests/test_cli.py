@@ -387,17 +387,67 @@ AT_FIELD_LIMIT = at_field_limit("0")
 _READ = cli._READ_CHARS
 
 
-def across_reads(at, newline="\n", late=None):
+def across_reads(at, newline="\n", late=None, blank=False):
     """A ``t,x`` CSV of three reads of 17-character rows, the first
     padded with leading blanks so that a row ends ``at`` characters into
-    the data rows; ``late(row)`` replaces a row of the third read."""
+    the data rows; ``late(row)`` replaces a row of the third read, and
+    with ``blank`` a blank row follows the row that ends at ``at``."""
     rows = [f"{i / 4:12.2f},{i % 7:3d}" for i in range(3 * _READ // 17)]
     if late:
         rows[2 * _READ // 17] = late(rows[2 * _READ // 17])
     lines = [row + newline for row in rows]
     ends = np.cumsum([len(line) for line in lines])
-    lines[0] = " " * int(at - ends[ends <= at][-1]) + lines[0]
+    j = np.flatnonzero(ends <= at)[-1]
+    lines[0] = " " * int(at - ends[j]) + lines[0]
+    if blank:
+        lines.insert(j + 1, newline)
     return "t,x" + newline + "".join(lines)
+
+
+def step_off(row):
+    """A row of ``across_reads`` whose time is 0.1 late."""
+    return f"{float(row[:12]) + 0.1:12.2f}" + row[12:]
+
+
+def quote_time(row):
+    """A row of ``across_reads`` whose time cell is quoted and holds a
+    newline, 9 characters into the row."""
+    return f'"{row[4:12]}\n"' + row[12:]
+
+
+def multi_read_file(seed):
+    """A seeded ``t,x,y`` CSV of two to six reads, with random blank
+    padding, which moves every read boundary, and one to three edits
+    that either reader may have to take: blank and whitespace rows,
+    ``-0``, ``+1``, quoted cells, quoted newlines, ragged rows, nan, a
+    time step that is off, a row end of another kind."""
+    rng = np.random.default_rng(seed)
+    newline = str(rng.choice(["\n", "\r\n", "\r"]))
+    pad = " " * int(rng.integers(0, 4))
+    xy = rng.standard_normal((int(rng.integers(2000, 8000)), 2)).tolist()
+    rows = [[f"{pad}{i / 4!r}", f"{pad}{x!r}", f"{pad}{y!r}"]
+            for i, (x, y) in enumerate(xy)]
+    rows[0][0] = " " * int(rng.integers(0, 200)) + rows[0][0]
+    ends = [newline] * len(rows)
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(1, len(rows)))
+        edit = rng.integers(10)
+        if edit == 0:
+            rows.insert(i, [])
+            ends.insert(i, newline)
+        elif edit == 1:
+            rows.insert(i, [" \t "])
+            ends.insert(i, newline)
+        elif edit < 7:
+            rows[i][1] = ["-0", "+1", '"3"', f'"3{newline}"', "nan"][edit - 2]
+        elif edit == 7:
+            rows[i].append("1")
+        elif edit == 8:
+            rows[i][0] = repr(i / 4 + 0.1)
+        else:
+            ends[i] = str(rng.choice(["\n", "\r\n", "\r"]))
+    return "t,x,y" + newline + "".join(
+        ",".join(row) + end for row, end in zip(rows, ends))
 
 
 # (id, file text, --fs)
@@ -451,6 +501,20 @@ LAYOUTS = [
         f"{t},{' ' * _READ}{t},{' ' * (_READ - 10)}2\r\n"
         for t in (0.5, 1.0, 1.5)), None),
     ("cr-across-reads", across_reads(_READ - 5, "\r"), None),
+    # the first block ends 3 characters past the first read, and the
+    # second starts with a blank row; a time step of the third read is off
+    ("blank-at-a-read-boundary-then-bad-step",
+     across_reads(_READ + 3, late=step_off, blank=True), None),
+    # the second read ends inside the quoted cell, before its newline
+    ("quoted-newline-across-reads", across_reads(_READ - 5, late=quote_time),
+     None),
+    ("refused-block-then-trailing-blanks",
+     across_reads(_READ - 5, late=lambda row: row.split(",")[0] + ",-0")
+     + "\n  \n,\n\n", None),
+    # one column: the first read ends 2 characters into a row, so the
+    # second block is one row of blanks alone, and a nan follows it
+    ("blank-row-alone-in-a-block", "x\n" + "10\n" * (_READ // 3 + 1)
+     + " " * (_READ + 10) + "\n20\nnan\n30\n", 10.0),
 ]
 
 
@@ -507,7 +571,11 @@ class TestIngestRoutes:
         (wide_rows(" "), 1),
         (at_field_limit(" "), 1),
         ("t,x\n" + "".join(f"{i / 4!r},{i % 7}\n" for i in range(70000)), 2),
-    ], ids=["plain", "wide-rows", "field-at-limit", "multi-block"])
+        ("t,x\n0,1\n0.5,2\n1.0,3\n\n\n", 1),
+        ("t,x\r\n0,1\r\n0.5,2\r\n1.0,3\r\n\r\n\r\n", 1),
+        ("t,x\r0,1\r0.5,2\r1.0,3\r", 1),
+    ], ids=["plain", "wide-rows", "field-at-limit", "multi-block",
+            "trailing-blanks", "trailing-blanks-crlf", "cr"])
     def test_plain_file_takes_the_numpy_route(self, tmp_path, monkeypatch, text,
                                               min_blocks):
         # the orjson route, so named before it replaced numpy's parser
@@ -519,16 +587,16 @@ class TestIngestRoutes:
             cells.append(len(numbers))
             return numbers
 
-        def row_loop(path):
+        def row_loop(*args):
             raise AssertionError("the row loop read a plain file")
 
         path = self.write(tmp_path, text)
         want = ingest_outcome(reference_ingest, path)
         monkeypatch.setattr(cli, "_json_numbers", spy)
-        monkeypatch.setattr(cli, "_parse_rows", row_loop)
+        monkeypatch.setattr(cli, "_row_loop", row_loop)
         assert ingest_outcome(ingest_csv, path) == want
         # every cell of the file went through orjson
-        header, *rows = text.rstrip("\n").split("\n")
+        header, *rows = text.strip().splitlines()
         assert sum(cells) == len(rows) * (header.count(",") + 1)
         assert len(cells) >= min_blocks
 
@@ -547,16 +615,17 @@ class TestIngestRoutes:
     def test_numpy_refusals_take_the_row_loop(self, tmp_path, monkeypatch, text):
         # what the orjson route refuses, so named before it replaced numpy's
         calls = []
-        parse_rows = cli._parse_rows
+        row_loop = cli._row_loop
 
-        def spy(path):
-            calls.append(path)
-            return parse_rows(path)
+        def spy(rows, header, done):
+            calls.append(done)
+            return row_loop(rows, header, done)
 
-        monkeypatch.setattr(cli, "_parse_rows", spy)
+        monkeypatch.setattr(cli, "_row_loop", spy)
         path = self.write(tmp_path, text)
         assert ingest_csv(path).n == 2
-        assert calls == [path]
+        # the row loop took over at the first block, after no data row
+        assert calls == [0]
         self.assert_as_reference(path)
 
     @pytest.mark.parametrize("text, row_loop", [
@@ -570,16 +639,63 @@ class TestIngestRoutes:
         marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
         calls = []
-        parse_rows = cli._parse_rows
+        loop = cli._row_loop
 
-        def spy(path):
-            calls.append(path)
-            return parse_rows(path)
+        def spy(*args):
+            calls.append(args)
+            return loop(*args)
 
-        monkeypatch.setattr(cli, "_parse_rows", spy)
+        monkeypatch.setattr(cli, "_row_loop", spy)
         # one channel at 2 Hz: the t column is the time axis again
         assert ingest_outcome(ingest_csv, str(marked)) == want
         assert len(calls) == row_loop
+
+    def spy_on_readers(self, monkeypatch):
+        """The text of each block handed to orjson and the file row of
+        each row the row loop reads, as ingest_csv goes."""
+        blocks, rownums = [], []
+        json_numbers, row_loop = cli._json_numbers, cli._row_loop
+
+        def numbers_spy(text, *args):
+            blocks.append(text)
+            return json_numbers(text, *args)
+
+        def row_loop_spy(rows, *args):
+            rows = list(rows)
+            rownums.extend(rownum for rownum, _ in rows)
+            return row_loop(iter(rows), *args)
+
+        monkeypatch.setattr(cli, "_json_numbers", numbers_spy)
+        monkeypatch.setattr(cli, "_row_loop", row_loop_spy)
+        return blocks, rownums
+
+    def test_late_refusal_reads_each_block_once(self, tmp_path, monkeypatch):
+        rows = [f"{i / 4!r},{i % 7}\n" for i in range(70000)]
+        rows[-1] = f"{69999 / 4!r},-0\n"
+        path = self.write(tmp_path, "t,x\n" + "".join(rows))
+        want = ingest_outcome(reference_ingest, path)
+        blocks, rownums = self.spy_on_readers(monkeypatch)
+        assert ingest_outcome(ingest_csv, path) == want
+        # the blocks cut the data rows apart: no row reached orjson twice
+        assert len(blocks) >= 2 and "".join(blocks) == "".join(rows)
+        # the row loop read the last block, the refused one, and no more;
+        # the header is row 1, so the data rows are rows 2 to 70,001
+        assert rownums == list(range(70002 - blocks[-1].count("\n"), 70002))
+
+    def test_late_fault_is_numbered_without_the_row_loop(self, tmp_path,
+                                                         monkeypatch):
+        rows = [f"{i / 4!r},{i % 7}\n" for i in range(70000)]
+        rows[-1] = f"{69999 / 4 + 0.1!r},1\n"
+        path = self.write(tmp_path, "t,x\n" + "".join(rows))
+        want = ingest_outcome(reference_ingest, path)
+        assert want[1].startswith("row 70001: time step ")
+        blocks, rownums = self.spy_on_readers(monkeypatch)
+        assert ingest_outcome(ingest_csv, path) == want
+        assert "".join(blocks) == "".join(rows) and rownums == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_multi_read_files(self, tmp_path, seed):
+        self.assert_as_reference(self.write(tmp_path, multi_read_file(seed)))
 
     @pytest.mark.parametrize("text", ["t,x\n", "t,x\n\n\r\n\n", "t,x\n \n\t\n"])
     def test_header_without_data_raises_no_warning(self, tmp_path, text):
