@@ -4,11 +4,11 @@ The greedy scan spends nearly all its time answering one question per
 candidate band: is the unwrapped phase of the band's analytic signal
 non-decreasing (within tolerance) at every interior sample? The answer
 is defined on one floating-point recipe, the sequential sums z_seq: the
-complex accumulation is spelled out in real/imaginary parts (no complex
-dtype, no fused multiply-add surprises), each sample of the band signal
-is the bins' terms added one at a time in scan order onto +0.0, phases
-come from atan2, and phase increments are wrapped to (-pi, pi] the same
-way ``np.unwrap`` wraps them.
+complex accumulation is spelled out in real/imaginary parts (each part
+summed on its own, no fused multiply-add surprises), each sample of the
+band signal is the bins' terms added one at a time in scan order onto
++0.0, phases come from atan2, and phase increments are wrapped to
+(-pi, pi] the same way ``np.unwrap`` wraps them.
 
 The first-violation search judges the candidates in scan order, each
 at every sample of the sums ``_tail`` yields as it adds one bin at a
@@ -19,12 +19,26 @@ no probe.
 The maximal search is probe-first. On broadband records almost every
 candidate is rejected, most of them by a phase violation within the
 first few samples, so each candidate is first judged on its first
-PROBE samples only. The probe windows of BLOCK consecutive candidates
-come out of one cumulative sum down the candidate axis whose first row
-is the previous candidate's window; cumsum adds row by row, so sample
-m of row j is ((z[m] + w_1[m]) + w_2[m]) + ... + w_j[m], the very
-additions, in the very order, of z_seq. A zero sample or a phase slope
-below -eps inside a window rejects its candidate for good.
+PROBE samples only, its probe window. The windows are built BLOCK
+consecutive candidates at a time, on two panels (``_Panel``): the head,
+samples 0..HEAD-1, and the tail, samples HEAD-2..PROBE-1. On each
+panel a block's windows come out of one cumulative sum down the
+candidate axis whose first row is the previous candidate's window;
+cumsum adds row by row, so sample m of row j is
+((z[m] + w_1[m]) + w_2[m]) + ... + w_j[m], the very additions, in the
+very order, of z_seq. The sum runs over a complex128 view that pairs
+neighbouring samples of the real rows, and of the imaginary rows: a
+complex add is one IEEE add per part, so the adds are the same, with
+half as many chains down the candidates. A zero sample or a phase
+slope below -eps inside a window rejects its candidate for good.
+
+Every block is summed and judged on the head. Most candidates fail
+there, and a block none of whose candidates passes the head only
+waits: its tail is summed just before that of the next block with a
+head survivor, which needs the running sums past it, and a band's
+blocks after its last such block never sum a tail at all. A candidate
+survives the probe when it passes both panels. They share two samples,
+so that between them they judge every interior slope of the window.
 
 Before any probe, the top candidate (every bin of the run, in scan
 order) is judged at every sample: by the certified check described
@@ -128,9 +142,10 @@ same bits (see ``_wrap``). Layout matters as much as arithmetic here. A
 block's windows are judged as one flat, contiguous run of samples
 rather than through strided 2-D views: the steps across row seams are
 computed with the rest and their slopes dropped before the per-row
-verdict (see ``_admissible_rows``). A block's twiddle indices k m mod n
-come from a table of j step m mod n, built once per ``scan_boundary``
-call (once per band), plus the block's row k0 m mod n, folded back into
+verdict (see ``_admissible_rows``); the rows a panel judges are
+always contiguous float64. A block's twiddle indices k m mod n come
+from a table of j step m mod n, built once per record and panel
+(``_block_table``), plus the block's row k0 m mod n, folded back into
 [0, n) by ``_fold`` as the tail's are, with no division per block.
 """
 import functools
@@ -151,6 +166,11 @@ def twiddle_tables(n: int):
 # Leading samples the maximal search judges every candidate on first;
 # most candidates already break admissibility inside this window.
 PROBE = 256
+# Leading probe samples every block is judged on. A block sums and
+# judges the rest of its window only once one of its candidates passes
+# these; the blocks after a band's last such block never do. On white
+# noise, n=4096, lth/max (seeds 0-3) that is 933 of 2,071 blocks (45%).
+HEAD = 64
 # Maximal-search candidates whose probe windows come out of one cumsum.
 BLOCK = 64
 # Leading samples of a certified full check judged before the rest;
@@ -586,6 +606,76 @@ def band_admissible(sr, si, cos_tab, sin_tab, lo, hi, eps):
     return _Check(sr, si, cos_tab, sin_tab, bins, 0)(bins.size - 1, eps)
 
 
+@functools.lru_cache(maxsize=4)
+def _block_table(n, step, lo, width, block):
+    """Twiddle index of row j, sample m of a probe block, less the
+    block's row k0 m: j step m mod n for j < block and m = lo..lo+width-1.
+    A block adds its row and folds the sum back into [0, n). Every band
+    of a record shares the table, so it is built once and read-only."""
+    m = np.arange(lo, lo + width)
+    table = (step * np.arange(block)[:, None] * m) % n
+    table.flags.writeable = False
+    return table
+
+
+class _Panel:
+    """Samples lo..hi-1 of the maximal search's probe windows, built
+    and judged BLOCK candidates at a time, in scan order.
+
+    Row j + 1 of a block is row j plus the term of the block's
+    candidate j, and row 0 carries the previous block's last candidate.
+    The real and imaginary rows sit in one float64 buffer, and the
+    cumulative sum runs down a complex128 view of it that pairs
+    neighbouring samples: a complex add is one IEEE add per part, so
+    every sample gets the adds of z_seq, in its order, with half as
+    many chains. An odd width gets one more sample for that view; it
+    is summed but never judged.
+    """
+
+    def __init__(self, sr, si, cos_tab, sin_tab, step, lo, hi):
+        n = sr.shape[0]
+        self.coeffs = sr, si, cos_tab, sin_tab
+        self.width = hi - lo
+        wide = self.width + self.width % 2
+        self.m = np.arange(lo, lo + wide)
+        self.table = _block_table(n, step, lo, wide, BLOCK)
+        self.idx = np.empty((BLOCK, wide), dtype=np.intp)
+        self.alt = np.empty((BLOCK, wide), dtype=np.intp)
+        self.rows = np.zeros((2, BLOCK + 1, wide))
+        self.pairs = self.rows.view(np.complex128)
+        # building the rows and judging them take turns on the scratch;
+        # an odd width judges contiguous copies of its rows
+        self.work = [np.empty(BLOCK * wide)
+                     for _ in range(3 if wide == self.width else 5)]
+
+    def add(self, ks):
+        """Sum the block of candidates ``ks`` onto the carried row."""
+        sr, si, cos_tab, sin_tab = self.coeffs
+        n = sr.shape[0]
+        b = ks.size
+        wide = self.m.size
+        np.add(self.table[:b], (int(ks[0]) * self.m) % n, out=self.idx[:b])
+        _fold(self.idx[:b], n, self.alt[:b])
+        wr, wi = (w[:b * wide].reshape(b, wide) for w in self.work[:2])
+        _term(sr[ks, None], si[ks, None], self.idx[:b], cos_tab, sin_tab,
+              (wr, wi, self.rows[0, 1:b + 1], self.rows[1, 1:b + 1]))
+        pairs = self.pairs[:, :b + 1]
+        np.cumsum(pairs, axis=1, out=pairs)
+        self.rows[:, 0] = self.rows[:, b]
+
+    def judge(self, ks, eps):
+        """Sum the block ``ks`` and judge its rows on these samples."""
+        self.add(ks)
+        b, w = ks.size, self.width
+        flat = [v[:b * w].reshape(b, w) for v in self.work]
+        zr, zi = self.rows[:, 1:b + 1]
+        if w < zr.shape[1]:
+            np.copyto(flat[3], zr[:, :w])
+            np.copyto(flat[4], zi[:, :w])
+            zr, zi = flat[3], flat[4]
+        return _admissible_rows(zr, zi, eps, flat[:3])
+
+
 def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     """Grow a band one bin at a time in ``bins`` order (a non-empty run
     of consecutive bins, ascending or descending); return the bin that
@@ -600,8 +690,12 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     on every sample (``_Check.whole``), on certificates alone; a pass
     is the answer, a fail drops it, and a window left open leaves it to
     the probe. Every candidate is then judged on its first PROBE
-    samples, built BLOCK candidates at a time; a violation there is
-    final, and a record of at most PROBE samples needs nothing more.
+    samples, built BLOCK candidates at a time: first on the head
+    panel, samples 0..HEAD-1, and only then, for a block with a head
+    survivor, on the tail panel, samples HEAD-2..PROBE-1, whose sums
+    catch up over the blocks that had none just before it. A
+    violation there is final, and a record of at most PROBE samples
+    needs nothing more.
     The survivors then get certified full checks, on the same
     ``_Check``, from the highest down, up to the first pass: a lower
     survivor cannot matter once a higher one is admissible. The answer
@@ -636,34 +730,26 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
         whole = check.whole(top, eps)
         if whole:
             return int(bins[-1])
-    m = np.arange(p)
     step = int(bins[1] - bins[0]) if bins.size > 1 else 1
-    # twiddle index of row j, sample m is (k0 m + j step m) mod n: a
-    # per-block row plus this table, folded back into [0, n)
-    table = (step * np.arange(BLOCK)[:, None] * m) % n
-    idx = np.empty((BLOCK, p), dtype=np.intp)
-    alt = np.empty((BLOCK, p), dtype=np.intp)
-    # row 0: probe window of the previous block's last candidate
-    rows_r = np.zeros((BLOCK + 1, p))
-    rows_i = np.zeros((BLOCK + 1, p))
-    # building the windows and checking them take turns on the scratch
-    work = [np.empty((BLOCK, p)) for _ in range(3)]
+    h = min(HEAD, p)
+    head = _Panel(sr, si, cos_tab, sin_tab, step, 0, h)
+    # the panels share two samples, so that between them they judge
+    # every interior slope of the probe window
+    tail = _Panel(sr, si, cos_tab, sin_tab, step, h - 2, p) if h < p else None
+    # blocks whose tails wait for a later block that needs their sums
+    queued = []
     survivors = []
     for start in range(0, bins.size, BLOCK):
         ks = bins[start:start + BLOCK]
-        b = ks.size
-        np.add(table[:b], (int(ks[0]) * m) % n, out=idx[:b])
-        _fold(idx[:b], n, alt[:b])
-        _term(sr[ks, None], si[ks, None], idx[:b], cos_tab, sin_tab,
-              (work[0][:b], work[1][:b], rows_r[1:b + 1], rows_i[1:b + 1]))
-        # row j+1 adds bins one by one onto row j, in scan order: the
-        # same sequence of float adds as growing a single buffer
-        np.cumsum(rows_r[:b + 1], axis=0, out=rows_r[:b + 1])
-        np.cumsum(rows_i[:b + 1], axis=0, out=rows_i[:b + 1])
-        passed = _admissible_rows(rows_r[1:b + 1], rows_i[1:b + 1], eps,
-                                  [w[:b] for w in work])
-        rows_r[0] = rows_r[b]
-        rows_i[0] = rows_i[b]
+        passed = head.judge(ks, eps)
+        if tail is not None:
+            if not passed.any():
+                queued.append(ks)
+                continue
+            for q in queued:
+                tail.add(q)
+            queued.clear()
+            passed &= tail.judge(ks, eps)
         survivors += (start + np.flatnonzero(passed)).tolist()
     if whole is False and survivors and survivors[-1] == top:
         # the top is known to fail; no second check

@@ -5,9 +5,9 @@ the probe-first scan; every configuration must still produce the same
 cells, the same non-monotone indices and the same merged-tail flag.
 The rows past n=1024 came later, from kernels that rebuilt the exact
 sums around each uncertified slope alone. The records up to n=256 are checked a second time with the scan's
-probe window and block shrunk, so that their seams fall inside short
-records too; only the maximal search probes, so that pass moves the
-seams of the maximal rows only. A third pass shrinks the certified
+probe window, its head and its block shrunk, so that their seams fall
+inside short records too; only the maximal search probes, so that pass
+moves the seams of the maximal rows only. A third pass shrinks the certified
 checks' window and drops as well, so that those records run both
 windows and drop bins from each. The maximal rows at n >= 512, which
 reach the certified full checks, and every first-violation row are
@@ -74,16 +74,48 @@ SMALL = [case for case in signal_cases() if case[2] <= 256]
 @pytest.mark.parametrize("kind,seed,n", SMALL)
 def test_partitions_match_golden_at_small_constants(kind, seed, n,
                                                     monkeypatch):
-    match_at(monkeypatch, kind, seed, n, PROBE=16, BLOCK=5)
+    match_at(monkeypatch, kind, seed, n, PROBE=16, HEAD=6, BLOCK=5)
 
 
 @pytest.mark.parametrize("kind,seed,n", SMALL)
 def test_partitions_match_golden_at_small_windows(kind, seed, n,
                                                   monkeypatch):
     # full checks on both windows, with drops on each: n=255 (3 5 17)
-    # has a slow route, so it drops bins past the leading window too
-    match_at(monkeypatch, kind, seed, n, PROBE=16, BLOCK=5, WINDOW=40,
-             DROPS=3)
+    # has a slow route, so it drops bins past the leading window too;
+    # an odd head makes both probe panels odd, so each pads a sample
+    match_at(monkeypatch, kind, seed, n, PROBE=16, HEAD=5, BLOCK=5,
+             WINDOW=40, DROPS=3)
+
+
+def test_small_constants_reach_every_probe_tail_route(monkeypatch):
+    # the lazy tail's routes, on a golden row: tails built past the
+    # head seam, one catching up over two or more waiting blocks, odd
+    # (padded) tail widths and a short last block
+    seen = {"tails": 0, "catch_up": 0, "odd": 0, "short": 0}
+    waiting = [0]
+    add, judge = _kernels._Panel.add, _kernels._Panel.judge
+
+    def spy_add(panel, ks):
+        if panel.m[0] > 0:
+            waiting[0] += 1
+        return add(panel, ks)
+
+    def spy_judge(panel, ks, eps):
+        if panel.m[0] > 0:
+            # judge adds the block itself, after those it catches up on
+            seen["catch_up"] = max(seen["catch_up"], waiting[0])
+            waiting[0] = -1
+            seen["tails"] += 1
+            seen["odd"] += panel.width % 2
+            seen["short"] += ks.size < _kernels.BLOCK
+        return judge(panel, ks, eps)
+
+    monkeypatch.setattr(_kernels._Panel, "add", spy_add)
+    monkeypatch.setattr(_kernels._Panel, "judge", spy_judge)
+    match_at(monkeypatch, "white_gaussian", 0, 255, PROBE=16, HEAD=5,
+             BLOCK=5)
+    assert seen["tails"] and seen["odd"] and seen["short"]
+    assert seen["catch_up"] >= 2
 
 
 # The maximal rows at n >= 512, which reach the certified full checks,

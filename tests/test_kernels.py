@@ -267,9 +267,10 @@ class TestBoundaryKernels:
                 assert check(sr, si, ct, st_, lo, hi, 0.0) == want
 
 
-# (PROBE, BLOCK) small enough that records of n <= 64 cross every probe
-# window and block seam
-SMALL_CONSTANTS = [(16, 5), (4, 1), (8, 3), (32, 7)]
+# (PROBE, HEAD, BLOCK) small enough that records of n <= 64 cross every
+# probe window, head and block seam; odd heads and probes give the tail
+# panel odd widths
+SMALL_CONSTANTS = [(16, 6, 5), (4, 3, 1), (8, 5, 3), (32, 10, 7)]
 DYADIC = [-1.0, -0.5, -0.25, 0.25, 0.5, 1.0]
 
 
@@ -288,15 +289,16 @@ def seam_spectra(draw):
     - sparse: random bins at a drawn density, exact zeros elsewhere
     - single: one nonzero bin
     - zero: bins whose twiddles are exactly 1 at a sample m0 next to the
-      end of the probe window, with dyadic coefficients that sum to 0,
-      so some candidates have an exact zero sample there
-    - dip: two bins that nearly cancel at m0 (next to the window's end,
-      or n-2, the last interior sample), so the phase swings through a
-      near-pi step or slopes down there
+      end of the probe's head or of its window, with dyadic
+      coefficients that sum to 0, so some candidates have an exact zero
+      sample there
+    - dip: two bins that nearly cancel at m0 (next to the head's or the
+      window's end, or n-2, the last interior sample), so the phase
+      swings through a near-pi step or slopes down there
     """
-    probe, block = draw(st.sampled_from(SMALL_CONSTANTS))
+    probe, head, block = draw(st.sampled_from(SMALL_CONSTANTS))
     kind = draw(st.sampled_from(["sparse", "single", "zero", "dip"]))
-    sites = [probe - 1, probe, probe + 1]
+    sites = [head - 2, head - 1, head, probe - 1, probe, probe + 1]
     if kind == "zero":
         m0 = draw(st.sampled_from(sites))
         n = draw(st.sampled_from([
@@ -331,7 +333,7 @@ def seam_spectra(draw):
         a = complex(rng.standard_normal(), rng.standard_normal())
         c[k1] += a
         c[k2] += -r * a * np.exp(2j * np.pi * (k1 - k2) * m0 / n)
-    return (probe, block), c
+    return (probe, head, block), c
 
 
 class TestScanSeams:
@@ -344,13 +346,14 @@ class TestScanSeams:
 
     @staticmethod
     def walk(case, eps, upward, exhaustive):
-        (probe, block), c = case
+        (probe, head, block), c = case
         n = c.size
         sr = np.ascontiguousarray(c.real)
         si = np.ascontiguousarray(c.imag)
         ct, st_ = _kernels.twiddle_tables(n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "PROBE", probe)
+            mp.setattr(_kernels, "HEAD", head)
             mp.setattr(_kernels, "BLOCK", block)
             # walk a whole partition, so every range the scan meets is
             # compared, not only the first
@@ -368,6 +371,62 @@ class TestScanSeams:
                     lo = got + 1
                 else:
                     hi = got - 1
+
+
+class TestProbePanels:
+    @pytest.mark.parametrize("lo, hi", [(0, 6), (4, 16), (0, 7), (3, 16)])
+    def test_pair_sums_match_per_part_cumsums(self, lo, hi, monkeypatch):
+        # the complex128 view adds each part on its own, so a panel's
+        # sums are the per-part cumsums bit for bit: signed zeros,
+        # infinities and nans included, and odd widths, which pad a
+        # sample, too
+        monkeypatch.setattr(_kernels, "BLOCK", 4)
+        n = 32
+        rng = np.random.default_rng(7)
+        sr = rng.choice([0.0, -0.0], n)
+        si = rng.choice([0.0, -0.0], n)
+        sr[8:] += rng.standard_normal(n - 8)
+        sr[[6, 10]] = np.inf, np.nan
+        si[[7, 11]] = -np.inf, np.inf
+        ct, st_ = _kernels.twiddle_tables(n)
+        bins = np.arange(1, 15)
+        panel = _kernels._Panel(sr, si, ct, st_, 1, lo, hi)
+        m = np.arange(lo, hi)
+        # a carry of -0.0, so that sums of signed zeros keep either sign
+        panel.rows[:, 0] = -0.0
+        zr, zi = np.full(m.size, -0.0), np.full(m.size, -0.0)
+        seen = []
+        with np.errstate(invalid="ignore"):
+            # blocks of 4, 4, 4 and 2, each chained onto the last
+            for start in range(0, bins.size, 4):
+                ks = bins[start:start + 4]
+                panel.add(ks)
+                idx = (ks[:, None] * m) % n
+                re = sr[ks, None] * ct[idx] - si[ks, None] * st_[idx]
+                im = sr[ks, None] * st_[idx] + si[ks, None] * ct[idx]
+                want_r = np.cumsum(np.vstack([zr, re]), axis=0)[1:]
+                want_i = np.cumsum(np.vstack([zi, im]), axis=0)[1:]
+                got_r, got_i = panel.rows[:, 1:ks.size + 1, :m.size]
+                assert got_r.tobytes() == want_r.tobytes()
+                assert got_i.tobytes() == want_i.tobytes()
+                zr, zi = want_r[-1], want_i[-1]
+                seen += [want_r, want_i]
+        sums = np.concatenate(seen, axis=None)
+        zeros = sums[sums == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert np.isinf(sums).any() and np.isnan(sums).any()
+
+    def test_noise_builds_fewer_tails_than_heads(self, monkeypatch):
+        # most probe blocks of white noise have no candidate that passes
+        # the head, and those after a band's last one never build a tail
+        from fdmkit import FdmConfig, Signal, decompose
+        adds = counting(monkeypatch, _kernels._Panel, "add")
+        x = np.random.default_rng(0).standard_normal(4096)
+        decompose(Signal(samples=x, sample_rate_hz=1.0),
+                  FdmConfig(scan="lth", search="max"))
+        heads = sum(panel.m[0] == 0 for panel, _ in adds)
+        tails = len(adds) - heads
+        assert 0 < tails < heads
 
 
 def sequential_sums(sr, si, ct, st_, bins, count):
@@ -515,8 +574,8 @@ class TestCertifiedChecks:
                                                         monkeypatch):
         # small constants, so that these short records take full checks
         # on every window and drop bins from both
-        for name, value in (("PROBE", 8), ("BLOCK", 3), ("WINDOW", 12),
-                            ("DROPS", 2)):
+        for name, value in (("PROBE", 8), ("HEAD", 5), ("BLOCK", 3),
+                            ("WINDOW", 12), ("DROPS", 2)):
             monkeypatch.setattr(_kernels, name, value)
         ct, st_ = _kernels.twiddle_tables(n)
         k_max = (n + 1) // 2 - 1
