@@ -57,8 +57,8 @@ check (PROBE-2..n-1) reach between them.
 A candidate whose window passes is a survivor; its full check judges
 the samples from the window's last two on. The search collects every
 survivor and checks them from the highest down, stopping at the first
-pass, with certified checks (``_Check``), built once per band and shared
-with the top check. A check judges
+pass, with certified checks (``_Check``), one per band, shared with
+the top check, on the context's buffers and windows. A check judges
 z_f = ifft(masked coefficients, norm="forward"), one O(n log n)
 transform whatever the number of bins, and trusts z_f's verdict only
 where a proven bound delta >= |z_seq - z_f| settles it:
@@ -143,10 +143,27 @@ block's windows are judged as one flat, contiguous run of samples
 rather than through strided 2-D views: the steps across row seams are
 computed with the rest and their slopes dropped before the per-row
 verdict (see ``_admissible_rows``); the rows a panel judges are
-always contiguous float64. A block's twiddle indices k m mod n come
-from a table of j step m mod n, built once per record and panel
-(``_block_table``), plus the block's row k0 m mod n, folded back into
-[0, n) by ``_fold`` as the tail's are, with no division per block.
+always contiguous float64.
+
+A decomposition scans all its bands through one ``ScanContext``, which
+holds what does not depend on the band: the coefficients, the twiddle
+tables and the complex table ``tab`` the checks' drops read, the
+checks' transform buffers and windows, and the probe panels. Each is
+built on its first use and handed to the next band reset: a panel's
+carry goes back to +0.0, a window's ``count`` to 0, so that it reaches
+no candidate of another band. Under the maximal search every band
+re-probes each bin above its start, and the head's term of bin k at
+sample m, c_k e^{i 2 pi k m / n}, does not depend on the band: the
+context builds the head's terms of every bin once, on the first probe,
+BLOCK bins at a time by the very ``_term`` a block would run, and a
+head block copies its rows out of that table, a reversed slice for
+descending bins, before its cumsum. The table takes about 512 n bytes
+(2.1 MB at n=4096), and ``decompose`` refuses a record whose context
+would pass ``spectral.MAX_VALUES`` (``context_values``). The tail's
+table would be three times as large, so the tail builds its blocks'
+terms: twiddle indices k m mod n from the panel's table of j step m
+mod n plus the block's row k0 m mod n, folded back into [0, n) by
+``_fold`` with no division per block, then ``_term``.
 """
 import functools
 import math
@@ -376,7 +393,6 @@ def _bluestein_error(n, n2):
     return (1 + _EPS_MUL) * n2 / math.sqrt(n) * e_d + _EPS_MUL
 
 
-@functools.lru_cache(maxsize=64)
 def _ifft_error(n):
     """theta with |z_f - z| <= sqrt(n) theta ||c||_2 at every sample,
     whichever route pocketfft takes for length n, and whether that
@@ -452,8 +468,9 @@ class _Window:
         # twiddle indices k m mod n, rows k descending
         idx = np.multiply.outer(check.bins[self.count - 1:pos:-1], self.m,
                                 out=self.idx[:d])
-        idx %= check.tab.size
-        terms = np.take(check.tab, idx, out=self.terms[:d])
+        tab = check.scan.tab
+        idx %= tab.size
+        terms = np.take(tab, idx, out=self.terms[:d])
         terms *= check.c[self.count - 1:pos:-1, None]
         self.z -= terms[0] if d == 1 else terms.sum(axis=0)
         drop = check.mag[pos + 1:self.count].sum() * (1.0 + 2.0**-40)
@@ -511,7 +528,8 @@ def _fails_at(z, dm, omega, i, eps, delta):
 
 class _Check:
     """Certified full checks of the candidates ``bins[:pos + 1]`` on
-    samples ``start``..n-1 (see the module docstring).
+    samples ``start``..n-1 (see the module docstring), for one band of
+    the record of ``scan``.
 
     The samples up to WINDOW from ``start`` are judged first, and the
     rest only when those do not settle a fail, each on its own
@@ -520,16 +538,12 @@ class _Check:
     certificates leave open are then summed exactly, one at a time.
     """
 
-    def __init__(self, sr, si, cos_tab, sin_tab, bins, start):
-        n = sr.shape[0]
-        theta, slow = _ifft_error(n)
-        self.coeffs = sr, si, cos_tab, sin_tab
+    def __init__(self, scan, bins, start):
+        n = scan.n
+        theta, slow = scan.fft_error
+        sr, si = scan.coeffs[:2]
+        self.scan = scan
         self.bins = bins
-        self.band = np.empty(n, dtype=np.complex128)
-        self.z = np.empty(n, dtype=np.complex128)
-        self.tab = np.empty(n, dtype=np.complex128)
-        self.tab.real = cos_tab
-        self.tab.imag = sin_tab
         self.c = np.empty(bins.size, dtype=np.complex128)
         self.c.real = sr[bins]
         self.c.imag = si[bins]
@@ -546,17 +560,18 @@ class _Check:
             self.dfft = 1.001 * (math.sqrt(n) * theta
                                  * np.minimum(self.l1, l2) + tiny)
         end = min(start + WINDOW, n)
-        self.windows = [_Window(start, end, DROPS)]
+        self.windows = [scan.window(start, end, DROPS)]
         if end < n:
-            self.windows.append(_Window(end - 2, n, DROPS if slow else 0))
+            self.windows.append(scan.window(end - 2, n, DROPS if slow else 0))
 
     def _transform(self, pos):
         """z_f of candidate ``pos``; every window is loaded from it."""
-        self.band.fill(0.0)
-        self.band[self.bins[:pos + 1]] = self.c[:pos + 1]
-        np.fft.ifft(self.band, norm="forward", out=self.z)
+        band, z = self.scan.transform_buffers
+        band.fill(0.0)
+        band[self.bins[:pos + 1]] = self.c[:pos + 1]
+        np.fft.ifft(band, norm="forward", out=z)
         for w in self.windows:
-            w.load(self.z, pos, self.dfft[pos])
+            w.load(z, pos, self.dfft[pos])
 
     def __call__(self, pos, eps, exact=True):
         """Is candidate ``bins[pos]`` admissible on the checked samples?
@@ -581,7 +596,7 @@ class _Check:
             return None
         # open windows, judged on z_seq at every one of their samples
         for w in left:
-            zr, zi = _exact_sums(*self.coeffs, self.bins[:pos + 1], w.m)
+            zr, zi = _exact_sums(*self.scan.coeffs, self.bins[:pos + 1], w.m)
             if not _admissible_rows(zr, zi, eps):
                 return False
         return True
@@ -592,30 +607,11 @@ class _Check:
         samples up to ``start`` + 2 are judged first, on a window of
         their own; the others keep the z_f this loads for the checks
         that follow."""
-        head = _Window(0, self.windows[0].lo + 2, 0)
-        self.windows.insert(0, head)
+        windows = self.windows
+        self.windows = [self.scan.window(0, windows[0].lo + 2, 0)] + windows
         got = self(pos, eps, exact=False)
-        self.windows.remove(head)
+        self.windows = windows
         return got
-
-
-def band_admissible(sr, si, cos_tab, sin_tab, lo, hi, eps):
-    """Is the band of bins lo..hi, summed in ascending order, admissible
-    at every sample? The one candidate a merged tail leaves to judge."""
-    bins = np.arange(lo, hi + 1)
-    return _Check(sr, si, cos_tab, sin_tab, bins, 0)(bins.size - 1, eps)
-
-
-@functools.lru_cache(maxsize=4)
-def _block_table(n, step, lo, width, block):
-    """Twiddle index of row j, sample m of a probe block, less the
-    block's row k0 m: j step m mod n for j < block and m = lo..lo+width-1.
-    A block adds its row and folds the sum back into [0, n). Every band
-    of a record shares the table, so it is built once and read-only."""
-    m = np.arange(lo, lo + width)
-    table = (step * np.arange(block)[:, None] * m) % n
-    table.flags.writeable = False
-    return table
 
 
 class _Panel:
@@ -630,17 +626,26 @@ class _Panel:
     every sample gets the adds of z_seq, in its order, with half as
     many chains. An odd width gets one more sample for that view; it
     is summed but never judged.
+
+    The head copies a block's terms from the record's table ``terms``
+    (``ScanContext.head_terms``), bins in scan order. Without one, a
+    block builds its terms: twiddle indices from ``table``, j step m
+    mod n for row j, plus the block's row k0 m mod n, folded back into
+    [0, n), then ``_term``.
     """
 
-    def __init__(self, sr, si, cos_tab, sin_tab, step, lo, hi):
-        n = sr.shape[0]
-        self.coeffs = sr, si, cos_tab, sin_tab
+    def __init__(self, scan, step, lo, hi, terms=None):
+        n = scan.n
+        self.coeffs = scan.coeffs
+        self.step = step
+        self.terms = terms
         self.width = hi - lo
         wide = self.width + self.width % 2
         self.m = np.arange(lo, lo + wide)
-        self.table = _block_table(n, step, lo, wide, BLOCK)
-        self.idx = np.empty((BLOCK, wide), dtype=np.intp)
-        self.alt = np.empty((BLOCK, wide), dtype=np.intp)
+        if terms is None:
+            self.table = (step * np.arange(BLOCK)[:, None] * self.m) % n
+            self.idx = np.empty((BLOCK, wide), dtype=np.intp)
+            self.alt = np.empty((BLOCK, wide), dtype=np.intp)
         self.rows = np.zeros((2, BLOCK + 1, wide))
         self.pairs = self.rows.view(np.complex128)
         # building the rows and judging them take turns on the scratch;
@@ -650,15 +655,22 @@ class _Panel:
 
     def add(self, ks):
         """Sum the block of candidates ``ks`` onto the carried row."""
-        sr, si, cos_tab, sin_tab = self.coeffs
-        n = sr.shape[0]
         b = ks.size
-        wide = self.m.size
-        np.add(self.table[:b], (int(ks[0]) * self.m) % n, out=self.idx[:b])
-        _fold(self.idx[:b], n, self.alt[:b])
-        wr, wi = (w[:b * wide].reshape(b, wide) for w in self.work[:2])
-        _term(sr[ks, None], si[ks, None], self.idx[:b], cos_tab, sin_tab,
-              (wr, wi, self.rows[0, 1:b + 1], self.rows[1, 1:b + 1]))
+        k = int(ks[0])
+        rows = self.rows[:, 1:b + 1]
+        if self.terms is None:
+            sr, si, cos_tab, sin_tab = self.coeffs
+            n = sr.shape[0]
+            wide = self.m.size
+            np.add(self.table[:b], (k * self.m) % n, out=self.idx[:b])
+            _fold(self.idx[:b], n, self.alt[:b])
+            wr, wi = (w[:b * wide].reshape(b, wide) for w in self.work[:2])
+            _term(sr[ks, None], si[ks, None], self.idx[:b], cos_tab,
+                  sin_tab, (wr, wi, rows[0], rows[1]))
+        elif self.step > 0:
+            rows[...] = self.terms[:, k:k + b]
+        else:
+            rows[...] = self.terms[:, k - b + 1:k + 1][:, ::-1]
         pairs = self.pairs[:, :b + 1]
         np.cumsum(pairs, axis=1, out=pairs)
         self.rows[:, 0] = self.rows[:, b]
@@ -676,10 +688,172 @@ class _Panel:
         return _admissible_rows(zr, zi, eps, flat[:3])
 
 
+def context_values(n, exhaustive):
+    """Float64 values in the record-wide tables of the scan context of
+    an n-sample record: the complex twiddle table and the checks' two
+    transform buffers, 6 n, and under the maximal search the probe
+    head's term table, 2 (n // 2 + 1) values a sample of the head, about
+    512 n bytes. The checks' windows and the probe panels are left out;
+    the panels' size does not grow with n."""
+    values = 6 * n
+    if exhaustive:
+        h = min(HEAD, PROBE, n)
+        values += 2 * (n // 2 + 1) * (h + h % 2)
+    return values
+
+
+class ScanContext:
+    """What every band scan of one record shares: the coefficients and
+    twiddle tables, and, each built on its first use, the certified
+    checks' complex twiddle table ``tab``, their transform buffers and
+    windows, the probe panels and the probe head's term table.
+
+    A band resets what it takes: a panel's carry goes back to +0.0 and
+    a window's ``count`` to 0, so a window reaches no candidate of
+    another band. Under the maximal search every band re-probes the bins
+    above its start; their head terms come from one table, built once.
+    """
+
+    def __init__(self, sr, si, cos_tab, sin_tab):
+        self.coeffs = sr, si, cos_tab, sin_tab
+        self.n = sr.shape[0]
+        self._windows = {}
+        self._panels = {}
+        self._head = None
+
+    @functools.cached_property
+    def fft_error(self):
+        return _ifft_error(self.n)
+
+    @functools.cached_property
+    def tab(self):
+        """e^{i 2 pi j / n} from the twiddle tables, j = 0..n-1."""
+        tab = np.empty(self.n, dtype=np.complex128)
+        tab.real, tab.imag = self.coeffs[2:]
+        return tab
+
+    @functools.cached_property
+    def transform_buffers(self):
+        """A check's masked coefficients and their transform z_f."""
+        return (np.empty(self.n, dtype=np.complex128),
+                np.empty(self.n, dtype=np.complex128))
+
+    def window(self, lo, hi, limit):
+        """The ``_Window`` of samples lo..hi-1, reaching no candidate."""
+        key = lo, hi, limit
+        w = self._windows.get(key)
+        if w is None:
+            w = self._windows[key] = _Window(lo, hi, limit)
+        w.count = 0
+        return w
+
+    def panel(self, step, lo, hi):
+        """The probe panel of samples lo..hi-1 for bins of ``step``,
+        carrying +0.0. The head (lo = 0) reads the head-term table."""
+        key = step, lo, hi, BLOCK
+        p = self._panels.get(key)
+        if p is None:
+            terms = self.head_terms(hi + hi % 2) if lo == 0 else None
+            p = self._panels[key] = _Panel(self, step, lo, hi, terms)
+        p.rows[:, 0] = 0.0
+        return p
+
+    def head_terms(self, wide):
+        """c_k e^{i 2 pi k m / n} of every bin k <= n // 2 at the samples
+        m < ``wide``: real parts in [0], imaginary in [1]. ``_term`` builds
+        them over (k m) mod n, BLOCK bins at a time, with the bits the
+        terms of a probe block get."""
+        if self._head is not None and self._head.shape[2] == wide:
+            return self._head
+        sr, si, cos_tab, sin_tab = self.coeffs
+        n = self.n
+        bins = n // 2 + 1
+        terms = np.empty((2, bins, wide))
+        m = np.arange(wide)
+        idx = np.empty((BLOCK, wide), dtype=np.intp)
+        work = np.empty((2, BLOCK, wide))
+        for k in range(0, bins, BLOCK):
+            ks = np.arange(k, min(k + BLOCK, bins))
+            b = ks.size
+            np.multiply.outer(ks, m, out=idx[:b])
+            idx[:b] %= n
+            _term(sr[ks, None], si[ks, None], idx[:b], cos_tab, sin_tab,
+                  (work[0, :b], work[1, :b], terms[0, k:k + b],
+                   terms[1, k:k + b]))
+        self._head = terms
+        return terms
+
+    def boundary(self, bins, eps, exhaustive):
+        """``scan_boundary`` of the record's band ``bins``."""
+        sr, si, cos_tab, sin_tab = self.coeffs
+        n = self.n
+        # position in bins of the highest candidate known admissible
+        best = -1
+        if not exhaustive:
+            # a candidate of exactly zero coefficients sums to +0.0 at
+            # every sample and fails, so the walk starts at the first
+            # nonzero bin
+            live = np.flatnonzero((sr[bins] != 0.0) | (si[bins] != 0.0))
+            if live.size == 0:
+                return -1
+            bins = bins[live[0]:]
+            work = [np.empty(n) for _ in range(3)]
+            sums = _tail(sr, si, cos_tab, sin_tab, bins, np.arange(n))
+            for pos, (zr, zi) in enumerate(sums):
+                if _admissible_rows(zr, zi, eps, work):
+                    best = pos
+                elif best != -1:
+                    break
+            return int(bins[best]) if best != -1 else -1
+        p = min(PROBE, n)
+        top = bins.size - 1
+        whole = None
+        if p < n:
+            # the top candidate on every sample first, with no exact
+            # sums (see the module docstring)
+            check = _Check(self, bins, p - 2)
+            whole = check.whole(top, eps)
+            if whole:
+                return int(bins[-1])
+        step = int(bins[1] - bins[0]) if bins.size > 1 else 1
+        h = min(HEAD, p)
+        head = self.panel(step, 0, h)
+        # the panels share two samples, so that between them they judge
+        # every interior slope of the probe window
+        tail = self.panel(step, h - 2, p) if h < p else None
+        # blocks whose tails wait for a later block that needs their sums
+        queued = []
+        survivors = []
+        for start in range(0, bins.size, BLOCK):
+            ks = bins[start:start + BLOCK]
+            passed = head.judge(ks, eps)
+            if tail is not None:
+                if not passed.any():
+                    queued.append(ks)
+                    continue
+                for q in queued:
+                    tail.add(q)
+                queued.clear()
+                passed &= tail.judge(ks, eps)
+            survivors += (start + np.flatnonzero(passed)).tolist()
+        if whole is False and survivors and survivors[-1] == top:
+            # the top is known to fail; no second check
+            survivors.pop()
+        if survivors and p < n:
+            best = next((pos for pos in reversed(survivors)
+                         if check(pos, eps)), -1)
+        elif survivors:
+            # the probe saw every sample
+            best = survivors[-1]
+        return int(bins[best]) if best != -1 else -1
+
+
 def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     """Grow a band one bin at a time in ``bins`` order (a non-empty run
     of consecutive bins, ascending or descending); return the bin that
-    closes its last admissible candidate, or -1 if none is.
+    closes its last admissible candidate, or -1 if none is. It scans
+    through a context of its own; a decomposition shares one across its
+    bands (``ScanContext.boundary``).
 
     The first-violation search judges the candidates in order, each at
     every sample of the sums ``_tail`` yields, and stops at the first
@@ -702,62 +876,13 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     is the one that checking every survivor on the sequential sums
     would give.
     """
-    n = sr.shape[0]
-    # position in bins of the highest candidate known admissible
-    best = -1
-    if not exhaustive:
-        # a candidate of exactly zero coefficients sums to +0.0 at every
-        # sample and fails, so the walk starts at the first nonzero bin
-        live = np.flatnonzero((sr[bins] != 0.0) | (si[bins] != 0.0))
-        if live.size == 0:
-            return -1
-        bins = bins[live[0]:]
-        work = [np.empty(n) for _ in range(3)]
-        sums = _tail(sr, si, cos_tab, sin_tab, bins, np.arange(n))
-        for pos, (zr, zi) in enumerate(sums):
-            if _admissible_rows(zr, zi, eps, work):
-                best = pos
-            elif best != -1:
-                break
-        return int(bins[best]) if best != -1 else -1
-    p = min(PROBE, n)
-    top = bins.size - 1
-    whole = None
-    if p < n:
-        # the top candidate on every sample first, with no exact sums
-        # (see the module docstring)
-        check = _Check(sr, si, cos_tab, sin_tab, bins, p - 2)
-        whole = check.whole(top, eps)
-        if whole:
-            return int(bins[-1])
-    step = int(bins[1] - bins[0]) if bins.size > 1 else 1
-    h = min(HEAD, p)
-    head = _Panel(sr, si, cos_tab, sin_tab, step, 0, h)
-    # the panels share two samples, so that between them they judge
-    # every interior slope of the probe window
-    tail = _Panel(sr, si, cos_tab, sin_tab, step, h - 2, p) if h < p else None
-    # blocks whose tails wait for a later block that needs their sums
-    queued = []
-    survivors = []
-    for start in range(0, bins.size, BLOCK):
-        ks = bins[start:start + BLOCK]
-        passed = head.judge(ks, eps)
-        if tail is not None:
-            if not passed.any():
-                queued.append(ks)
-                continue
-            for q in queued:
-                tail.add(q)
-            queued.clear()
-            passed &= tail.judge(ks, eps)
-        survivors += (start + np.flatnonzero(passed)).tolist()
-    if whole is False and survivors and survivors[-1] == top:
-        # the top is known to fail; no second check
-        survivors.pop()
-    if survivors and p < n:
-        best = next((pos for pos in reversed(survivors) if check(pos, eps)),
-                    -1)
-    elif survivors:
-        # the probe saw every sample
-        best = survivors[-1]
-    return int(bins[best]) if best != -1 else -1
+    return ScanContext(sr, si, cos_tab, sin_tab).boundary(bins, eps,
+                                                          exhaustive)
+
+
+def band_admissible(scan, lo, hi, eps):
+    """Is the band of bins lo..hi of the record of ``scan`` (a
+    ``ScanContext``), summed in ascending order, admissible at every
+    sample? The one candidate a merged tail leaves to judge."""
+    bins = np.arange(lo, hi + 1)
+    return _Check(scan, bins, 0)(bins.size - 1, eps)

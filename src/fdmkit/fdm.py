@@ -20,8 +20,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .spectral import (Signal, Spectrum, analytic_band, check_sample_rate,
-                       check_type, dft, is_integer, is_real)
+from .spectral import (MAX_VALUES, Signal, Spectrum, analytic_band,
+                       check_sample_rate, check_type, dft, is_integer,
+                       is_real)
 
 # Edge bins whose coefficient magnitude falls at or below this fraction
 # of the largest positive-bin magnitude are considered empty and do not
@@ -186,9 +187,10 @@ def _trim_bin_range(coeffs: np.ndarray, lo: int, hi: int, k_max: int) -> tuple[i
 def _scan_partition(spectrum: Spectrum, config: FdmConfig):
     """Partition positive bins into cells: list of (lo, hi, monotone)."""
     coeffs = spectrum.coefficients
-    sr = np.ascontiguousarray(coeffs.real)
-    si = np.ascontiguousarray(coeffs.imag)
-    cos_tab, sin_tab = _kernels.twiddle_tables(spectrum.n)
+    # one context for every band of the record
+    scan = _kernels.ScanContext(np.ascontiguousarray(coeffs.real),
+                                np.ascontiguousarray(coeffs.imag),
+                                *_kernels.twiddle_tables(spectrum.n))
     eps = config.monotonicity_tolerance
     exhaustive = config.search is SearchMode.MAXIMAL_EXHAUSTIVE
     upward = config.scan is ScanDirection.LOW_TO_HIGH
@@ -198,8 +200,7 @@ def _scan_partition(spectrum: Spectrum, config: FdmConfig):
     lo, hi = 1, spectrum.k_max
     while lo <= hi:
         bins = np.arange(lo, hi + 1) if upward else np.arange(hi, lo - 1, -1)
-        edge = _kernels.scan_boundary(sr, si, cos_tab, sin_tab, bins, eps,
-                                      exhaustive)
+        edge = scan.boundary(bins, eps, exhaustive)
         merged_tail = (cap is not None and len(cells) == cap - 1
                        and edge != int(bins[-1]))
         if merged_tail or edge == -1:
@@ -209,8 +210,8 @@ def _scan_partition(spectrum: Spectrum, config: FdmConfig):
             # stays exact. The one candidate [lo, hi] is judged with its
             # bins summed in ascending order, whichever way and with
             # whichever search the bands were scanned
-            mono = merged_tail and _kernels.band_admissible(
-                sr, si, cos_tab, sin_tab, lo, hi, eps)
+            mono = merged_tail and _kernels.band_admissible(scan, lo, hi,
+                                                            eps)
             cells.append((lo, hi, mono))
             return cells, merged_tail
         if upward:
@@ -257,6 +258,14 @@ def decompose(signal: Signal, config: FdmConfig | None = None) -> DecompositionR
             n=n,
             start_time_s=signal.start_time_s,
         )
+
+    # the scan's tables grow with n: refuse before building any of them
+    values = _kernels.context_values(
+        n, config.search is SearchMode.MAXIMAL_EXHAUSTIVE)
+    if values > MAX_VALUES:
+        raise ParameterError(
+            f"scanning {n} samples needs {values} float64 values of scan "
+            f"tables, more than the budget of {MAX_VALUES}")
 
     spectrum = dft(signal)
     coeffs = spectrum.coefficients

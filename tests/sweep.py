@@ -9,10 +9,19 @@ order, the hash takes a JSON line of the configuration with the
 partition ranges, the non-monotone indices and the merged-tail flag,
 then every band's phase bytes and fibf bytes.
 
+A second hash, the probe's, takes the sums of every block of the
+maximal search's probe (``_kernels._Panel.add``), head and tail, in the
+order the scan adds them: a header of the panel's first sample, its
+width, the block's first bin and its size, then the block's real and
+imaginary rows at the panel's samples. Verdicts alone miss a change of
+those sums that flips no verdict in the grid, such as a carried row
+added after the block's own cumulative sum in place of before it.
+
 Phases come from numpy's arctan2, whose AVX-512 kernel and AVX2 one
 differ in the last bits, so the pins are kept per dispatch: ``x86_v4``
 with numpy's X86_V4 features on, ``no_x86_v4`` with them off or
-missing. Each dispatch pins the whole sweep and its n <= 300 slice.
+missing. Each dispatch pins the whole sweep and its n <= 300 slice,
+each by both hashes.
 
 Run it from the repository root:
 
@@ -32,7 +41,7 @@ from pathlib import Path
 
 from numpy._core._multiarray_umath import __cpu_features__
 
-from fdmkit import FdmConfig, GeneratorSpec, decompose, generate
+from fdmkit import FdmConfig, GeneratorSpec, _kernels, decompose, generate
 
 PINS = Path(__file__).with_name("sweep_hashes.json")
 
@@ -66,41 +75,64 @@ def cases(up_to=None):
 
 
 def runs(up_to=None):
-    """Yield n and the bytes the hash takes for each run of n <= ``up_to``
-    (every run if None), in grid order."""
+    """Yield n, the bytes the hash takes and the bytes the probe's hash
+    takes for each run of n <= ``up_to`` (every run if None), in grid
+    order."""
     signals = {}
-    for kind, n, scan, search, tol, cap in cases(up_to):
-        if (kind, n) not in signals:
-            signals[kind, n] = generate(GeneratorSpec(
-                kind=kind, n=n, sample_rate_hz=SAMPLE_RATE_HZ, seed=0))
-        r = decompose(signals[kind, n], FdmConfig(
-            scan=scan, search=search, monotonicity_tolerance=tol,
-            max_fibfs=cap))
-        line = [kind, n, scan, search, tol, cap,
-                [list(b.partition_range) for b in r.fibfs],
-                list(r.non_monotone), r.merged_tail]
-        yield n, b"".join([json.dumps(line).encode(), b"\n"]
-                          + [a.tobytes() for b in r.fibfs
-                             for a in (b.phase, b.fibf)])
+    blocks = []
+    add = _kernels._Panel.add
+
+    def spy(panel, ks):
+        add(panel, ks)
+        rows = panel.rows[:, 1:ks.size + 1, :panel.width]
+        blocks.append(json.dumps([int(panel.m[0]), panel.width, int(ks[0]),
+                                  int(ks.size)]).encode())
+        blocks.append(rows.tobytes())
+
+    _kernels._Panel.add = spy
+    try:
+        for kind, n, scan, search, tol, cap in cases(up_to):
+            if (kind, n) not in signals:
+                signals[kind, n] = generate(GeneratorSpec(
+                    kind=kind, n=n, sample_rate_hz=SAMPLE_RATE_HZ, seed=0))
+            blocks.clear()
+            r = decompose(signals[kind, n], FdmConfig(
+                scan=scan, search=search, monotonicity_tolerance=tol,
+                max_fibfs=cap))
+            line = json.dumps([kind, n, scan, search, tol, cap,
+                               [list(b.partition_range) for b in r.fibfs],
+                               list(r.non_monotone), r.merged_tail]).encode()
+            yield (n, b"".join([line, b"\n"]
+                               + [a.tobytes() for b in r.fibfs
+                                  for a in (b.phase, b.fibf)]),
+                   b"".join([line, b"\n"] + blocks))
+    finally:
+        _kernels._Panel.add = add
 
 
 def digest(up_to=None):
-    """sha256 over the sweep's runs of n <= ``up_to`` (all if None)."""
-    h = hashlib.sha256()
-    for _, data in runs(up_to):
-        h.update(data)
-    return h.hexdigest()
+    """sha256 over the sweep's runs of n <= ``up_to`` (all if None): the
+    hash of the outputs and the probe's."""
+    out, probe = hashlib.sha256(), hashlib.sha256()
+    for _, data, sums in runs(up_to):
+        out.update(data)
+        probe.update(sums)
+    return out.hexdigest(), probe.hexdigest()
 
 
 def hashes():
     """This dispatch's hashes of the whole sweep and of its small slice,
     from one pass."""
-    full, small = hashlib.sha256(), hashlib.sha256()
-    for n, data in runs():
-        full.update(data)
+    got = {name: hashlib.sha256()
+           for name in ("full", f"n<={SMALL_UP_TO}", "probe full",
+                        f"probe n<={SMALL_UP_TO}")}
+    for n, data, sums in runs():
+        got["full"].update(data)
+        got["probe full"].update(sums)
         if n <= SMALL_UP_TO:
-            small.update(data)
-    return {"full": full.hexdigest(), f"n<={SMALL_UP_TO}": small.hexdigest()}
+            got[f"n<={SMALL_UP_TO}"].update(data)
+            got[f"probe n<={SMALL_UP_TO}"].update(sums)
+    return {name: h.hexdigest() for name, h in got.items()}
 
 
 def pinned():

@@ -1164,6 +1164,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "g")]) == 2
         assert f"n must be in [2, 134217728], got {n}" in capsys.readouterr().err
 
+    def test_over_budget_scan_maps_to_two(self, tmp_path, capsys):
+        # the least n whose probe head table passes MAX_VALUES
+        # (test_fdm.TestScanBudget), refused before the DFT
+        n = 1917396
+        recipe = f'gen:{{"kind":"tone_mix","n":{n},"sample_rate_hz":100}}'
+        assert main(["decompose", "--input", recipe,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert (f"scanning {n} samples needs 134217848 float64 values"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_argparse_errors_return_two(self, capsys):
         assert main(["decompose", "--nonsense"]) == 2
         assert main(["frobnicate"]) == 2

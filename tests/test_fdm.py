@@ -24,7 +24,9 @@ from fdmkit import (
     reconstruct,
     unwrap_phase,
 )
+from fdmkit import _kernels, fdm
 from fdmkit.fdm import _trim_bin_range
+from fdmkit.spectral import MAX_VALUES
 from numpy._core._multiarray_umath import __cpu_features__
 from oracles import (
     admissible_direct,
@@ -318,6 +320,53 @@ class TestSearchModes:
         assert pa == [(1, 4), (5, 7)]
         assert pb == [(1, 2), (3, 4), (5, 7)]
         assert a.reconstruction_error < TOL and b.reconstruction_error < TOL
+
+
+def least_over_budget():
+    """The shortest record whose maximal scan needs more than
+    MAX_VALUES: the probe head's term table, 64 samples of each bin
+    k <= n // 2 in real and imaginary parts (about 512 n bytes), plus
+    6 n for the complex twiddle table and the checks' two transform
+    buffers."""
+    lo, hi = 4, MAX_VALUES
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if 2 * (mid // 2 + 1) * 64 + 6 * mid > MAX_VALUES:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class TestScanBudget:
+    def test_context_values_at_the_boundary(self):
+        n = least_over_budget()
+        assert 2**20 < n < 2**21
+        assert (_kernels.context_values(n, True) > MAX_VALUES
+                >= _kernels.context_values(n - 1, True))
+        # the first-violation search builds no probe
+        assert _kernels.context_values(n, False) == 6 * n
+
+    def test_over_budget_record_is_refused_before_its_dft(self,
+                                                          monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def dft(signal):
+            raise Reached
+
+        monkeypatch.setattr(fdm, "dft", dft)
+        n = least_over_budget()
+        x = np.ones(n)
+        with pytest.raises(Reached):
+            decompose(Signal(x[:-1], 100.0))
+        with pytest.raises(Reached):
+            decompose(Signal(x, 100.0), FdmConfig(search="first"))
+        values = _kernels.context_values(n, True)
+        with pytest.raises(ParameterError, match=(
+                f"scanning {n} samples needs {values} float64 values .*"
+                f"budget of {MAX_VALUES}")):
+            decompose(Signal(x, 100.0))
 
 
 class TestMaxFibfs:

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +46,8 @@ def run_partition(sr, si, ct, st_, k_max, eps, exhaustive):
 def band_admissible(sr, si, ct, st_, lo, hi, eps):
     """Is the band [lo, hi] admissible? The one-candidate call that
     gives ``fdm._scan_partition`` its merged-tail flag."""
-    return _kernels.band_admissible(sr, si, ct, st_, lo, hi, eps)
+    return _kernels.band_admissible(_kernels.ScanContext(sr, si, ct, st_),
+                                    lo, hi, eps)
 
 
 # -pi - 4.4e-16 is where d + pi < 0 but d + pi + 2pi rounds up to 2pi
@@ -373,33 +379,54 @@ class TestScanSeams:
                     hi = got - 1
 
 
+def panel_spectrum(n, step):
+    """Coefficients with signed zeros, infinities and a nan, so that a
+    panel's sums hold every kind of float64 value. A scan of bins 1..14
+    in ``step`` order meets the same coefficients in the same order."""
+    rng = np.random.default_rng(7)
+    sr = rng.choice([0.0, -0.0], n)
+    si = rng.choice([0.0, -0.0], n)
+    sr[8:] += rng.standard_normal(n - 8)
+    sr[[6, 10]] = np.inf, np.nan
+    si[[7, 11]] = -np.inf, np.inf
+    sr[1:15], si[1:15] = sr[1:15][::step].copy(), si[1:15][::step].copy()
+    return sr, si, *_kernels.twiddle_tables(n)
+
+
+def blocks_of(bins, size=4):
+    return [bins[start:start + size] for start in range(0, bins.size, size)]
+
+
+PANEL_CASES = [
+    pytest.param(lo, hi, step, id=f"{lo}-{hi}" + ("-descending" if step < 0
+                                                  else ""))
+    for step in (1, -1) for lo, hi in [(0, 6), (4, 16), (0, 7), (3, 16)]]
+
+
 class TestProbePanels:
-    @pytest.mark.parametrize("lo, hi", [(0, 6), (4, 16), (0, 7), (3, 16)])
-    def test_pair_sums_match_per_part_cumsums(self, lo, hi, monkeypatch):
+    @pytest.mark.parametrize("lo, hi, step", PANEL_CASES)
+    def test_pair_sums_match_per_part_cumsums(self, lo, hi, step,
+                                              monkeypatch):
         # the complex128 view adds each part on its own, so a panel's
         # sums are the per-part cumsums bit for bit: signed zeros,
         # infinities and nans included, and odd widths, which pad a
-        # sample, too
+        # sample, too. The head (lo = 0) copies its terms from the
+        # record's table, a reversed slice of it for descending bins
         monkeypatch.setattr(_kernels, "BLOCK", 4)
         n = 32
-        rng = np.random.default_rng(7)
-        sr = rng.choice([0.0, -0.0], n)
-        si = rng.choice([0.0, -0.0], n)
-        sr[8:] += rng.standard_normal(n - 8)
-        sr[[6, 10]] = np.inf, np.nan
-        si[[7, 11]] = -np.inf, np.inf
-        ct, st_ = _kernels.twiddle_tables(n)
-        bins = np.arange(1, 15)
-        panel = _kernels._Panel(sr, si, ct, st_, 1, lo, hi)
+        sr, si, ct, st_ = panel_spectrum(n, step)
+        bins = np.arange(1, 15)[::step]
         m = np.arange(lo, hi)
-        # a carry of -0.0, so that sums of signed zeros keep either sign
-        panel.rows[:, 0] = -0.0
         zr, zi = np.full(m.size, -0.0), np.full(m.size, -0.0)
         seen = []
         with np.errstate(invalid="ignore"):
+            panel = _kernels.ScanContext(sr, si, ct, st_).panel(step, lo, hi)
+            assert (panel.terms is None) == (lo > 0)
+            # a carry of -0.0, so that sums of signed zeros keep either
+            # sign
+            panel.rows[:, 0] = -0.0
             # blocks of 4, 4, 4 and 2, each chained onto the last
-            for start in range(0, bins.size, 4):
-                ks = bins[start:start + 4]
+            for ks in blocks_of(bins):
                 panel.add(ks)
                 idx = (ks[:, None] * m) % n
                 re = sr[ks, None] * ct[idx] - si[ks, None] * st_[idx]
@@ -415,6 +442,31 @@ class TestProbePanels:
         zeros = sums[sums == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         assert np.isinf(sums).any() and np.isnan(sums).any()
+
+    @pytest.mark.parametrize("lo, hi, step", PANEL_CASES)
+    def test_reused_panel_sums_as_a_fresh_one(self, lo, hi, step,
+                                              monkeypatch):
+        # a record's bands share its panels: the next band's starts from
+        # a +0.0 carry, not from the nan the last band left, and sums
+        # what a panel of a fresh context sums, bit for bit
+        monkeypatch.setattr(_kernels, "BLOCK", 4)
+        sr, si, ct, st_ = panel_spectrum(32, step)
+        first, second = ((np.arange(1, 15), np.arange(5, 15)) if step > 0
+                         else (np.arange(14, 0, -1), np.arange(10, 0, -1)))
+        scan = _kernels.ScanContext(sr, si, ct, st_)
+        with np.errstate(invalid="ignore"):
+            panel = scan.panel(step, lo, hi)
+            for ks in blocks_of(first):
+                panel.add(ks)
+            assert np.isnan(panel.rows[:, 0]).any()
+            assert scan.panel(step, lo, hi) is panel
+            carry = panel.rows[:, 0]
+            assert (carry == 0.0).all() and not np.signbit(carry).any()
+            fresh = _kernels.ScanContext(sr, si, ct, st_).panel(step, lo, hi)
+            for ks in blocks_of(second):
+                panel.add(ks)
+                fresh.add(ks)
+                assert panel.rows.tobytes() == fresh.rows.tobytes()
 
     def test_noise_builds_fewer_tails_than_heads(self, monkeypatch):
         # most probe blocks of white noise have no candidate that passes
@@ -461,7 +513,8 @@ class TestCertifiedChecks:
         ct, st_ = _kernels.twiddle_tables(n)
         k_max = (n + 1) // 2 - 1
         for bins in (np.arange(n // 9, k_max + 1), np.arange(k_max, 0, -1)):
-            check = _kernels._Check(sr, si, ct, st_, bins, 0)
+            scan = _kernels.ScanContext(sr, si, ct, st_)
+            check = _kernels._Check(scan, bins, 0)
             for count in (1, 7, bins.size // 2, bins.size):
                 zr, zi = sequential_sums(sr, si, ct, st_, bins, count)
                 band = np.zeros(n, dtype=np.complex128)
@@ -495,7 +548,8 @@ class TestCertifiedChecks:
         sr, si, c = spread_spectrum(3, n)
         ct, st_ = _kernels.twiddle_tables(n)
         bins = np.arange((n + 1) // 2 - 1, 0, -1)
-        check = _kernels._Check(sr, si, ct, st_, bins, 254)
+        check = _kernels._Check(_kernels.ScanContext(sr, si, ct, st_), bins,
+                                254)
         pos = bins.size - 1
         check._transform(pos)
         ms = np.arange(n)
@@ -754,3 +808,108 @@ class TestCheckPaths:
 
         scan()
         assert calls
+
+
+def walk_on_one_context(c, scan, eps, neighbours=False):
+    """The maximal partition of the record of coefficients ``c``, its
+    bands scanned through one shared context, as ``decompose`` scans
+    them. Each band's edge must equal that of a fresh ``scan_boundary``
+    on the band's bins. With ``neighbours``, so must the edge of the
+    band one bin over, scanned next on the same context: it has as many
+    candidates, so its checks judge the very positions the band's did.
+    Returns the cells in extraction order."""
+    n = c.size
+    sr, si = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
+    ct, st_ = _kernels.twiddle_tables(n)
+    shared = _kernels.ScanContext(sr, si, ct, st_)
+    cells = []
+    k_max = (n + 1) // 2 - 1
+    lo, hi = 1, k_max
+    while lo <= hi:
+        bins = (np.arange(lo, hi + 1) if scan == "lth"
+                else np.arange(hi, lo - 1, -1))
+        edge = shared.boundary(bins, eps, True)
+        assert edge == _kernels.scan_boundary(sr, si, ct, st_, bins, eps,
+                                              True), (lo, hi)
+        other = bins - 1 if lo > 1 else bins + 1
+        if neighbours and other.max() <= k_max:
+            assert (shared.boundary(other, eps, True)
+                    == _kernels.scan_boundary(sr, si, ct, st_, other, eps,
+                                              True)), (lo, hi)
+        if edge == -1:
+            cells.append([lo, hi])
+            break
+        if scan == "lth":
+            cells.append([lo, edge])
+            lo = edge + 1
+        else:
+            cells.append([edge, hi])
+            hi = edge - 1
+    return cells
+
+
+# a child process decomposes one record alone and prints its digest
+DIGEST = """
+import hashlib, sys
+import numpy as np
+from fdmkit import FdmConfig, Signal, decompose
+
+def digest(seed, scan):
+    x = np.random.default_rng(seed).standard_normal(4096)
+    r = decompose(Signal(x, 100.0), FdmConfig(scan=scan, search="max"))
+    h = hashlib.sha256(repr([b.partition_range for b in r.fibfs]).encode())
+    for b in r.fibfs:
+        h.update(b.phase.tobytes())
+        h.update(b.fibf.tobytes())
+    return h.hexdigest()
+
+if __name__ == "__main__":
+    print(digest(int(sys.argv[1]), sys.argv[2]))
+"""
+
+
+class TestScanContext:
+    """A record's bands share one scan context; no band may see
+    another's state, and no record another record's."""
+
+    @pytest.mark.parametrize("scan", ["lth", "htl"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noise_bands_match_fresh_scans(self, seed, scan):
+        _, _, c = spectrum_of(seed, 4096)
+        assert len(walk_on_one_context(c, scan, 0.0)) > 10
+
+    def test_golden_rows_match_fresh_scans_at_small_constants(
+            self, monkeypatch):
+        # the probe's panels and the checks' windows, with drops, on
+        # every short golden record, as in test_golden
+        from make_golden import FIXTURE, SAMPLE_RATE_HZ
+        from fdmkit import GeneratorSpec, generate
+        from fdmkit.spectral import dft_coefficients
+        for name, value in (("PROBE", 16), ("HEAD", 5), ("BLOCK", 5),
+                            ("WINDOW", 40), ("DROPS", 3)):
+            monkeypatch.setattr(_kernels, name, value)
+        rows = [r for r in json.loads(FIXTURE.read_text())
+                if r["search"] == "max" and r["n"] <= 256]
+        assert len(rows) == 156
+        for r in rows:
+            c = dft_coefficients(generate(GeneratorSpec(
+                kind=r["kind"], n=r["n"], sample_rate_hz=SAMPLE_RATE_HZ,
+                seed=r["seed"])).samples)
+            cells = walk_on_one_context(c, r["scan"], r["tol"],
+                                        neighbours=r["tol"] == 0.0)
+            assert cells == r["partition_ranges"], r
+
+    def test_a_record_decomposes_as_it_does_alone(self):
+        # record B after record A of the same length in one process,
+        # against B in a process of its own
+        here = {"__name__": "digest"}
+        exec(DIGEST, here)
+        here["digest"](0, "lth")
+        after_a = here["digest"](1, "lth")
+        src = Path(_kernels.__file__).parents[1]
+        alone = subprocess.run(
+            [sys.executable, "-c", DIGEST, "1", "lth"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=300)
+        assert alone.returncode == 0, alone.stderr[-2000:]
+        assert alone.stdout.strip() == after_a
