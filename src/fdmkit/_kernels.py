@@ -45,9 +45,10 @@ order) is judged at every sample: by the certified check described
 below, with one more window, judged first, for the probe's samples
 (``_Check.whole``). Under max an admissible top is the answer, and on
 single-band records (chirps, FM tones, model waves) it is, so they
-build no probe. A top found inadmissible is left out of the
-survivors. The top check takes certificates only: a window they leave
-open (a unit sample's, whose whole-band |z_f| sits under 2 delta almost
+build no probe. A failed top that survives the probe fails its check
+again, at the cost of a judgement: its windows are still loaded at it.
+The top check takes certificates only: a window they leave open (a
+unit sample's, whose whole-band |z_f| sits under 2 delta almost
 everywhere) leaves its verdict open, and the probe and the survivors'
 checks settle the band as before, for less than exact sums over that
 window would cost. The bits hold: a settled top check judges z_seq at
@@ -151,19 +152,19 @@ tables and the complex table ``tab`` the checks' drops read, the
 checks' transform buffers and windows, and the probe panels. Each is
 built on its first use and handed to the next band reset: a panel's
 carry goes back to +0.0, a window's ``count`` to 0, so that it reaches
-no candidate of another band. Under the maximal search every band
-re-probes each bin above its start, and the head's term of bin k at
-sample m, c_k e^{i 2 pi k m / n}, does not depend on the band: the
-context builds the head's terms of every bin once, on the first probe,
-BLOCK bins at a time by the very ``_term`` a block would run, and a
-head block copies its rows out of that table, a reversed slice for
-descending bins, before its cumsum. The table takes about 512 n bytes
-(2.1 MB at n=4096), and ``decompose`` refuses a record whose context
-would pass ``spectral.MAX_VALUES`` (``context_values``). The tail's
-table would be three times as large, so the tail builds its blocks'
-terms: twiddle indices k m mod n from the panel's table of j step m
-mod n plus the block's row k0 m mod n, folded back into [0, n) by
-``_fold`` with no division per block, then ``_term``.
+no candidate of another band. A panel builds a block's terms
+(``_Panel.build``) from twiddle indices k m mod n: its table of j step
+m mod n plus the block's row k0 m mod n, folded back into [0, n) by
+``_fold`` with no division per block, then ``_term``. The head's term
+of bin k at sample m, c_k e^{i 2 pi k m / n}, does not depend on the
+band, and under the maximal search every band re-probes each bin above
+its start: so on the first probe an ascending panel of the head builds
+every bin's head terms into one table (``ScanContext.head_terms``), and
+a head block copies its rows out of it, a reversed slice for descending
+bins, before its cumsum. The table takes about 512 n bytes (2.1 MB at
+n=4096), and ``decompose`` refuses a record whose context would pass
+``spectral.MAX_VALUES`` (``context_values``). The tail's table would be
+three times as large, so a tail block builds its own terms.
 """
 import functools
 import math
@@ -628,10 +629,10 @@ class _Panel:
     is summed but never judged.
 
     The head copies a block's terms from the record's table ``terms``
-    (``ScanContext.head_terms``), bins in scan order. Without one, a
-    block builds its terms: twiddle indices from ``table``, j step m
-    mod n for row j, plus the block's row k0 m mod n, folded back into
-    [0, n), then ``_term``.
+    (``ScanContext.head_terms``), bins in scan order, at its own
+    samples. Without one, a block builds its terms (``build``): twiddle
+    indices from ``table``, j step m mod n for row j, plus the block's
+    row k0 m mod n, folded back into [0, n), then ``_term``.
     """
 
     def __init__(self, scan, step, lo, hi, terms=None):
@@ -653,24 +654,30 @@ class _Panel:
         self.work = [np.empty(BLOCK * wide)
                      for _ in range(3 if wide == self.width else 5)]
 
+    def build(self, ks, out):
+        """The terms of the block of candidates ``ks`` at the panel's
+        samples, real parts into out[0] and imaginary into out[1]."""
+        sr, si, cos_tab, sin_tab = self.coeffs
+        n = sr.shape[0]
+        b, wide = ks.size, self.m.size
+        idx = self.idx[:b]
+        np.add(self.table[:b], (int(ks[0]) * self.m) % n, out=idx)
+        _fold(idx, n, self.alt[:b])
+        wr, wi = (w[:b * wide].reshape(b, wide) for w in self.work[:2])
+        _term(sr[ks, None], si[ks, None], idx, cos_tab, sin_tab,
+              (wr, wi, out[0], out[1]))
+
     def add(self, ks):
         """Sum the block of candidates ``ks`` onto the carried row."""
         b = ks.size
         k = int(ks[0])
         rows = self.rows[:, 1:b + 1]
         if self.terms is None:
-            sr, si, cos_tab, sin_tab = self.coeffs
-            n = sr.shape[0]
-            wide = self.m.size
-            np.add(self.table[:b], (k * self.m) % n, out=self.idx[:b])
-            _fold(self.idx[:b], n, self.alt[:b])
-            wr, wi = (w[:b * wide].reshape(b, wide) for w in self.work[:2])
-            _term(sr[ks, None], si[ks, None], self.idx[:b], cos_tab,
-                  sin_tab, (wr, wi, rows[0], rows[1]))
+            self.build(ks, rows)
         elif self.step > 0:
-            rows[...] = self.terms[:, k:k + b]
+            rows[...] = self.terms[:, k:k + b, :self.m.size]
         else:
-            rows[...] = self.terms[:, k - b + 1:k + 1][:, ::-1]
+            rows[...] = self.terms[:, k - b + 1:k + 1, :self.m.size][:, ::-1]
         pairs = self.pairs[:, :b + 1]
         np.cumsum(pairs, axis=1, out=pairs)
         self.rows[:, 0] = self.rows[:, b]
@@ -711,7 +718,8 @@ class ScanContext:
     A band resets what it takes: a panel's carry goes back to +0.0 and
     a window's ``count`` to 0, so a window reaches no candidate of
     another band. Under the maximal search every band re-probes the bins
-    above its start; their head terms come from one table, built once.
+    above its start; their head terms come from one table, built once
+    by a panel of the head.
     """
 
     def __init__(self, sr, si, cos_tab, sin_tab):
@@ -719,7 +727,6 @@ class ScanContext:
         self.n = sr.shape[0]
         self._windows = {}
         self._panels = {}
-        self._head = None
 
     @functools.cached_property
     def fft_error(self):
@@ -753,34 +760,24 @@ class ScanContext:
         key = step, lo, hi, BLOCK
         p = self._panels.get(key)
         if p is None:
-            terms = self.head_terms(hi + hi % 2) if lo == 0 else None
+            terms = self.head_terms if lo == 0 else None
             p = self._panels[key] = _Panel(self, step, lo, hi, terms)
         p.rows[:, 0] = 0.0
         return p
 
-    def head_terms(self, wide):
+    @functools.cached_property
+    def head_terms(self):
         """c_k e^{i 2 pi k m / n} of every bin k <= n // 2 at the samples
-        m < ``wide``: real parts in [0], imaginary in [1]. ``_term`` builds
-        them over (k m) mod n, BLOCK bins at a time, with the bits the
-        terms of a probe block get."""
-        if self._head is not None and self._head.shape[2] == wide:
-            return self._head
-        sr, si, cos_tab, sin_tab = self.coeffs
-        n = self.n
-        bins = n // 2 + 1
-        terms = np.empty((2, bins, wide))
-        m = np.arange(wide)
-        idx = np.empty((BLOCK, wide), dtype=np.intp)
-        work = np.empty((2, BLOCK, wide))
+        of the probe's head: real parts in [0], imaginary in [1]. An
+        ascending panel of the head builds them BLOCK bins at a time,
+        with the bits its own blocks would get."""
+        h = min(HEAD, PROBE, self.n)
+        bins = self.n // 2 + 1
+        panel = _Panel(self, 1, 0, h)
+        terms = np.empty((2, bins, panel.m.size))
         for k in range(0, bins, BLOCK):
             ks = np.arange(k, min(k + BLOCK, bins))
-            b = ks.size
-            np.multiply.outer(ks, m, out=idx[:b])
-            idx[:b] %= n
-            _term(sr[ks, None], si[ks, None], idx[:b], cos_tab, sin_tab,
-                  (work[0, :b], work[1, :b], terms[0, k:k + b],
-                   terms[1, k:k + b]))
-        self._head = terms
+            panel.build(ks, terms[:, k:k + ks.size])
         return terms
 
     def boundary(self, bins, eps, exhaustive):
@@ -806,14 +803,11 @@ class ScanContext:
                     break
             return int(bins[best]) if best != -1 else -1
         p = min(PROBE, n)
-        top = bins.size - 1
-        whole = None
         if p < n:
             # the top candidate on every sample first, with no exact
             # sums (see the module docstring)
             check = _Check(self, bins, p - 2)
-            whole = check.whole(top, eps)
-            if whole:
+            if check.whole(bins.size - 1, eps):
                 return int(bins[-1])
         step = int(bins[1] - bins[0]) if bins.size > 1 else 1
         h = min(HEAD, p)
@@ -836,9 +830,6 @@ class ScanContext:
                 queued.clear()
                 passed &= tail.judge(ks, eps)
             survivors += (start + np.flatnonzero(passed)).tolist()
-        if whole is False and survivors and survivors[-1] == top:
-            # the top is known to fail; no second check
-            survivors.pop()
         if survivors and p < n:
             best = next((pos for pos in reversed(survivors)
                          if check(pos, eps)), -1)
@@ -862,8 +853,8 @@ def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
     The exhaustive search returns the largest admissible candidate.
     On a record longer than PROBE, the top candidate is checked first
     on every sample (``_Check.whole``), on certificates alone; a pass
-    is the answer, a fail drops it, and a window left open leaves it to
-    the probe. Every candidate is then judged on its first PROBE
+    is the answer, and a fail or a window left open leaves it to the
+    probe. Every candidate is then judged on its first PROBE
     samples, built BLOCK candidates at a time: first on the head
     panel, samples 0..HEAD-1, and only then, for a block with a head
     survivor, on the tail panel, samples HEAD-2..PROBE-1, whose sums

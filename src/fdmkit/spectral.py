@@ -69,6 +69,12 @@ def check_sample_rate(fs, n: int) -> float:
     return fs
 
 
+def sample_times(n: int, fs: float, t0: float) -> np.ndarray:
+    """Times in seconds of the n samples of a record taken at ``fs`` Hz
+    from ``t0``: every time axis of a record reads these bits."""
+    return t0 + np.arange(n) / fs
+
+
 @dataclass
 class Signal:
     """A uniformly sampled real time series.
@@ -116,7 +122,7 @@ class Signal:
 
     def times(self) -> np.ndarray:
         """Sample times in seconds."""
-        return self.start_time_s + np.arange(self.n) / self.sample_rate_hz
+        return sample_times(self.n, self.sample_rate_hz, self.start_time_s)
 
 
 @dataclass

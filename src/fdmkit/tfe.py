@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ParameterError
 from .fdm import DecompositionResult
 from .spectral import MAX_VALUES as MAX_CELLS  # most cells a binned product holds
-from .spectral import check_type, is_real
+from .spectral import check_type, is_real, sample_times
 
 
 @dataclass
@@ -49,7 +49,7 @@ def fhs(result: DecompositionResult) -> TfePoints:
     """
     check_type(result, DecompositionResult, "result")
     n, bands = result.n, result.fibfs
-    t = result.start_time_s + np.arange(n) / result.sample_rate_hz
+    t = sample_times(n, result.sample_rate_hz, result.start_time_s)
     freqs = np.array([b.inst_freq_hz for b in bands], dtype=np.float64).reshape(-1)
     neg = freqs < 0.0
     freqs[neg] = 0.0

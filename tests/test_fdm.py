@@ -24,7 +24,7 @@ from fdmkit import (
     reconstruct,
     unwrap_phase,
 )
-from fdmkit import _kernels, fdm
+from fdmkit import _kernels, fdm, siggen
 from fdmkit.fdm import _trim_bin_range
 from fdmkit.spectral import MAX_VALUES
 from numpy._core._multiarray_umath import __cpu_features__
@@ -164,6 +164,30 @@ class TestDecomposeBasics:
         assert 0.0 < r.reconstruction_error < TOL
         assert r.reconstruction_error == pytest.approx(
             base.reconstruction_error, rel=1e-6)
+
+    @given(st.sampled_from(sorted(siggen._GENERATORS)),
+           st.sampled_from([64, 255, 300]), st.sampled_from(["lth", "htl"]),
+           st.sampled_from(["max", "first"]), st.sampled_from([None, 3]),
+           st.integers(-960, 990))
+    @settings(max_examples=200, deadline=None)
+    def test_scaling_by_a_power_of_two_keeps_the_partition(
+            self, kind, n, scan, search, cap, exponent):
+        # x * 2^k scales every coefficient, term and sum exactly, so the
+        # scan judges the same phases. The range stops short of where
+        # np.arctan2 may return other bits for scaled inputs (by 1
+        # ulp(pi), from about 2^993 up and for a few below 2^-999) and
+        # where twiddle products of the coefficients go subnormal
+        x = generate(GeneratorSpec(kind=kind, n=n, sample_rate_hz=128.0,
+                                   seed=0))
+        config = FdmConfig(scan=scan, search=search, max_fibfs=cap)
+        base = decompose(x, config)
+        r = decompose(Signal(x.samples * 2.0 ** exponent, x.sample_rate_hz),
+                      config)
+        assert [b.partition_range for b in r.fibfs] == \
+            [b.partition_range for b in base.fibfs]
+        assert r.non_monotone == base.non_monotone
+        assert r.merged_tail == base.merged_tail
+        assert r.reconstruction_error <= TOL
 
     @pytest.mark.parametrize("cap", [2.5, 3.0, True, "3"])
     def test_max_fibfs_must_be_an_integer(self, cap):

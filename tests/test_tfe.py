@@ -53,6 +53,16 @@ class TestFhs:
         # times repeat per band
         assert np.array_equal(pts.times_s[:r.n], pts.times_s[r.n:2 * r.n])
 
+    def test_times_are_the_signal_times_bit_for_bit(self):
+        # cmd_tfe bins the points' times onto signal.times(), so the two
+        # must agree to the last bit, here at an offset and a rate whose
+        # times are inexact
+        s = Signal(np.random.default_rng(0).standard_normal(300), 3.0,
+                   start_time_s=0.1)
+        r = decompose(s)
+        assert r.n_fibfs > 1
+        assert fhs(r).times_s[:r.n].tobytes() == s.times().tobytes()
+
     def test_values_copy_band_fields(self):
         r = two_tone_result()
         pts = fhs(r)
