@@ -447,6 +447,13 @@ class _Window:
         self.terms = np.empty((self.limit, size), dtype=np.complex128)
         self.work = [np.empty(size) for _ in range(3)]
 
+    @staticmethod
+    def values(size, limit):
+        """Float64 values a window of ``size`` samples holds: 6 a sample
+        for its indices, sums and three work rows, and 3 a cell for the
+        twiddle indices and terms of the bins it drops at a time."""
+        return size * (6 + 3 * min(limit, _CHUNK // size))
+
     def reaches(self, pos):
         return 0 <= self.count - pos - 1 <= self.limit
 
@@ -527,6 +534,17 @@ def _fails_at(z, dm, omega, i, eps, delta):
             and omega[i] + 0.5 * (step0 + step1) + _ROUND < -eps)
 
 
+def _spans(n, start, slow):
+    """(lo, hi, limit) of each window of a check from ``start``: the
+    samples up to WINDOW from it, then the rest, which drop bins only
+    where the record's transform is slow."""
+    end = min(start + WINDOW, n)
+    spans = [(start, end, DROPS)]
+    if end < n:
+        spans.append((end - 2, n, DROPS if slow else 0))
+    return spans
+
+
 class _Check:
     """Certified full checks of the candidates ``bins[:pos + 1]`` on
     samples ``start``..n-1 (see the module docstring), for one band of
@@ -560,10 +578,7 @@ class _Check:
             self.dseq = 1.001 * (self.l1 * (_TAU + g * (1 + _TAU)) + tiny)
             self.dfft = 1.001 * (math.sqrt(n) * theta
                                  * np.minimum(self.l1, l2) + tiny)
-        end = min(start + WINDOW, n)
-        self.windows = [scan.window(start, end, DROPS)]
-        if end < n:
-            self.windows.append(scan.window(end - 2, n, DROPS if slow else 0))
+        self.windows = [scan.window(*w) for w in _spans(n, start, slow)]
 
     def _transform(self, pos):
         """z_f of candidate ``pos``; every window is loaded from it."""
@@ -695,17 +710,29 @@ class _Panel:
         return _admissible_rows(zr, zi, eps, flat[:3])
 
 
-def context_values(n, exhaustive):
+def context_values(n, exhaustive, merges=False):
     """Float64 values in the record-wide tables of the scan context of
     an n-sample record: the complex twiddle table and the checks' two
-    transform buffers, 6 n, and under the maximal search the probe
-    head's term table, 2 (n // 2 + 1) values a sample of the head, about
-    512 n bytes. The checks' windows and the probe panels are left out;
-    the panels' size does not grow with n."""
+    transform buffers, 6 n; under the maximal search the probe head's
+    term table, 2 (n // 2 + 1) values a sample of the head, about 512 n
+    bytes, and the windows of the checks every band runs; and, if a tail
+    ``merges``, the windows of its check. Windows take about 6 values a
+    sample of the record, each set counted as if the transform were
+    slow. The probe panels are left out; their size does not grow with
+    n."""
+    def windows(start):
+        return sum(_Window.values(hi - lo, limit)
+                   for lo, hi, limit in _spans(n, start, True))
+
     values = 6 * n
     if exhaustive:
         h = min(HEAD, PROBE, n)
         values += 2 * (n // 2 + 1) * (h + h % 2)
+        if PROBE < n:
+            # the boundary's checks, and the window ``whole`` adds
+            values += windows(PROBE - 2) + _Window.values(PROBE, 0)
+    if merges:
+        values += windows(0)
     return values
 
 

@@ -19,6 +19,7 @@ import array
 import contextlib
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import logging
@@ -370,13 +371,24 @@ _CHUNK_CELLS = 1 << 16
 # lies in such a run, while a table narrower than this takes no mask
 _ZERO_RUN = 64
 
+# how each format separates the cells of a row and ends a row, and how
+# it spells the repr of a non-finite cell
+_LAYOUT = {
+    "csv": (b",", b"\n", {}),
+    "json": (b",\n      ", b"\n    ],\n    [\n      ",
+             {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}),
+}
 
-def _csv_rows(block: np.ndarray):
+
+def _csv_rows(block: np.ndarray, fmt: str = "csv"):
     """CSV lines of a C-contiguous float64 block, each cell repr(v), as
-    bytes-like ASCII text.
+    bytes-like ASCII text; with ``fmt`` "json", the rows of a JSON table
+    laid out as ``_write_json`` lays them out, each ended as if another
+    row followed (``_json_rows`` frames them), with nan and inf spelled
+    NaN and Infinity.
 
     One orjson call prints the flattened block as ``[v,v,...,v]``; in
-    that buffer every ncol-th comma then becomes a newline, and so does
+    that buffer every ncol-th comma then marks a row end, and so does
     the closing bracket. orjson prints the shortest round-trip digits,
     as repr does, and in the same fixed notation for 1e-4 <= |v| < 1e16
     and zero. Outside that range its notation differs (``1e16``,
@@ -386,8 +398,10 @@ def _csv_rows(block: np.ndarray):
     In a block of at least _ZERO_RUN columns, each run of at least
     _ZERO_RUN +0.0 cells within one row (-0.0 cuts a run) goes to
     orjson as its last cell only, and that cell's text is spliced over
-    with the run's ``0.0,...,0.0``, built by repeating ``b"0.0,"``.
+    with the run's ``0.0,...,0.0``, built by repeating ``0.0`` and the
+    format's cell separator.
     """
+    comma, newline, names = _LAYOUT[fmt]
     flat = block.reshape(-1)
     ncol = block.shape[1]
     cells, width = flat, None
@@ -403,26 +417,38 @@ def _csv_rows(block: np.ndarray):
     buf[-1] = ord(",")  # so that every cell, the last too, ends at a comma
     chars = np.frombuffer(buf, dtype=np.uint8)
     ends = np.flatnonzero(chars == ord(","))
-    if width is None:
-        chars[ends[ncol - 1::ncol]] = ord("\n")
-    else:
-        # every row's last cell is kept, the last of a run that ends it too
-        row_ends = np.arange(ncol - 1, flat.size, ncol)
-        chars[ends[np.searchsorted(keep, row_ends)]] = ord("\n")
+    # the kept cells that end a row: every row's last cell is kept, the
+    # last of a run that ends it too
+    row_ends = np.arange(ncol - 1, flat.size, ncol)
+    if width is not None:
+        row_ends = np.searchsorted(keep, row_ends)
+    # JSON's separators hold commas and newlines, so its row ends wait
+    # as ";", a byte no cell holds, while the commas expand
+    chars[ends[row_ends]] = ord("\n" if fmt == "csv" else ";")
+    starts = np.where(spliced > 0, ends[spliced - 1] + 1, 1)
+    stops = ends[spliced]
+    if fmt != "csv":
+        buf = buf.replace(b",", comma).replace(b";", newline)
+        # before cell i lie i separators, r of them row ends
+        r = np.searchsorted(row_ends, spliced)
+        shift = spliced * (len(comma) - 1) + r * (len(newline) - len(comma))
+        starts += shift
+        stops += shift
     text = memoryview(buf)
     if not spliced.size:
         return text[1:]
-    starts = np.where(spliced > 0, ends[spliced - 1] + 1, 1)
     widths = itertools.repeat(1) if width is None else width[spliced].tolist()
+    zero = b"0.0" + comma
     pieces, prev = [], 1
-    for start, end, v, w in zip(starts.tolist(), ends[spliced].tolist(),
-                                cells[spliced].tolist(), widths):
+    for start, stop, v, w in zip(starts.tolist(), stops.tolist(),
+                                 cells[spliced].tolist(), widths):
         if w == 1:
-            cell = repr(v).encode()
+            cell = repr(v)
+            cell = names.get(cell, cell).encode()
         else:  # the last cell of a run of w zeros
-            cell = memoryview(b"0.0," * w)[:-1]
+            cell = memoryview(zero * w)[:-len(comma)]
         pieces += [text[prev:start], cell]
-        prev = end
+        prev = stop
     pieces.append(text[prev:])
     return b"".join(pieces)
 
@@ -456,14 +482,6 @@ def _zero_runs(flat: np.ndarray, ncol: int):
     return keep, width
 
 
-def _repr_cells(values: np.ndarray) -> list:
-    """repr(v) of each float of a 1-D array, through the table writer."""
-    if not values.size:
-        return []
-    line = _csv_rows(np.ascontiguousarray(values, dtype=np.float64)[None, :])
-    return bytes(line[:-1]).decode().split(",")
-
-
 def _atomic_write(path: str, chunks):
     """Write the bytes-like ``chunks``, in order, to ``path`` atomically."""
     # a temp file of this call's own next to the target, so concurrent
@@ -486,23 +504,30 @@ def _write_table(out_dir: str, stem: str, header: list, columns: list,
                  fmt: str) -> str:
     """Write a table with one name per column; returns the file name.
 
-    Each entry of ``columns`` is a 1-D array (one column) or a 2-D
-    array (its columns, in order); all have the same number of rows.
-    Both formats are written one chunk of rows at a time, formatted by
+    ``header`` is the list of names, or the CSV bytes of the header row
+    when no name holds a comma or needs escaping in JSON. Each entry of
+    ``columns`` is a 1-D array (one column) or a 2-D array (its
+    columns, in order); all have the same number of rows. Both formats
+    are written one chunk of rows at a time, formatted by
     ``_csv_rows``; JSON frames them to the bytes ``_write_json`` gives
     the whole document (nan and inf spelled NaN and Infinity).
     """
     nrows = len(columns[0])
-    step = max(1, _CHUNK_CELLS // len(header))
+    if isinstance(header, bytes):
+        line, ncol = header, header.count(b",") + 1
+    else:
+        line, ncol = ",".join(header).encode(), len(header)
+    step = max(1, _CHUNK_CELLS // ncol)
     blocks = (_csv_rows(np.ascontiguousarray(
-        np.column_stack([c[i:i + step] for c in columns]), dtype=np.float64))
-        for i in range(0, nrows, step))
+        np.column_stack([c[i:i + step] for c in columns]), dtype=np.float64),
+        fmt) for i in range(0, nrows, step))
     if fmt == "csv":
-        chunks = itertools.chain([(",".join(header) + "\n").encode()], blocks)
+        chunks = itertools.chain([line + b"\n"], blocks)
     else:
         # the rows take the place of the null line of a one-row
         # document; a quoted header name never prints as that line
-        doc = {"schema_version": SCHEMA_VERSION, "columns": header,
+        names = line.decode().split(",") if isinstance(header, bytes) else header
+        doc = {"schema_version": SCHEMA_VERSION, "columns": names,
                "rows": [None] if nrows else []}
         head, _, tail = (json.dumps(doc, sort_keys=True, indent=2)
                          + "\n").encode().partition(b"\n    null")
@@ -514,15 +539,14 @@ def _write_table(out_dir: str, stem: str, header: list, columns: list,
 
 def _json_rows(blocks):
     """The rows of a JSON table, indented as in ``_write_json``'s
-    document, from the CSV text of each block of rows."""
+    document, from the JSON text of each block of rows."""
+    # a block ends its last row as if another row followed; that row's
+    # opening, ``sep``, is cut from it and written before the next block
     sep = b"\n    [\n      "
     for text in blocks:
-        # row ends wait as ";", a byte no cell holds, while commas expand
-        rows = bytes(text[:-1]).replace(b"\n", b";").replace(b",", b",\n      ")
-        rows = rows.replace(b";", b"\n    ],\n    [\n      ")
-        yield (sep + rows.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
-               + b"\n    ]")
+        yield sep
         sep = b",\n    [\n      "
+        yield memoryview(text)[:-len(sep)]
 
 
 def _write_json(path: str, doc: dict):
@@ -660,6 +684,15 @@ class _GridRows:
         return rasterize(block, t_axis, f_axis[lo:hi], mode=mode).cells
 
 
+def _grid_header(t_axis: np.ndarray) -> bytes:
+    """The CSV header row of the tfe grid: ``f_hz``, then repr(t) of
+    each time, formatted by the table writer."""
+    if not t_axis.size:
+        return b"f_hz,"
+    line = _csv_rows(np.ascontiguousarray(t_axis, dtype=np.float64)[None, :])
+    return b"f_hz," + line[:-1]
+
+
 def cmd_tfe(args) -> int:
     df = args.freq_bin
     signal = _load_signal(args)
@@ -680,7 +713,7 @@ def cmd_tfe(args) -> int:
         ("tfe_points", ["t", "f", "a", "fibf"],
          [points.times_s, points.freqs_hz, points.amplitudes,
           points.fibf_index.astype(np.float64)]),
-        ("tfe_grid", ["f_hz", *_repr_cells(t_axis)],
+        ("tfe_grid", _grid_header(t_axis),
          [f_axis, _GridRows(points, t_axis, f_axis, args.mode)]),
     ]
 
@@ -779,9 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
     binned.add_argument("--freq-bin", type=_freq_bin, default=1.0,
                         help="frequency bin width in Hz")
 
-    p = sub.add_parser("decompose", parents=[io, fdm],
-                       help="split a record into intrinsic bands")
-    p.set_defaults(func=cmd_decompose)
+    sub.add_parser("decompose", parents=[io, fdm],
+                   help="split a record into intrinsic bands")
 
     p = sub.add_parser("mfdm", parents=[io],
                        help="zero-phase filter bank over all channels")
@@ -791,25 +823,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of ladder levels")
     p.add_argument("--cutoffs", default=None,
                    help="explicit comma-separated cutoffs in Hz, high to low")
-    p.set_defaults(func=cmd_mfdm)
 
     p = sub.add_parser("tfe", parents=[io, fdm, binned],
                        help="time-frequency point set and grid")
     p.add_argument("--mode", choices=("amplitude", "energy"), default="energy",
                    help="grid cell statistic")
-    p.set_defaults(func=cmd_tfe)
 
-    p = sub.add_parser("marginal", parents=[io, fdm, binned],
-                       help="frequency marginal of the point set")
-    p.set_defaults(func=cmd_marginal)
-
-    p = sub.add_parser("energy", parents=[io, fdm],
-                       help="instantaneous energy trace")
-    p.set_defaults(func=cmd_energy)
-
-    p = sub.add_parser("generate", parents=[io],
-                       help="write a generated or re-read record as a table")
-    p.set_defaults(func=cmd_generate)
+    sub.add_parser("marginal", parents=[io, fdm, binned],
+                   help="frequency marginal of the point set")
+    sub.add_parser("energy", parents=[io, fdm],
+                   help="instantaneous energy trace")
+    sub.add_parser("generate", parents=[io],
+                   help="write a generated or re-read record as a table")
 
     return parser
 
@@ -828,15 +853,21 @@ def _setup_logging():
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        # looked up per call, so that a replaced cmd_* is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

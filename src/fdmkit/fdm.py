@@ -261,7 +261,8 @@ def decompose(signal: Signal, config: FdmConfig | None = None) -> DecompositionR
 
     # the scan's tables grow with n: refuse before building any of them
     values = _kernels.context_values(
-        n, config.search is SearchMode.MAXIMAL_EXHAUSTIVE)
+        n, config.search is SearchMode.MAXIMAL_EXHAUSTIVE,
+        config.max_fibfs is not None)
     if values > MAX_VALUES:
         raise ParameterError(
             f"scanning {n} samples needs {values} float64 values of scan "

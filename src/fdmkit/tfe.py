@@ -111,13 +111,17 @@ def _axis_ok(axis: np.ndarray, name: str) -> np.ndarray:
     axis = np.asarray(axis, dtype=np.float64)
     if axis.ndim != 1 or axis.size < 1:
         raise ParameterError(f"{name} must be a non-empty 1-D array")
-    if not np.all(np.diff(axis) > 0):
+    # one comparison per step; unlike np.diff it cannot overflow, and it
+    # refuses the same axes: nan and every non-increasing step
+    if not np.all(axis[1:] > axis[:-1]):
         raise ParameterError(f"{name} must be strictly increasing")
     return axis
 
 
 def _nearest_index(centers: np.ndarray, values: np.ndarray) -> np.ndarray:
-    edges = 0.5 * (centers[1:] + centers[:-1])
+    # the sum halved in place: one rounding each, as in 0.5 * (a + b)
+    edges = centers[1:] + centers[:-1]
+    edges *= 0.5
     # value exactly on an edge goes to the higher cell
     return np.searchsorted(edges, values, side="right")
 

@@ -1165,13 +1165,14 @@ class TestExitCodes:
         assert f"n must be in [2, 134217728], got {n}" in capsys.readouterr().err
 
     def test_over_budget_scan_maps_to_two(self, tmp_path, capsys):
-        # the least n whose probe head table passes MAX_VALUES
-        # (test_fdm.TestScanBudget), refused before the DFT
-        n = 1917396
+        # the least n whose scan tables, the probe head's and the
+        # checks' windows, pass MAX_VALUES (test_fdm.TestScanBudget),
+        # refused before the DFT
+        n = 1765375
         recipe = f'gen:{{"kind":"tone_mix","n":{n},"sample_rate_hz":100}}'
         assert main(["decompose", "--input", recipe,
                      "--out", str(tmp_path / "o")]) == 2
-        assert (f"scanning {n} samples needs 134217848 float64 values"
+        assert (f"scanning {n} samples needs 134217740 float64 values"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
@@ -1228,6 +1229,47 @@ class TestExitCodes:
         assert main(["decompose",
                      "--input", 'gen:{"kind":"model_wave","n":3,"sample_rate_hz":10}',
                      "--out", str(tmp_path / "o")]) == 2
+
+
+class TestParserReuse:
+    """main() parses with one parser per process; no call leaves in it
+    anything that a later call reads."""
+
+    CASES = {
+        "format": (["decompose", "--input", TONE_RECIPE, "--format", "json"],
+                   ["decompose", "--input", TONE_RECIPE]),
+        "seed": (["generate", "--input", NOISE_RECIPE, "--seed", "3"],
+                 ["generate", "--input", NOISE_RECIPE]),
+        "cutoffs": (["mfdm", "--input", TONE_RECIPE, "--cutoffs", "30,10"],
+                    ["mfdm", "--input", TONE_RECIPE, "--levels", "2"]),
+        "bad-argument": (["decompose", "--input", TONE_RECIPE, "--levels", "2"],
+                         ["decompose", "--input", TONE_RECIPE]),
+    }
+
+    @staticmethod
+    def outputs(argv, out) -> dict:
+        assert main([*argv, "--out", str(out), "--no-timestamp"]) == 0
+        return {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_consecutive_calls_are_independent(self, tmp_path, capsys, case):
+        first, second = self.CASES[case]
+        alone = self.outputs(second, tmp_path / "alone")
+        rc = main([*first, "--out", str(tmp_path / "first"), "--no-timestamp"])
+        assert rc == (2 if case == "bad-argument" else 0)
+        assert self.outputs(second, tmp_path / "second") == alone
+        # and the cached parser reads the second call as a new one would
+        argv = [*second, "--out", "o"]
+        assert (vars(cli._parser().parse_args(argv))
+                == vars(cli.build_parser().parse_args(argv)))
+        if case == "seed":
+            summary = json.loads(alone["summary.json"])
+            assert summary["seed"] == 5
+        if case == "format":
+            assert sorted(alone) == ["decomposition.csv", "summary.json"]
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
 
 
 class TestLoggingEnv:

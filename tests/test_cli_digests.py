@@ -66,6 +66,17 @@ CASES = {
         "summary.json":
             "b74175f18cf9222a317897c300a986c34869f16e9947a40083551325990d3f2f",
     }),
+    # the grid's rows are mostly runs of zeros, so this pins the JSON
+    # route's zero runs as well as the time header
+    "tfe_json": (["tfe", "--input", CHIRP, "--freq-bin", "0.75",
+                  "--format", "json"], {
+        "tfe_points.json":
+            "6a3dd4e42bf13c1ca4bc874cfaddbfa2873bcaa5000da20ac88ff7af16495091",
+        "tfe_grid.json":
+            "a27c79ab80e2800b85d20acb40081076c23913310f62c37ebb88dbe368826c32",
+        "summary.json":
+            "b74175f18cf9222a317897c300a986c34869f16e9947a40083551325990d3f2f",
+    }),
     "marginal": (["marginal", "--input", TONES, "--freq-bin", "0.5"], {
         "marginal.csv":
             "e31fddf07df76be8af9ac532cfc2befffc0c644b21c44225c42b0c4d8e89332c",

@@ -349,13 +349,17 @@ class TestSearchModes:
 def least_over_budget():
     """The shortest record whose maximal scan needs more than
     MAX_VALUES: the probe head's term table, 64 samples of each bin
-    k <= n // 2 in real and imaginary parts (about 512 n bytes), plus
-    6 n for the complex twiddle table and the checks' two transform
-    buffers."""
+    k <= n // 2 in real and imaginary parts (about 512 n bytes), 6 n
+    for the complex twiddle table and the checks' two transform
+    buffers, and the checks' windows: 6 values a sample over the n + 4
+    samples they span, and the twiddle indices and terms of the 16 bins
+    the leading window of 1,024 samples drops at a time (past 2**18
+    samples the long window drops none)."""
     lo, hi = 4, MAX_VALUES
     while lo < hi:
         mid = (lo + hi) // 2
-        if 2 * (mid // 2 + 1) * 64 + 6 * mid > MAX_VALUES:
+        if (2 * (mid // 2 + 1) * 64 + 6 * mid + 6 * (mid + 4)
+                + 3 * 16 * 1024 > MAX_VALUES):
             hi = mid
         else:
             lo = mid + 1
@@ -370,6 +374,30 @@ class TestScanBudget:
                 >= _kernels.context_values(n - 1, True))
         # the first-violation search builds no probe
         assert _kernels.context_values(n, False) == 6 * n
+
+    @pytest.mark.parametrize("n", [300, 2000, 20011, 300000, 300007])
+    def test_windows_are_counted(self, n):
+        # every window a record's checks can open, those of a merged
+        # tail too; exact where the transform is slow (20011 and 300007
+        # have prime factors past 11) or the long window too long to drop
+        scan = _kernels.ScanContext(np.ones(n), np.zeros(n),
+                                    *_kernels.twiddle_tables(n))
+        bins = np.arange(1, n // 2)
+        check = _kernels._Check(scan, bins, _kernels.PROBE - 2)
+        boundary = [scan.window(0, _kernels.PROBE, 0), *check.windows]
+        tail = _kernels._Check(scan, bins, 0).windows
+
+        def held(windows):
+            return sum(a.nbytes for w in windows
+                       for a in [w.m, w.z, w.idx, w.terms, *w.work]) // 8
+
+        head = 2 * (n // 2 + 1) * 64
+        counted = _kernels.context_values(n, True) - 6 * n - head
+        merged = _kernels.context_values(n, False, True) - 6 * n
+        assert _kernels.context_values(n, True, True) == 6 * n + head + counted + merged
+        assert held(boundary) <= counted and held(tail) <= merged
+        if scan.fft_error[1] or n > 2**18:
+            assert (held(boundary), held(tail)) == (counted, merged)
 
     def test_over_budget_record_is_refused_before_its_dft(self,
                                                           monkeypatch):

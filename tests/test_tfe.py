@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdmkit.tfe
 from fdmkit import (
@@ -218,6 +220,40 @@ class TestRasterize:
         with pytest.raises(ParameterError):
             rasterize(pts, np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                       mode="phase")
+
+    @pytest.mark.parametrize("axis", [
+        [0.0, np.nan, 2.0], [np.nan], [np.nan, 1.0], [1.0, np.nan],
+        [0.0, 1.0, 1.0, 2.0], [-0.0, 0.0], [0.0, -0.0],
+        [np.inf, np.inf], [-np.inf, -np.inf], [1.0, np.inf, np.inf],
+        [-np.inf, -np.inf, 0.0], [-np.inf, 0.0, np.inf], [-np.inf, np.inf],
+        [-1e308, 1e308], [1e308, -1e308], [-1.7e308, 0.0, 1.7e308],
+        [0.0, 5e-324, 1e-323], [5e-324, 5e-324], [-5e-324, 0.0, 5e-324],
+        [2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 1)],
+        [1.0], [2.0, 1.0],
+    ])
+    def test_axis_check_refuses_what_diff_refused(self, axis):
+        self.assert_axis_verdict(np.array(axis))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.7e308, -1.7e308])),
+        min_size=1, max_size=6))
+    def test_axis_check_matches_diff_everywhere(self, values):
+        axis = np.array(values)
+        self.assert_axis_verdict(axis)
+        self.assert_axis_verdict(np.sort(axis))
+
+    @staticmethod
+    def assert_axis_verdict(axis):
+        # the verdict ``np.all(np.diff(axis) > 0)`` gave, without its
+        # overflow and inf - inf warnings
+        with np.errstate(all="ignore"):
+            increasing = bool(np.all(np.diff(axis) > 0))
+        if increasing:
+            assert fdmkit.tfe._axis_ok(axis, "t") is not None
+        else:
+            with pytest.raises(ParameterError, match="t must be strictly"):
+                fdmkit.tfe._axis_ok(axis, "t")
 
     def test_cell_limit(self, monkeypatch):
         # read at call time: a grid of exactly the cap is built, one

@@ -351,4 +351,6 @@ def test_json_format_unchanged(tmp_path):
     np.array([]),
 ], ids=["edges", "grid-axis", "offset-clock", "tiny-steps", "empty"])
 def test_grid_labels_are_repr(values):
-    assert cli._repr_cells(values) == [repr(v) for v in values.tolist()]
+    # the tfe grid's header row, written as bytes with no label a str
+    want = "f_hz," + ",".join(map(repr, values.tolist()))
+    assert cli._grid_header(values) == want.encode()
