@@ -808,7 +808,32 @@ class ScanContext:
         return terms
 
     def boundary(self, bins, eps, exhaustive):
-        """``scan_boundary`` of the record's band ``bins``."""
+        """Grow a band one bin at a time in ``bins`` order (a non-empty run
+        of consecutive bins, ascending or descending); return the bin that
+        closes its last admissible candidate, or -1 if none is. A
+        decomposition scans all its bands through one context.
+
+        The first-violation search judges the candidates in order, each at
+        every sample of the sums ``_tail`` yields, and stops at the first
+        failure after a pass.
+
+        The exhaustive search returns the largest admissible candidate.
+        On a record longer than PROBE, the top candidate is checked first
+        on every sample (``_Check.whole``), on certificates alone; a pass
+        is the answer, and a fail or a window left open leaves it to the
+        probe. Every candidate is then judged on its first PROBE
+        samples, built BLOCK candidates at a time: first on the head
+        panel, samples 0..HEAD-1, and only then, for a block with a head
+        survivor, on the tail panel, samples HEAD-2..PROBE-1, whose sums
+        catch up over the blocks that had none just before it. A
+        violation there is final, and a record of at most PROBE samples
+        needs nothing more.
+        The survivors then get certified full checks, on the same
+        ``_Check``, from the highest down, up to the first pass: a lower
+        survivor cannot matter once a higher one is admissible. The answer
+        is the one that checking every survivor on the sequential sums
+        would give.
+        """
         sr, si, cos_tab, sin_tab = self.coeffs
         n = self.n
         # position in bins of the highest candidate known admissible
@@ -864,38 +889,6 @@ class ScanContext:
             # the probe saw every sample
             best = survivors[-1]
         return int(bins[best]) if best != -1 else -1
-
-
-def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
-    """Grow a band one bin at a time in ``bins`` order (a non-empty run
-    of consecutive bins, ascending or descending); return the bin that
-    closes its last admissible candidate, or -1 if none is. It scans
-    through a context of its own; a decomposition shares one across its
-    bands (``ScanContext.boundary``).
-
-    The first-violation search judges the candidates in order, each at
-    every sample of the sums ``_tail`` yields, and stops at the first
-    failure after a pass.
-
-    The exhaustive search returns the largest admissible candidate.
-    On a record longer than PROBE, the top candidate is checked first
-    on every sample (``_Check.whole``), on certificates alone; a pass
-    is the answer, and a fail or a window left open leaves it to the
-    probe. Every candidate is then judged on its first PROBE
-    samples, built BLOCK candidates at a time: first on the head
-    panel, samples 0..HEAD-1, and only then, for a block with a head
-    survivor, on the tail panel, samples HEAD-2..PROBE-1, whose sums
-    catch up over the blocks that had none just before it. A
-    violation there is final, and a record of at most PROBE samples
-    needs nothing more.
-    The survivors then get certified full checks, on the same
-    ``_Check``, from the highest down, up to the first pass: a lower
-    survivor cannot matter once a higher one is admissible. The answer
-    is the one that checking every survivor on the sequential sums
-    would give.
-    """
-    return ScanContext(sr, si, cos_tab, sin_tab).boundary(bins, eps,
-                                                          exhaustive)
 
 
 def band_admissible(scan, lo, hi, eps):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .spectral import (MAX_VALUES, MultichannelSignal, Signal,
-                       check_sample_rate, is_integer, is_real)
+                       check_sample_rate, is_integer, is_real, sample_times)
 
 
 @dataclass
@@ -191,7 +191,7 @@ def generate(spec: GeneratorSpec):
             raise ParameterError(f"{spec.kind} draws noise; a seed is required")
 
     fs = spec.sample_rate_hz
-    t = np.arange(spec.n) / fs
+    t = sample_times(spec.n, fs, 0.0)
     # finite times can still overflow a recipe (the chirp squares t)
     with np.errstate(over="ignore", invalid="ignore"):
         out = func(t, fs, noise, **kwargs)

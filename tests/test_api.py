@@ -1,5 +1,6 @@
 """The package's public names: each one in ``__all__`` is bound, once,
 and names removed from the API stay gone."""
+import ast
 import dataclasses
 import pathlib
 import re
@@ -43,6 +44,33 @@ def test_ladder_geometry_has_one_owner():
             for p in sorted(src.glob("*.py"))
             if ratio.search(p.read_text())} == {"mfdm.py": 1}
     assert "math.log" not in (src / "cli.py").read_text()
+
+
+def imported(module):
+    """The modules a package module imports, the package's own under
+    their full names; ``from m import x`` counts m and m.x."""
+    found = set()
+    src = pathlib.Path(fdmkit.__file__).parent / f"{module}.py"
+    for node in ast.walk(ast.parse(src.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["fdmkit" * bool(node.level),
+                                          node.module]))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_table_format_has_one_owner():
+    # CSV ingest and the table writer live in _tables; the commands
+    # reach the file format only through it, and it needs no command
+    # or decomposition of its own
+    top = {m.split(".")[0] for m in imported("cli")}
+    assert top & {"orjson", "csv", "re"} == set()
+    users = {f"fdmkit.{m}"
+             for m in ("cli", "fdm", "tfe", "mfdm", "siggen", "_kernels")}
+    assert imported("_tables") & users == set()
 
 
 @pytest.mark.parametrize("cls,names", [

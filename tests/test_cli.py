@@ -25,6 +25,7 @@ from fdmkit import (
     cutoff_schedule,
     generate,
     mfdm_decompose,
+    _tables,
 )
 from fdmkit.cli import ingest_csv, main
 
@@ -194,7 +195,7 @@ class TestIngestCsv:
     @pytest.mark.parametrize("text", ["", "\n\n , \n"])
     def test_file_without_rows_refused(self, tmp_path, text):
         p = self.write(tmp_path, text)
-        with pytest.raises(cli.IngestionError, match="file holds no rows"):
+        with pytest.raises(IngestionError, match="file holds no rows"):
             ingest_csv(p)
 
     def test_nonzero_start_time_kept(self, tmp_path):
@@ -227,51 +228,51 @@ class TestIngestCsv:
 
     def test_numeric_header_rejected(self, tmp_path):
         p = self.write(tmp_path, "0.0,1.0\n0.1,2.0\n0.2,3.0\n")
-        with pytest.raises(cli.IngestionError, match="row 1"):
+        with pytest.raises(IngestionError, match="row 1"):
             ingest_csv(p)
 
     def test_ragged_row_named(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0,1\n0.1,2,9\n0.2,3\n")
-        with pytest.raises(cli.IngestionError, match="row 3"):
+        with pytest.raises(IngestionError, match="row 3"):
             ingest_csv(p)
 
     def test_bad_cell_named_with_column(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0,1\n0.1,two\n0.2,3\n")
-        with pytest.raises(cli.IngestionError, match=r"row 3.*'x'"):
+        with pytest.raises(IngestionError, match=r"row 3.*'x'"):
             ingest_csv(p)
 
     def test_non_finite_cell_named(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0,1\n0.1,nan\n0.2,3\n")
-        with pytest.raises(cli.IngestionError, match="row 3.*non-finite"):
+        with pytest.raises(IngestionError, match="row 3.*non-finite"):
             ingest_csv(p)
 
     def test_non_uniform_grid_named(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0.0,1\n0.1,2\n0.2,3\n0.35,4\n")
-        with pytest.raises(cli.IngestionError, match="row 5"):
+        with pytest.raises(IngestionError, match="row 5"):
             ingest_csv(p)
 
     def test_decreasing_time_rejected(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0.2,1\n0.1,2\n0.0,3\n")
-        with pytest.raises(cli.IngestionError, match="increase"):
+        with pytest.raises(IngestionError, match="increase"):
             ingest_csv(p)
 
     def test_time_only_file_rejected(self, tmp_path):
         p = self.write(tmp_path, "t\n0\n0.1\n0.2\n")
-        with pytest.raises(cli.IngestionError, match="no data columns"):
+        with pytest.raises(IngestionError, match="no data columns"):
             ingest_csv(p)
 
     def test_too_few_rows(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0,1\n")
-        with pytest.raises(cli.IngestionError, match="at least 2"):
+        with pytest.raises(IngestionError, match="at least 2"):
             ingest_csv(p)
 
     def test_blank_lines_ignored_but_numbering_kept(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0,1\n\n0.1,2\n0.2,bad\n")
-        with pytest.raises(cli.IngestionError, match="row 5"):
+        with pytest.raises(IngestionError, match="row 5"):
             ingest_csv(p)
 
     def refused(self, tmp_path, text, message):
-        with pytest.raises(cli.IngestionError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
             ingest_csv(self.write(tmp_path, text))
 
     def test_interleaved_blank_rows(self, tmp_path):
@@ -279,7 +280,7 @@ class TestIngestCsv:
         s = ingest_csv(self.write(tmp_path, text))
         assert np.array_equal(s.samples, [1.0, 2.0, 3.0])
         assert s.sample_rate_hz == 2.0
-        with pytest.raises(cli.IngestionError, match="^row 7: time step"):
+        with pytest.raises(IngestionError, match="^row 7: time step"):
             ingest_csv(self.write(tmp_path, "t,x\n\n0,1\n,\n0.5,2\n\n0.75,3\n"))
         self.refused(tmp_path, "t,x\n\n0,inf\n\n0.5,2\n",
                      "row 3, column 'x': non-finite value")
@@ -287,7 +288,7 @@ class TestIngestCsv:
     def test_non_uniform_step_message(self, tmp_path):
         self.refused(tmp_path, "t,x\n\n0,1\n,\n0.5,2\n\n0.75,3\n",
                      f"row 7: time step 0.25 deviates from 0.5 by more "
-                     f"than {cli._REL_TOL:g} relative")
+                     f"than {_tables._REL_TOL:g} relative")
 
     def test_overflowing_step_names_its_row(self, tmp_path):
         # the step from -1.7e308 to 1.7e308 is inf: refused as it is,
@@ -384,7 +385,7 @@ WIDE_ROWS = wide_rows("0")
 AT_FIELD_LIMIT = at_field_limit("0")
 
 # the reader takes the data rows this many characters at a time
-_READ = cli._READ_CHARS
+_READ = _tables._READ_CHARS
 
 
 def across_reads(at, newline="\n", late=None, blank=False):
@@ -580,7 +581,7 @@ class TestIngestRoutes:
                                               min_blocks):
         # the orjson route, so named before it replaced numpy's parser
         cells = []
-        json_numbers = cli._json_numbers
+        json_numbers = _tables._json_numbers
 
         def spy(*args):
             numbers = json_numbers(*args)
@@ -592,8 +593,8 @@ class TestIngestRoutes:
 
         path = self.write(tmp_path, text)
         want = ingest_outcome(reference_ingest, path)
-        monkeypatch.setattr(cli, "_json_numbers", spy)
-        monkeypatch.setattr(cli, "_row_loop", row_loop)
+        monkeypatch.setattr(_tables, "_json_numbers", spy)
+        monkeypatch.setattr(_tables, "_row_loop", row_loop)
         assert ingest_outcome(ingest_csv, path) == want
         # every cell of the file went through orjson
         header, *rows = text.strip().splitlines()
@@ -615,13 +616,13 @@ class TestIngestRoutes:
     def test_numpy_refusals_take_the_row_loop(self, tmp_path, monkeypatch, text):
         # what the orjson route refuses, so named before it replaced numpy's
         calls = []
-        row_loop = cli._row_loop
+        row_loop = _tables._row_loop
 
         def spy(rows, header, done):
             calls.append(done)
             return row_loop(rows, header, done)
 
-        monkeypatch.setattr(cli, "_row_loop", spy)
+        monkeypatch.setattr(_tables, "_row_loop", spy)
         path = self.write(tmp_path, text)
         assert ingest_csv(path).n == 2
         # the row loop took over at the first block, after no data row
@@ -639,13 +640,13 @@ class TestIngestRoutes:
         marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
         calls = []
-        loop = cli._row_loop
+        loop = _tables._row_loop
 
         def spy(*args):
             calls.append(args)
             return loop(*args)
 
-        monkeypatch.setattr(cli, "_row_loop", spy)
+        monkeypatch.setattr(_tables, "_row_loop", spy)
         # one channel at 2 Hz: the t column is the time axis again
         assert ingest_outcome(ingest_csv, str(marked)) == want
         assert len(calls) == row_loop
@@ -654,7 +655,7 @@ class TestIngestRoutes:
         """The text of each block handed to orjson and the file row of
         each row the row loop reads, as ingest_csv goes."""
         blocks, rownums = [], []
-        json_numbers, row_loop = cli._json_numbers, cli._row_loop
+        json_numbers, row_loop = _tables._json_numbers, _tables._row_loop
 
         def numbers_spy(text, *args):
             blocks.append(text)
@@ -665,8 +666,8 @@ class TestIngestRoutes:
             rownums.extend(rownum for rownum, _ in rows)
             return row_loop(iter(rows), *args)
 
-        monkeypatch.setattr(cli, "_json_numbers", numbers_spy)
-        monkeypatch.setattr(cli, "_row_loop", row_loop_spy)
+        monkeypatch.setattr(_tables, "_json_numbers", numbers_spy)
+        monkeypatch.setattr(_tables, "_row_loop", row_loop_spy)
         return blocks, rownums
 
     def test_late_refusal_reads_each_block_once(self, tmp_path, monkeypatch):
@@ -1299,7 +1300,7 @@ class TestAtomicWrites:
         target = tmp_path / "summary.json"
         other = tmp_path / "summary.json.tmp"
         other.write_text("other run")
-        cli._atomic_write(str(target), [b"mine\n"])
+        _tables._atomic_write(str(target), [b"mine\n"])
         assert target.read_text() == "mine\n"
         assert other.read_text() == "other run"
 
@@ -1308,14 +1309,14 @@ class TestAtomicWrites:
         with open(plain, "w") as fh:
             fh.write("x\n")
         target = tmp_path / "atomic.csv"
-        cli._atomic_write(str(target), [b"x\n"])
+        _tables._atomic_write(str(target), [b"x\n"])
         assert os.stat(target).st_mode == os.stat(plain).st_mode
 
     def test_temp_file_removed_on_failure(self, tmp_path, monkeypatch):
         def broken_replace(src, dst):
             raise OSError("disk gone")
 
-        monkeypatch.setattr(cli.os, "replace", broken_replace)
+        monkeypatch.setattr(_tables.os, "replace", broken_replace)
         with pytest.raises(OSError, match="disk gone"):
-            cli._atomic_write(str(tmp_path / "t.csv"), [b"x\n"])
+            _tables._atomic_write(str(tmp_path / "t.csv"), [b"x\n"])
         assert os.listdir(tmp_path) == []

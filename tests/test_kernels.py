@@ -30,11 +30,18 @@ def admissible(zr, zi, eps):
     return bool(_kernels._admissible_rows(zr, zi, eps))
 
 
+def scan_boundary(sr, si, cos_tab, sin_tab, bins, eps, exhaustive):
+    """The edge of band ``bins``, scanned through a fresh context that
+    no other band has used."""
+    return _kernels.ScanContext(sr, si, cos_tab, sin_tab).boundary(
+        bins, eps, exhaustive)
+
+
 def run_partition(sr, si, ct, st_, k_max, eps, exhaustive):
     cells, lo = [], 1
     while lo <= k_max:
-        hi = _kernels.scan_boundary(sr, si, ct, st_, np.arange(lo, k_max + 1),
-                                    eps, exhaustive)
+        hi = scan_boundary(sr, si, ct, st_, np.arange(lo, k_max + 1),
+                           eps, exhaustive)
         if hi == -1:
             cells.append((lo, k_max))
             break
@@ -128,8 +135,8 @@ class TestAdmissibility:
         assert band_admissible(sr, si, ct, st_, 14, 21, 0.0)
         for bins in (np.arange(14, 28), np.arange(27, 7, -1)):
             for exhaustive in (True, False):
-                assert (_kernels.scan_boundary(sr, si, ct, st_, bins, 0.0,
-                                               exhaustive)
+                assert (scan_boundary(sr, si, ct, st_, bins, 0.0,
+                                      exhaustive)
                         == scan_direct(sr, si, ct, st_, bins, 0.0, exhaustive))
 
     @given(st.data())
@@ -182,7 +189,7 @@ class TestAdmissibility:
 
 class TestBoundaryKernels:
     # one kernel path; the "numpy" id keeps the test names stable
-    @pytest.mark.parametrize("scan", [_kernels.scan_boundary], ids=["numpy"])
+    @pytest.mark.parametrize("scan", [scan_boundary], ids=["numpy"])
     @pytest.mark.parametrize("n", [16, 17, 64, 300])
     @pytest.mark.parametrize("exhaustive", [True, False])
     def test_lth_tracks_fresh_synthesis_reference(self, scan, n, exhaustive):
@@ -206,7 +213,7 @@ class TestBoundaryKernels:
                     break
                 lo = hi + 1
 
-    @pytest.mark.parametrize("scan", [_kernels.scan_boundary], ids=["numpy"])
+    @pytest.mark.parametrize("scan", [scan_boundary], ids=["numpy"])
     @pytest.mark.parametrize("n", [16, 17, 64, 300])
     @pytest.mark.parametrize("exhaustive", [True, False])
     def test_htl_tracks_fresh_synthesis_reference(self, scan, n, exhaustive):
@@ -250,8 +257,8 @@ class TestBoundaryKernels:
         si = np.ascontiguousarray(c.imag)
         ct, st_ = _kernels.twiddle_tables(n)
         for exhaustive in (True, False):
-            hi = _kernels.scan_boundary(sr, si, ct, st_, np.arange(1, 8), 0.0,
-                                        exhaustive)
+            hi = scan_boundary(sr, si, ct, st_, np.arange(1, 8), 0.0,
+                               exhaustive)
             assert hi >= 2
 
     def test_all_zero_spectrum_returns_sentinel(self):
@@ -260,7 +267,7 @@ class TestBoundaryKernels:
         si = np.zeros(n)
         ct, st_ = _kernels.twiddle_tables(n)
         for bins in (np.arange(1, 8), np.arange(7, 0, -1)):
-            assert _kernels.scan_boundary(sr, si, ct, st_, bins, 0.0, True) == -1
+            assert scan_boundary(sr, si, ct, st_, bins, 0.0, True) == -1
 
     @pytest.mark.parametrize("check", [band_admissible], ids=["numpy"])
     def test_band_monotone_matches_reference(self, check):
@@ -367,8 +374,8 @@ class TestScanSeams:
             while lo <= hi:
                 bins = (np.arange(lo, hi + 1) if upward
                         else np.arange(hi, lo - 1, -1))
-                got = _kernels.scan_boundary(sr, si, ct, st_, bins, eps,
-                                             exhaustive)
+                got = scan_boundary(sr, si, ct, st_, bins, eps,
+                                    exhaustive)
                 want = scan_direct(sr, si, ct, st_, bins, eps, exhaustive)
                 assert got == want, (lo, hi)
                 if got == -1:
@@ -637,8 +644,7 @@ class TestCertifiedChecks:
             sr, si, c = spectrum_of(seed, n)
             for bins in (np.arange(1, k_max + 1), np.arange(k_max, 0, -1)):
                 for eps in (0.0, 1e-3):
-                    got = _kernels.scan_boundary(sr, si, ct, st_, bins, eps,
-                                                 True)
+                    got = scan_boundary(sr, si, ct, st_, bins, eps, True)
                     assert got == scan_direct(sr, si, ct, st_, bins, eps,
                                               True)
 
@@ -676,7 +682,7 @@ class TestCheckPaths:
         tails = counting(monkeypatch, _kernels, "_tail")
         sr, si, _ = spectrum_of(0, 600)
         ct, st_ = _kernels.twiddle_tables(600)
-        _kernels.scan_boundary(sr, si, ct, st_, np.arange(1, 300), 0.0, False)
+        scan_boundary(sr, si, ct, st_, np.arange(1, 300), 0.0, False)
         assert checks == []
         assert len(tails) == 1
 
@@ -696,7 +702,7 @@ class TestCheckPaths:
         while lo <= hi:
             bins = np.arange(lo, hi + 1)
             rows.clear()
-            edge = _kernels.scan_boundary(sr, si, ct, st_, bins, 0.0, False)
+            edge = scan_boundary(sr, si, ct, st_, bins, 0.0, False)
             assert edge != -1
             # candidates up to the edge, and the one that failed after it
             tried = min(edge - lo + 2, bins.size)
@@ -712,12 +718,12 @@ class TestCheckPaths:
         bins = np.arange(1, 300)
         want = scan_direct(sr, si, ct, st_, bins, 0.0, False)
         rows = counting(monkeypatch, _kernels, "_admissible_rows")
-        edge = _kernels.scan_boundary(sr, si, ct, st_, bins, 0.0, False)
+        edge = scan_boundary(sr, si, ct, st_, bins, 0.0, False)
         assert edge == want
         assert len(rows) == min(edge - 200 + 2, 100)
         rows.clear()
-        assert _kernels.scan_boundary(sr, si, ct, st_, bins[:199], 0.0,
-                                      False) == -1
+        assert scan_boundary(sr, si, ct, st_, bins[:199], 0.0,
+                             False) == -1
         assert rows == []
 
     def test_per_sample_allowances_judge_whole_windows(self, monkeypatch):
@@ -829,13 +835,13 @@ def walk_on_one_context(c, scan, eps, neighbours=False):
         bins = (np.arange(lo, hi + 1) if scan == "lth"
                 else np.arange(hi, lo - 1, -1))
         edge = shared.boundary(bins, eps, True)
-        assert edge == _kernels.scan_boundary(sr, si, ct, st_, bins, eps,
-                                              True), (lo, hi)
+        assert edge == scan_boundary(sr, si, ct, st_, bins, eps,
+                                     True), (lo, hi)
         other = bins - 1 if lo > 1 else bins + 1
         if neighbours and other.max() <= k_max:
             assert (shared.boundary(other, eps, True)
-                    == _kernels.scan_boundary(sr, si, ct, st_, other, eps,
-                                              True)), (lo, hi)
+                    == scan_boundary(sr, si, ct, st_, other, eps,
+                                     True)), (lo, hi)
         if edge == -1:
             cells.append([lo, hi])
             break

@@ -16,13 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdmkit.cli as cli
-from fdmkit import TfePoints, rasterize
+from fdmkit import TfePoints, _tables, rasterize
 
 # cells per formatting chunk in the writer; test_chunk_size_is_pinned
-# keeps this in step with cli._CHUNK_CELLS
+# keeps this in step with _tables._CHUNK_CELLS
 CHUNK_CELLS = 1 << 16
 # the fewest +0.0 cells in one row that the writer copies as one run;
-# test_zero_run_is_pinned keeps this in step with cli._ZERO_RUN
+# test_zero_run_is_pinned keeps this in step with _tables._ZERO_RUN
 ZERO_RUN = 64
 FORMATS = ("csv", "json")
 
@@ -53,7 +53,7 @@ def reference_json(header, columns) -> str:
     ncols = len(columns)
     nrows = columns[0].size if ncols else 0
     doc = {
-        "schema_version": cli.SCHEMA_VERSION,
+        "schema_version": _tables.SCHEMA_VERSION,
         "columns": header,
         "rows": [[float(columns[k][i]) for k in range(ncols)]
                  for i in range(nrows)],
@@ -62,7 +62,7 @@ def reference_json(header, columns) -> str:
 
 
 def written_bytes(out_dir, header, columns, fmt="csv") -> bytes:
-    name = cli._write_table(str(out_dir), "table", header, columns, fmt)
+    name = _tables._write_table(str(out_dir), "table", header, columns, fmt)
     with open(os.path.join(out_dir, name), "rb") as fh:
         return fh.read()
 
@@ -162,11 +162,11 @@ def test_rows_around_a_chunk_boundary(tmp_path, ncols, shift, chunks):
 
 
 def test_chunk_size_is_pinned():
-    assert cli._CHUNK_CELLS == CHUNK_CELLS
+    assert _tables._CHUNK_CELLS == CHUNK_CELLS
 
 
 def test_zero_run_is_pinned():
-    assert cli._ZERO_RUN == ZERO_RUN
+    assert _tables._ZERO_RUN == ZERO_RUN
 
 
 def zero_run_rows(ncols, length):
@@ -227,13 +227,13 @@ def test_sparse_blocks(ncols, nrows, runs):
 def cells_to_orjson(monkeypatch) -> list:
     """The number of cells of each orjson.dumps call made from here on."""
     counts = []
-    dumps = cli.orjson.dumps
+    dumps = _tables.orjson.dumps
 
     def spy(obj, *args, **kwargs):
         counts.append(len(obj))
         return dumps(obj, *args, **kwargs)
 
-    monkeypatch.setattr(cli.orjson, "dumps", spy)
+    monkeypatch.setattr(_tables.orjson, "dumps", spy)
     return counts
 
 
@@ -260,7 +260,7 @@ def test_zero_runs_skip_orjson(tmp_path, monkeypatch):
 def test_shortest_zero_run_skips_orjson(monkeypatch, length, sent):
     row = np.r_[1.5, np.zeros(length), 2.5][None, :]
     counts = cells_to_orjson(monkeypatch)
-    assert bytes(cli._csv_rows(row)) == b"1.5," + b"0.0," * length + b"2.5\n"
+    assert bytes(_tables._csv_rows(row)) == b"1.5," + b"0.0," * length + b"2.5\n"
     assert counts == [sent]
 
 
