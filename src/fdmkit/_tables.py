@@ -430,12 +430,21 @@ def _atomic_write(path: str, chunks):
     log.info("wrote %s", path)
 
 
+def _grid_header(t_axis: np.ndarray) -> bytes:
+    """The CSV header row of the tfe grid: ``f_hz``, then repr(t) of
+    each time, formatted by ``_csv_rows``."""
+    if not t_axis.size:
+        return b"f_hz,"
+    line = _csv_rows(np.ascontiguousarray(t_axis, dtype=np.float64)[None, :])
+    return b"f_hz," + line[:-1]
+
+
 def _write_table(out_dir: str, stem: str, header: list, columns: list,
                  fmt: str) -> str:
     """Write a table with one name per column; returns the file name.
 
-    ``header`` is the list of names or the CSV bytes of the header row;
-    no name may hold a comma. Each entry of
+    ``header`` is the list of names, of which none may hold a comma
+    (ValueError), or the CSV bytes of the header row. Each entry of
     ``columns`` is a 1-D array (one column) or a 2-D array (its
     columns, in order); all have the same number of rows. Both formats
     are written one chunk of rows at a time, formatted by
@@ -445,6 +454,8 @@ def _write_table(out_dir: str, stem: str, header: list, columns: list,
     nrows = len(columns[0])
     line = header if isinstance(header, bytes) else ",".join(header).encode()
     ncol = line.count(b",") + 1
+    if not isinstance(header, bytes) and ncol != len(header):
+        raise ValueError(f"a column name holds a comma: {header}")
     step = max(1, _CHUNK_CELLS // ncol)
     blocks = (_csv_rows(np.ascontiguousarray(
         np.column_stack([c[i:i + step] for c in columns]), dtype=np.float64),
@@ -478,4 +489,6 @@ def _json_rows(blocks):
 
 
 def _write_json(path: str, doc: dict):
+    """Write ``doc``, stamped with SCHEMA_VERSION, as a JSON document."""
+    doc = {"schema_version": SCHEMA_VERSION, **doc}
     _atomic_write(path, [(json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()])

@@ -29,8 +29,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ._tables import (SCHEMA_VERSION, _agree, _csv_rows, _write_json,
-                      _write_table, ingest_csv)
+from ._tables import (_agree, _grid_header, _write_json, _write_table,
+                      ingest_csv)
 from .errors import ContractError, InputError, ParameterError
 from .fdm import FdmConfig, decompose
 from .mfdm import CutoffSchedule, _record_schedule, mfdm_decompose
@@ -98,7 +98,6 @@ def _emit(args, tables, summary: dict, message: str) -> int:
     os.makedirs(args.out, exist_ok=True)
     for stem, header, columns in tables:
         _write_table(args.out, stem, header, columns, args.format)
-    summary = {"schema_version": SCHEMA_VERSION, **summary}
     if not args.no_timestamp:
         summary["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     _write_json(os.path.join(args.out, "summary.json"), summary)
@@ -221,15 +220,6 @@ class _GridRows:
             points, times_s=points.times_s[take], freqs_hz=points.freqs_hz[take],
             amplitudes=points.amplitudes[take], fibf_index=points.fibf_index[take])
         return rasterize(block, t_axis, f_axis[lo:hi], mode=mode).cells
-
-
-def _grid_header(t_axis: np.ndarray) -> bytes:
-    """The CSV header row of the tfe grid: ``f_hz``, then repr(t) of
-    each time, formatted by the table writer."""
-    if not t_axis.size:
-        return b"f_hz,"
-    line = _csv_rows(np.ascontiguousarray(t_axis, dtype=np.float64)[None, :])
-    return b"f_hz," + line[:-1]
 
 
 def cmd_tfe(args) -> int:

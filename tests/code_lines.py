@@ -5,9 +5,7 @@ Code lines are the lines that hold a token of a statement: docstrings
 blank lines are not counted. A statement that spans lines counts each
 of them.
 
-    python tests/code_lines.py [PACKAGE_DIR]
-
-PACKAGE_DIR defaults to the repository's src/fdmkit.
+    python tests/code_lines.py
 """
 
 import ast
@@ -40,12 +38,10 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    package = Path(args[0]) if args else PACKAGE
+def main() -> int:
     total = code = 0
     print(f"{'module':<16}{'lines':>8}{'code':>8}")
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         n, c = len(source.splitlines()), code_lines(source)
         total, code = total + n, code + c

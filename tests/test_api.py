@@ -68,6 +68,11 @@ def test_table_format_has_one_owner():
     # or decomposition of its own
     top = {m.split(".")[0] for m in imported("cli")}
     assert top & {"orjson", "csv", "re"} == set()
+    # the commands read and write through these alone, none of them a
+    # piece of the format's layout
+    assert {m for m in imported("cli") if m.startswith("fdmkit._tables.")} == {
+        f"fdmkit._tables.{name}" for name in
+        ("ingest_csv", "_agree", "_grid_header", "_write_table", "_write_json")}
     users = {f"fdmkit.{m}"
              for m in ("cli", "fdm", "tfe", "mfdm", "siggen", "_kernels")}
     assert imported("_tables") & users == set()

@@ -343,6 +343,13 @@ def test_json_format_unchanged(tmp_path):
     assert written_bytes(tmp_path, header, columns, "json") == want
 
 
+def test_name_with_a_comma_is_refused(tmp_path):
+    # a comma would split the name in the CSV header and in JSON's columns
+    with pytest.raises(ValueError, match="comma"):
+        written_bytes(tmp_path, ["t", "x,y"], [np.zeros(3), np.ones(3)])
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("values", [
     np.array(EDGES),
     np.arange(16384) / 100.0,
@@ -353,4 +360,4 @@ def test_json_format_unchanged(tmp_path):
 def test_grid_labels_are_repr(values):
     # the tfe grid's header row, written as bytes with no label a str
     want = "f_hz," + ",".join(map(repr, values.tolist()))
-    assert cli._grid_header(values) == want.encode()
+    assert _tables._grid_header(values) == want.encode()
